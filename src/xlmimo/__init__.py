@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, CovarianceModel, assemble_blocks,
-                      build_correlation, extract_blocks, path_loss,
-                      sample_channel)
+from .channel import (ChannelRealization, assemble_blocks, build_correlation,
+                      path_loss)
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_config)
 from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
@@ -16,9 +15,8 @@ from .flops import (FlopModel, flop_model, flops_cg, flops_direct, flops_gs,
 from .geometry import (ArrayGeometry, UserLayout, VisibilityRegion,
                        antennas_for_length, build_geometry, drop_users,
                        sample_vr)
-from .linsolve import (HpdSystem, SolverOutcome, Splitting, cg_solve,
-                       condition_number, direct_solve, gs_solve, jacpcg_solve,
-                       jor_solve)
+from .linsolve import (HpdSystem, SolverOutcome, cg_solve, condition_number,
+                       direct_solve, gs_solve, jacpcg_solve, jor_solve)
 from .metrics import (BerReport, LinkReport, ber_montecarlo, convergence_trace,
                       sinr_eq9, sum_se)
 from .precoder import (BlockPrecoder, PrecoderBlock, assemble_precoder,

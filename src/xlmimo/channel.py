@@ -1,11 +1,13 @@
-"""Non-stationary correlated channel generation and block assembly.
+"""Non-stationary correlated channel model pieces and block assembly.
 
 Channel vectors are h = sqrt(w) .* hbar with hbar ~ CN(0, Theta), where
 Theta = D^{1/2} R D^{1/2} restricted to per-subarray diagonal blocks; D is
-the 0/1 visibility indicator and R the spatial correlation matrix.
+the 0/1 visibility indicator and R the spatial correlation matrix.  The
+per-trial draw with this law is `scenario.draw_trial`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,40 +55,40 @@ def psd_sqrt(mat: np.ndarray, neg_tol: float = PSD_NEG_TOL,
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
-    """Per-user covariance: correlation R, visibility mask, block-diagonal Theta."""
+def check_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> None:
+    """The central block serves both groups: it needs K1 + K2 columns."""
+    K1, K, K2 = B1.shape[1], Bc.shape[1], B2.shape[1]
+    if K != K1 + K2:
+        raise AssemblyError(
+            f"central block has {K} columns, expected K1+K2 = {K1 + K2}")
 
-    R: np.ndarray
-    visible: np.ndarray          # (M,) boolean
-    theta: np.ndarray            # (M, M) block-diagonal masked covariance
-    theta_blocks: tuple          # S blocks of shape (M_s, M_s)
 
-    @classmethod
-    def build(cls, R: np.ndarray, visible: np.ndarray,
-              geometry: ArrayGeometry) -> "CovarianceModel":
-        visible = np.asarray(visible, dtype=bool)
-        d = visible.astype(float)
-        # D is 0/1 diagonal, so D^{1/2} = D.
-        masked = R * np.outer(d, d)
-        blocks = []
-        theta = np.zeros_like(masked, dtype=masked.dtype)
-        for s in range(geometry.S):
-            idx = geometry.subarray_indices(s)
-            block = masked[np.ix_(idx, idx)]
-            blocks.append(block)
-            theta[np.ix_(idx, idx)] = block
-        return cls(R=R, visible=visible, theta=theta, theta_blocks=tuple(blocks))
+def stack_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> np.ndarray:
+    """Stack side/central/side blocks into the M x K matrix with zero blocks."""
+    M1, K1 = B1.shape
+    Mc, K = Bc.shape
+    out = np.zeros((M1 + Mc + B2.shape[0], K), dtype=complex)
+    out[:M1, :K1] = B1
+    out[M1:M1 + Mc, :] = Bc
+    out[M1 + Mc:, K1:] = B2
+    return out
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Block channel matrices for the S=3, L=2 topology plus the stacked H."""
+    """Block channel matrices for the S=3, L=2 topology."""
 
     H1: np.ndarray  # (M_1, K_1) subarray 1 x group 1
     Hc: np.ndarray  # (M_c, K)   central subarray x all users
     H2: np.ndarray  # (M_2, K_2) subarray 2 x group 2
-    H: np.ndarray   # (M, K) stacked with exact zero blocks
+
+    def __post_init__(self):
+        check_blocks(self.H1, self.Hc, self.H2)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """(M, K) stacked channel with exact zero blocks, built on first use."""
+        return stack_blocks(self.H1, self.Hc, self.H2)
 
     @property
     def K1(self) -> int:
@@ -110,28 +112,10 @@ class ChannelRealization:
 
 def assemble_blocks(H1: np.ndarray, Hc: np.ndarray,
                     H2: np.ndarray) -> ChannelRealization:
-    """Stack the three channel blocks into the M x K matrix with zero blocks."""
-    M1, K1 = H1.shape
-    Mc, K = Hc.shape
-    M2, K2 = H2.shape
-    if K != K1 + K2:
-        raise AssemblyError(
-            f"central block has {K} columns, expected K1+K2 = {K1 + K2}")
-    H = np.zeros((M1 + Mc + M2, K), dtype=complex)
-    H[:M1, :K1] = H1
-    H[M1:M1 + Mc, :] = Hc
-    H[M1 + Mc:, K1:] = H2
+    """Realization from its three blocks; the stacked matrix is `.H`."""
     return ChannelRealization(H1=np.asarray(H1, dtype=complex),
                               Hc=np.asarray(Hc, dtype=complex),
-                              H2=np.asarray(H2, dtype=complex), H=H)
-
-
-def extract_blocks(H: np.ndarray, M1: int, Mc: int, K1: int):
-    """Inverse of assemble_blocks: pull (H1, Hc, H2) back out of the stack."""
-    H1 = H[:M1, :K1]
-    Hc = H[M1:M1 + Mc, :]
-    H2 = H[M1 + Mc:, K1:]
-    return H1, Hc, H2
+                              H2=np.asarray(H2, dtype=complex))
 
 
 def assemble_from_user_channels(h_users: np.ndarray, geometry: ArrayGeometry,
@@ -152,33 +136,3 @@ def assemble_from_user_channels(h_users: np.ndarray, geometry: ArrayGeometry,
     Hc = h_users[:, sub[1]].T
     H2 = h_users[np.ix_(g2, sub[2])].T
     return assemble_blocks(H1, Hc, H2)
-
-
-def sample_user_channel(rng: np.random.Generator, cov: CovarianceModel,
-                        w: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Draw one user's length-M channel: h = sqrt(w) .* Theta_s^{1/2} z per block."""
-    M = geometry.M
-    h = np.zeros(M, dtype=complex)
-    sqrt_w = np.sqrt(np.asarray(w, dtype=float))
-    for s in range(geometry.S):
-        idx = geometry.subarray_indices(s)
-        A = psd_sqrt(cov.theta_blocks[s])
-        z = (rng.standard_normal(len(idx))
-             + 1j * rng.standard_normal(len(idx))) / np.sqrt(2.0)
-        h[idx] = sqrt_w[idx] * (A @ z)
-    return h
-
-
-def sample_channel(rng: np.random.Generator, covs, W: np.ndarray,
-                   geometry: ArrayGeometry,
-                   layout: UserLayout) -> ChannelRealization:
-    """Draw all K user channels and assemble the block matrix.
-
-    `covs` is a length-K sequence of CovarianceModel, `W` the (K, M) matrix of
-    large-scale gains.
-    """
-    W = np.asarray(W, dtype=float)
-    h_users = np.empty((layout.K, geometry.M), dtype=complex)
-    for k in range(layout.K):
-        h_users[k] = sample_user_channel(rng, covs[k], W[k], geometry)
-    return assemble_from_user_channels(h_users, geometry, layout)

@@ -14,9 +14,10 @@ import yaml
 
 from .errors import ConfigurationError
 from .geometry import antennas_for_length, build_geometry
+from .linsolve import (DEFAULT_OMEGA, DEFAULT_PCG_VARIANT, DEFAULT_T, METHODS,
+                       PCG_VARIANTS)
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
-DEFAULT_METHODS = ["direct", "gs", "jor", "cg", "jacpcg"]
 
 
 @dataclass
@@ -74,12 +75,9 @@ class PowerConfig:
 
 @dataclass
 class SolverConfig:
-    method: str = "jacpcg"
-    T: int = 5
-    omega: float = 1.0            # JOR relaxation (1 = classical Jacobi)
-    eps: float | None = None      # None = fixed-T mode
-    w0: str = "zero"
-    pcg_variant: str = "textbook"  # PCG inner products: "textbook" | "algorithm"
+    T: int = DEFAULT_T
+    omega: float = DEFAULT_OMEGA  # JOR relaxation (1 = classical Jacobi)
+    pcg_variant: str = DEFAULT_PCG_VARIANT  # PCG inner products, see PCG_VARIANTS
 
 
 @dataclass
@@ -88,7 +86,7 @@ class RunConfig:
     trials: int = 50
     experiment: str = "convergence"
     workers: int = 1
-    methods: list = field(default_factory=lambda: list(DEFAULT_METHODS))
+    methods: list = field(default_factory=lambda: list(METHODS))
     t_max: int = 5
     m_grid: list = field(default_factory=lambda: [99, 132, 165, 198, 231, 264])
     k_grid: list = field(default_factory=lambda: [5, 10, 15, 20, 25, 30])
@@ -130,9 +128,8 @@ def _coerce(value, target, path):
 
 
 _FIELD_TYPES = {
-    # optional / union fields need explicit base types
+    # optional fields need explicit base types
     ("geometry", "M"): int,
-    ("solver", "eps"): float,
 }
 
 
@@ -145,13 +142,7 @@ def _fill_section(section_obj, data: dict, section: str):
         if ftype is None:
             default = getattr(type(section_obj)(), key)
             ftype = list if isinstance(default, list) else type(default)
-            if default is None:
-                ftype = object
-        if ftype is object:
-            coerced = value
-        else:
-            coerced = _coerce(value, ftype, f"{section}.{key}")
-        setattr(section_obj, key, coerced)
+        setattr(section_obj, key, _coerce(value, ftype, f"{section}.{key}"))
     return section_obj
 
 
@@ -262,13 +253,9 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
     if s.omega <= 0:
         raise ConfigurationError(f"solver.omega must be positive, got {s.omega}")
-    if s.eps is not None and s.eps <= 0:
-        raise ConfigurationError(f"solver.eps must be positive or null, got {s.eps}")
-    if s.method not in ("direct", "gs", "jor", "cg", "jacpcg"):
-        raise ConfigurationError(f"unknown solver.method {s.method!r}")
-    if s.pcg_variant not in ("textbook", "algorithm"):
+    if s.pcg_variant not in PCG_VARIANTS:
         raise ConfigurationError(
-            f"solver.pcg_variant must be 'textbook' or 'algorithm', "
+            f"solver.pcg_variant must be one of {PCG_VARIANTS}, "
             f"got {s.pcg_variant!r}")
     if r.experiment not in EXPERIMENTS:
         raise ConfigurationError(
@@ -282,7 +269,7 @@ def validate(cfg: ExperimentConfig) -> None:
         if not grid:
             raise ConfigurationError(f"run.{name} must be non-empty")
     for m in r.methods:
-        if m not in ("direct", "gs", "jor", "cg", "jacpcg"):
+        if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")
     for M in r.m_grid:
         if M % g.S != 0:

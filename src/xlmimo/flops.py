@@ -8,8 +8,7 @@ Jacobi preconditioner (one extra preprocessing charge per solve).
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-
-METHODS = ("direct", "gs", "jor", "cg", "jacpcg")
+from .linsolve import METHODS
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Direct Cholesky plus four iterative schemes: Gauss-Seidel, Jacobi
 over-relaxation, conjugate gradient, and Jacobi-preconditioned CG.  All
 solvers accept one right-hand side (shape (n,)) or several (shape (n, m))
 and record a per-iteration least-square error trace
-||P w^(t) - s||_F^2 / ||s||_F^2.
+||P w^(t) - s||_F^2 / ||s||_F^2.  The iterative schemes are step generators
+run by one driver, `_iterate`.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +18,12 @@ from .errors import ConfigurationError, NotHpdError, SplittingError
 
 HERMITIAN_RTOL = 1e-12
 CONDITION_SIZE_CAP = 512
+
+# Library defaults; the experiment config (SolverConfig) takes its own from here.
+DEFAULT_T = 5
+DEFAULT_OMEGA = 1.0                # JOR relaxation (1 = classical Jacobi)
+PCG_VARIANTS = ("textbook", "algorithm")
+DEFAULT_PCG_VARIANT = "textbook"
 
 
 @dataclass(frozen=True)
@@ -41,20 +49,6 @@ class HpdSystem:
     @property
     def n(self) -> int:
         return self.P.shape[0]
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """P = D + Lo + Up with D diagonal, Lo/Up strictly triangular."""
-
-    D: np.ndarray
-    Lo: np.ndarray
-    Up: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, P: np.ndarray) -> "Splitting":
-        P = np.asarray(P)
-        return cls(D=np.diag(np.diag(P)), Lo=np.tril(P, -1), Up=np.triu(P, 1))
 
 
 @dataclass
@@ -91,19 +85,13 @@ def _ls_error(P, w, s2, snorm2) -> float:
     return float(np.vdot(r, r).real / snorm2)
 
 
-def _finish(w, was_1d, iterations, trace, converged, iterates):
-    w_out = w[:, 0] if was_1d else w
+def _finish(w, was_1d, trace, converged, iterates):
     if was_1d:
+        w = w[:, 0]
         iterates = [x[:, 0] for x in iterates]
-    return SolverOutcome(w=w_out, iterations=iterations,
+    return SolverOutcome(w=w, iterations=len(trace) - 1,
                          residual_trace=np.asarray(trace),
                          converged=converged, iterates=iterates)
-
-
-def _converged_flag(trace, eps) -> bool:
-    if eps is not None:
-        return np.sqrt(trace[-1]) <= eps
-    return trace[-1] <= trace[0]
 
 
 def direct_solve(sys: HpdSystem) -> SolverOutcome:
@@ -115,12 +103,35 @@ def direct_solve(sys: HpdSystem) -> SolverOutcome:
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
     w = scipy.linalg.cho_solve(factor, s2)
-    trace = [_ls_error(sys.P, w, s2, snorm2)]
-    return _finish(w, was_1d, 0, trace, True, [])
+    return _finish(w, was_1d, [_ls_error(sys.P, w, s2, snorm2)], True, [])
 
 
-def _check_diag(P) -> np.ndarray:
-    d = np.diag(P)
+def _iterate(sys: HpdSystem, T: int, eps, w0, keep_iterates,
+             steps) -> SolverOutcome:
+    """Run at most T iterations of `steps(P, s, w)`, a generator of iterates.
+
+    Stops early once sqrt(LS error) <= eps, or when the generator ends (a
+    Krylov method whose residual is exactly zero).  Without eps, converged
+    means the final LS error does not exceed the initial one.
+    """
+    if T < 1:
+        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
+    P = np.asarray(sys.P, dtype=complex)
+    s2, w, was_1d, snorm2 = _prepare(sys, w0)
+    trace = [_ls_error(P, w, s2, snorm2)]
+    iterates = []
+    for w in islice(steps(P, s2, w), T):
+        trace.append(_ls_error(P, w, s2, snorm2))
+        if keep_iterates:
+            iterates.append(w.copy())
+        if eps is not None and np.sqrt(trace[-1]) <= eps:
+            break
+    converged = (np.sqrt(trace[-1]) <= eps if eps is not None
+                 else trace[-1] <= trace[0])
+    return _finish(w, was_1d, trace, converged, iterates)
+
+
+def _check_diag(d) -> np.ndarray:
     if np.any(d == 0):
         raise SplittingError(
             f"zero diagonal entry at index {int(np.argmin(np.abs(d)))}")
@@ -130,168 +141,95 @@ def _check_diag(P) -> np.ndarray:
 def gs_solve(sys: HpdSystem, T: int, w0=None, eps: float | None = None,
              keep_iterates: bool = False) -> SolverOutcome:
     """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo)."""
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
-    P = np.asarray(sys.P, dtype=complex)
-    _check_diag(P)
-    s2, w, was_1d, snorm2 = _prepare(sys, w0)
-    DL = np.tril(P)
-    Up = np.triu(P, 1)
-    trace = [_ls_error(P, w, s2, snorm2)]
-    iterates = []
-    it = 0
-    for t in range(1, T + 1):
-        w = scipy.linalg.solve_triangular(DL, s2 - Up @ w, lower=True)
-        it = t
-        trace.append(_ls_error(P, w, s2, snorm2))
-        if keep_iterates:
-            iterates.append(w.copy())
-        if eps is not None and np.sqrt(trace[-1]) <= eps:
-            break
-    return _finish(w, was_1d, it, trace, _converged_flag(trace, eps), iterates)
+    def steps(P, s, w):
+        _check_diag(np.diag(P))
+        DL, Up = np.tril(P), np.triu(P, 1)
+        while True:
+            w = scipy.linalg.solve_triangular(DL, s - Up @ w, lower=True)
+            yield w
+
+    return _iterate(sys, T, eps, w0, keep_iterates, steps)
 
 
-def jor_solve(sys: HpdSystem, T: int, omega: float = 0.5, w0=None,
+def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA, w0=None,
               eps: float | None = None,
               keep_iterates: bool = False) -> SolverOutcome:
     """Jacobi over-relaxation: w <- w + omega * D^{-1} (s - P w)."""
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     if omega <= 0:
         raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
-    P = np.asarray(sys.P, dtype=complex)
-    d = _check_diag(P)[:, None]
-    s2, w, was_1d, snorm2 = _prepare(sys, w0)
-    trace = [_ls_error(P, w, s2, snorm2)]
-    iterates = []
-    it = 0
-    for t in range(1, T + 1):
-        w = w + omega * ((s2 - P @ w) / d)
-        it = t
-        trace.append(_ls_error(P, w, s2, snorm2))
-        if keep_iterates:
-            iterates.append(w.copy())
-        if eps is not None and np.sqrt(trace[-1]) <= eps:
-            break
-    return _finish(w, was_1d, it, trace, _converged_flag(trace, eps), iterates)
+
+    def steps(P, s, w):
+        d = _check_diag(np.diag(P))[:, None]
+        while True:
+            w = w + omega * ((s - P @ w) / d)
+            yield w
+
+    return _iterate(sys, T, eps, w0, keep_iterates, steps)
 
 
 def _col_dot(a, b) -> np.ndarray:
     return np.einsum("ij,ij->j", a.conj(), b).real
 
 
+def _pcg_steps(c_res, c_dir):
+    """PCG recurrence with diagonal preconditioner C applied on one side.
+
+    `c_dir` (textbook PCG) divides the residual into the search direction,
+    z = C^{-1} r, with r^H z inner products.  `c_res` (the paper's
+    algorithm) keeps the residual itself preconditioned, r = C^{-1}(s - P w),
+    with r^H r inner products.  Both None is plain CG; a side without C skips
+    its division.
+    """
+    def steps(P, s, w):
+        r = s - P @ w
+        if c_res is not None:
+            r = r / c_res
+        z = r if c_dir is None else r / c_dir
+        m = z.copy()
+        rz = _col_dot(r, z)
+        while np.any(rz > 0):
+            q = P @ m
+            if c_res is not None:
+                q = q / c_res
+            curv = _col_dot(m, q)
+            if np.any((curv <= 0) & (rz > 0)):
+                raise NotHpdError(
+                    "nonpositive direction curvature encountered; P is not HPD")
+            alpha = np.where(rz > 0, rz / np.where(curv > 0, curv, 1.0), 0.0)
+            w = w + alpha * m
+            r = r - alpha * q
+            z = r if c_dir is None else r / c_dir
+            rz_new = _col_dot(r, z)
+            beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+            m = z + beta * m
+            rz = rz_new
+            yield w
+
+    return steps
+
+
 def cg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
              keep_iterates: bool = False) -> SolverOutcome:
     """Classical conjugate gradient; exact within n iterations in exact arithmetic."""
-    return _pcg_core(sys, T, eps, w0, precond_diag=None, keep_iterates=keep_iterates,
-                     variant="cg")
+    return _iterate(sys, T, eps, w0, keep_iterates, _pcg_steps(None, None))
 
 
 def jacpcg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
                  precond_diag=None, keep_iterates: bool = False,
-                 variant: str = "algorithm") -> SolverOutcome:
+                 variant: str = DEFAULT_PCG_VARIANT) -> SolverOutcome:
     """Diagonally preconditioned CG with C = diag(P) by default.
 
+    `variant="textbook"` runs standard PCG with r^H z inner products;
     `variant="algorithm"` runs the recurrences on the preconditioned residual
-    r = C^{-1}(s - P w) with beta = r+^H r+ / r^H r; `variant="textbook"`
-    runs standard PCG with the r^H z inner products.  Both coincide for C = I.
-    Pass `precond_diag` to override the preconditioner (e.g. ones for C = I).
+    r = C^{-1}(s - P w) with beta = r+^H r+ / r^H r.  Both coincide with CG
+    for C = I.  Pass `precond_diag` to override the preconditioner.
     """
-    P = np.asarray(sys.P)
-    if precond_diag is None:
-        c = np.diag(P).real.copy()
-    else:
-        c = np.asarray(precond_diag, dtype=float).copy()
-    if np.any(c == 0):
-        raise SplittingError(
-            f"preconditioner has zero diagonal entry at index "
-            f"{int(np.argmin(np.abs(c)))}")
-    if variant not in ("algorithm", "textbook"):
+    if variant not in PCG_VARIANTS:
         raise ConfigurationError(f"unknown PCG variant {variant!r}")
-    if variant == "textbook":
-        return _pcg_textbook(sys, T, eps, w0, c, keep_iterates)
-    return _pcg_core(sys, T, eps, w0, precond_diag=c,
-                     keep_iterates=keep_iterates, variant="pcg")
-
-
-def _pcg_core(sys, T, eps, w0, precond_diag, keep_iterates, variant):
-    # CG and the preconditioned recurrence share one loop so that C = I
-    # reproduces CG bit-for-bit (dividing by 1.0 is exact).
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
-    P = np.asarray(sys.P, dtype=complex)
-    s2, w, was_1d, snorm2 = _prepare(sys, w0)
-    if variant == "pcg":
-        c_col = precond_diag[:, None]
-        r = (s2 - P @ w) / c_col
-    else:
-        r = s2 - P @ w
-    m = r.copy()
-    rr = _col_dot(r, r)
-    trace = [_ls_error(P, w, s2, snorm2)]
-    iterates = []
-    it = 0
-    for t in range(1, T + 1):
-        if not np.any(rr > 0):
-            break
-        Pm = P @ m
-        z = (Pm / c_col) if variant == "pcg" else Pm
-        curv = _col_dot(m, z)
-        if np.any((curv <= 0) & (rr > 0)):
-            raise NotHpdError(
-                "nonpositive direction curvature encountered; P is not HPD")
-        alpha = np.where(rr > 0, rr / np.where(curv > 0, curv, 1.0), 0.0)
-        w = w + alpha * m
-        r = r - alpha * z
-        rr_new = _col_dot(r, r)
-        beta = np.where(rr > 0, rr_new / np.where(rr > 0, rr, 1.0), 0.0)
-        m = r + beta * m
-        rr = rr_new
-        it = t
-        trace.append(_ls_error(P, w, s2, snorm2))
-        if keep_iterates:
-            iterates.append(w.copy())
-        if eps is not None and np.sqrt(trace[-1]) <= eps:
-            break
-    return _finish(w, was_1d, it, trace, _converged_flag(trace, eps), iterates)
-
-
-def _pcg_textbook(sys, T, eps, w0, c, keep_iterates):
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
-    P = np.asarray(sys.P, dtype=complex)
-    s2, w, was_1d, snorm2 = _prepare(sys, w0)
-    c_col = c[:, None]
-    r = s2 - P @ w
-    z = r / c_col
-    m = z.copy()
-    rz = np.einsum("ij,ij->j", r.conj(), z).real
-    trace = [_ls_error(P, w, s2, snorm2)]
-    iterates = []
-    it = 0
-    for t in range(1, T + 1):
-        if not np.any(rz > 0):
-            break
-        Pm = P @ m
-        curv = _col_dot(m, Pm)
-        if np.any((curv <= 0) & (rz > 0)):
-            raise NotHpdError(
-                "nonpositive direction curvature encountered; P is not HPD")
-        alpha = np.where(rz > 0, rz / np.where(curv > 0, curv, 1.0), 0.0)
-        w = w + alpha * m
-        r = r - alpha * Pm
-        z = r / c_col
-        rz_new = np.einsum("ij,ij->j", r.conj(), z).real
-        beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        m = z + beta * m
-        rz = rz_new
-        it = t
-        trace.append(_ls_error(P, w, s2, snorm2))
-        if keep_iterates:
-            iterates.append(w.copy())
-        if eps is not None and np.sqrt(trace[-1]) <= eps:
-            break
-    return _finish(w, was_1d, it, trace, _converged_flag(trace, eps), iterates)
+    c = np.diag(sys.P).real if precond_diag is None else precond_diag
+    c = _check_diag(np.asarray(c, dtype=float))[:, None]
+    steps = _pcg_steps(c, None) if variant == "algorithm" else _pcg_steps(None, c)
+    return _iterate(sys, T, eps, w0, keep_iterates, steps)
 
 
 def condition_number(P: np.ndarray) -> float:
@@ -313,3 +251,6 @@ ITERATIVE_SOLVERS = {
     "cg": cg_solve,
     "jacpcg": jacpcg_solve,
 }
+
+METHODS = ("direct", *ITERATIVE_SOLVERS)
+"""Every precoding method name; the single list the package validates against."""

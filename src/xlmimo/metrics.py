@@ -84,7 +84,7 @@ def qpsk_detect(y: np.ndarray) -> np.ndarray:
 
 
 def _precoders_for_trial(realization, xi, power, methods, T, omega,
-                         pcg_variant="algorithm"):
+                         pcg_variant):
     return {m: build_precoder(realization, xi, power, m, T=T, omega=omega,
                               pcg_variant=pcg_variant)
             for m in methods}

@@ -7,13 +7,14 @@ the SINR evaluation; beta is computed from the approximate solution.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigurationError, DegenerateChannelError
-from .linsolve import ITERATIVE_SOLVERS, HpdSystem, direct_solve
-
-SOLVER_NAMES = ("direct", "gs", "jor", "cg", "jacpcg")
+from .channel import check_blocks, stack_blocks
+from .errors import ConfigurationError, DegenerateChannelError
+from .linsolve import (DEFAULT_OMEGA, DEFAULT_PCG_VARIANT, DEFAULT_T,
+                       ITERATIVE_SOLVERS, HpdSystem, direct_solve)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,14 @@ class BlockPrecoder:
     beta_1: float
     beta_c: float
     beta_2: float
-    G: np.ndarray  # (M, K) stacked with exact zero blocks
+
+    def __post_init__(self):
+        check_blocks(self.G1, self.Gc, self.G2)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """(M, K) stacked precoder with exact zero blocks, built on first use."""
+        return stack_blocks(self.G1, self.Gc, self.G2)
 
     @property
     def K1(self) -> int:
@@ -79,68 +87,46 @@ def rzf_direct(H: np.ndarray, xi: float, power: float) -> PrecoderBlock:
 
 
 def rzf_iterative(H: np.ndarray, xi: float, power: float, solver: str = "jacpcg",
-                  T: int = 5, omega: float = 0.5,
+                  T: int = DEFAULT_T, omega: float = DEFAULT_OMEGA,
                   eps: float | None = None,
-                  pcg_variant: str = "algorithm") -> PrecoderBlock:
+                  pcg_variant: str = DEFAULT_PCG_VARIANT) -> PrecoderBlock:
     """Approximate RZF block: solve P x_j = e_j for each column with T iterations."""
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     out = solve_iterative(gram_regularized(H, xi), solver, T, omega=omega,
                           eps=eps, pcg_variant=pcg_variant)
     F = np.asarray(H, dtype=complex) @ out.w
     return _power_scale(H, F, power)
 
 
-def solve_iterative(sys: HpdSystem, solver: str, T: int, omega: float = 0.5,
-                    eps: float | None = None, pcg_variant: str = "algorithm",
-                    **kwargs):
+def solve_iterative(sys: HpdSystem, solver: str, T: int,
+                    omega: float = DEFAULT_OMEGA, eps: float | None = None,
+                    pcg_variant: str = DEFAULT_PCG_VARIANT, **kwargs):
     """Dispatch P w = s to the named iterative scheme (per-symbol path)."""
     if solver not in ITERATIVE_SOLVERS:
         raise ConfigurationError(
             f"unknown solver {solver!r}; expected one of {sorted(ITERATIVE_SOLVERS)}")
     if solver == "jor":
-        return ITERATIVE_SOLVERS[solver](sys, T, omega=omega, eps=eps, **kwargs)
-    if solver == "jacpcg":
-        return ITERATIVE_SOLVERS[solver](sys, T, eps=eps, variant=pcg_variant,
-                                         **kwargs)
+        kwargs["omega"] = omega
+    elif solver == "jacpcg":
+        kwargs["variant"] = pcg_variant
     return ITERATIVE_SOLVERS[solver](sys, T, eps=eps, **kwargs)
-
-
-def rzf_block(H, xi, power, method: str, T: int = 5, omega: float = 0.5,
-              pcg_variant: str = "algorithm") -> PrecoderBlock:
-    """Build one block with either the direct or an iterative method."""
-    if method == "direct":
-        return rzf_direct(H, xi, power)
-    return rzf_iterative(H, xi, power, solver=method, T=T, omega=omega,
-                         pcg_variant=pcg_variant)
 
 
 def assemble_precoder(block1: PrecoderBlock, blockc: PrecoderBlock,
                       block2: PrecoderBlock) -> BlockPrecoder:
-    """Stack per-block precoders into the M x K matrix with zero blocks."""
-    G1, Gc, G2 = block1.G, blockc.G, block2.G
-    M1, K1 = G1.shape
-    Mc, K = Gc.shape
-    M2, K2 = G2.shape
-    if K != K1 + K2:
-        raise AssemblyError(
-            f"central precoder has {K} columns, expected K1+K2 = {K1 + K2}")
-    G = np.zeros((M1 + Mc + M2, K), dtype=complex)
-    G[:M1, :K1] = G1
-    G[M1:M1 + Mc, :] = Gc
-    G[M1 + Mc:, K1:] = G2
-    return BlockPrecoder(G1=G1, Gc=Gc, G2=G2, beta_1=block1.beta,
-                         beta_c=blockc.beta, beta_2=block2.beta, G=G)
+    """Combine per-block precoders; the stacked M x K matrix is `.G`."""
+    return BlockPrecoder(G1=block1.G, Gc=blockc.G, G2=block2.G,
+                         beta_1=block1.beta, beta_c=blockc.beta,
+                         beta_2=block2.beta)
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
-                   T: int = 5, omega: float = 0.5,
-                   pcg_variant: str = "algorithm") -> BlockPrecoder:
+                   T: int = DEFAULT_T, omega: float = DEFAULT_OMEGA,
+                   pcg_variant: str = DEFAULT_PCG_VARIANT) -> BlockPrecoder:
     """All three blocks of Eq.-6 structure for one channel realization."""
-    b1 = rzf_block(realization.H1, xi, power, method, T=T, omega=omega,
-                   pcg_variant=pcg_variant)
-    bc = rzf_block(realization.Hc, xi, power, method, T=T, omega=omega,
-                   pcg_variant=pcg_variant)
-    b2 = rzf_block(realization.H2, xi, power, method, T=T, omega=omega,
-                   pcg_variant=pcg_variant)
-    return assemble_precoder(b1, bc, b2)
+    if method == "direct":
+        blocks = [rzf_direct(H, xi, power) for H in realization.blocks()]
+    else:
+        blocks = [rzf_iterative(H, xi, power, solver=method, T=T, omega=omega,
+                                pcg_variant=pcg_variant)
+                  for H in realization.blocks()]
+    return assemble_precoder(*blocks)

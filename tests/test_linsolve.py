@@ -5,7 +5,7 @@ import pytest
 
 from helpers import diag_scaled_hpd, random_hpd, random_rhs
 from xlmimo.errors import ConfigurationError, NotHpdError, SplittingError
-from xlmimo.linsolve import (HpdSystem, Splitting, cg_solve, condition_number,
+from xlmimo.linsolve import (HpdSystem, cg_solve, condition_number,
                              direct_solve, gs_solve, jacpcg_solve, jor_solve)
 
 
@@ -25,14 +25,6 @@ class TestHpdSystem:
     def test_rejects_incompatible_rhs(self):
         with pytest.raises(NotHpdError):
             HpdSystem(P=np.eye(2), rhs=np.zeros(3))
-
-
-class TestSplitting:
-    def test_reconstruction_bit_exact(self):
-        P = random_hpd(np.random.default_rng(0), 6)
-        sp = Splitting.from_matrix(P)
-        np.testing.assert_array_equal(sp.D + sp.Lo + sp.Up, P)
-        np.testing.assert_array_equal(sp.Up, sp.Lo.conj().T)
 
 
 class TestDirectSolve:

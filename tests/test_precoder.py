@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import random_rhs, small_config, small_draw
+from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
 from xlmimo.precoder import (assemble_precoder, build_precoder,
                              gram_regularized, rzf_direct, rzf_iterative,
                              solve_iterative)
+from xlmimo.scenario import build_scenario, draw_trial
+from xlmimo.seeding import seed_stream
 
 
 class TestGramRegularized:
@@ -148,3 +151,21 @@ class TestBuildPrecoder:
         Mc = real.Hc.shape[0]
         np.testing.assert_array_equal(pre.G[:M1, K1:], 0.0)
         np.testing.assert_array_equal(pre.G[M1 + Mc:, :K1], 0.0)
+
+    def test_library_defaults_are_config_defaults(self):
+        # At 25 dB the "algorithm" PCG variant loses positivity on many of
+        # these draws; the library default must be the config's variant.
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["power.snr_db=25"])
+        scenario = build_scenario(cfg)
+        xi, power, sol = cfg.power.xi, cfg.power.tx_power_watts, cfg.solver
+        for trial in range(200):
+            real = draw_trial(scenario, seed_stream(cfg.run.seed, trial)).realization
+            for method in ("jor", "jacpcg"):
+                lib = build_precoder(real, xi, power, method)
+                ref = build_precoder(real, xi, power, method, T=sol.T,
+                                     omega=sol.omega,
+                                     pcg_variant=sol.pcg_variant)
+                for a, b in zip((lib.G1, lib.Gc, lib.G2),
+                                (ref.G1, ref.Gc, ref.G2)):
+                    np.testing.assert_array_equal(a, b)

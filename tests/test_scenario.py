@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from helpers import small_config
+from xlmimo.channel import build_correlation, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
+
+
+def _served(geo, group):
+    """Antennas serving a group: its side subarray plus the central one."""
+    own = 0 if group == 0 else geo.S - 1
+    return (geo.subarray_of == own) | (geo.subarray_of == 1)
 
 
 class TestBuildScenario:
@@ -38,9 +46,7 @@ class TestDrawTrial:
         for trial in range(10):
             draw = draw_trial(self.scenario, seed_stream(1, trial))
             for k in range(self.scenario.K):
-                group = draw.layout.group_of[k]
-                own = 0 if group == 0 else geo.S - 1
-                support = (geo.subarray_of == own) | (geo.subarray_of == 1)
+                support = _served(geo, draw.layout.group_of[k])
                 assert (draw.vr_masks[k] & support).any()
 
     def test_out_of_vr_energy_exactly_zero(self):
@@ -69,3 +75,39 @@ class TestDrawTrial:
         H = draw.realization.H
         np.testing.assert_array_equal(H[:33, 16:], 0.0)
         np.testing.assert_array_equal(H[66:, :16], 0.0)
+
+    def test_masked_subarray_is_exact_zero(self):
+        # Zero exactly where the VR or the group's subarrays exclude an
+        # antenna, nonzero everywhere else.
+        geo = self.scenario.geometry
+        for trial in range(5):
+            draw = draw_trial(self.scenario, seed_stream(5, trial))
+            H = draw.realization.H
+            for k in range(self.scenario.K):
+                live = _served(geo, draw.layout.group_of[k]) & draw.vr_masks[k]
+                np.testing.assert_array_equal(H[~live, k], 0.0)
+                assert np.all(H[live, k] != 0)
+
+    def test_sample_covariance_matches_theta(self):
+        # With every antenna visible and no gain calibration, h_k / sqrt(w_k)
+        # on the served antennas is CN(0, blockdiag(R_s, R_s)).
+        cfg = small_config(**{"channel.normalize_gain": "false"})
+        scenario = build_scenario(cfg)
+        geo = scenario.geometry
+        target = np.kron(np.eye(2), build_correlation(geo.M_s, cfg.channel.rho))
+        acc = np.zeros_like(target, dtype=complex)
+        n = 0
+        for trial in range(5000):
+            draw = draw_trial(scenario, seed_stream(2, trial))
+            W = path_loss(draw.layout.distances, scenario.omega, scenario.nu)
+            H = draw.realization.H
+            for k in range(scenario.K):
+                served = _served(geo, draw.layout.group_of[k])
+                if not draw.vr_masks[k][served].all():
+                    continue  # the VR law is independent of the fading
+                h = H[served, k] / np.sqrt(W[k, served])
+                acc += np.outer(h, h.conj())
+                n += 1
+        assert n > 19000
+        err = np.linalg.norm(acc / n - target) / np.linalg.norm(target)
+        assert err < 0.03
