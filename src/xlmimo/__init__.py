@@ -16,11 +16,9 @@ from .geometry import (ArrayGeometry, UserLayout, VisibilityRegion,
                        antennas_for_length, build_geometry, drop_users,
                        sample_vr)
 from .linsolve import (HpdSystem, SolverOutcome, cg_solve, condition_number,
-                       direct_solve, gs_solve, jacpcg_solve, jor_solve)
+                       direct_solve, gs_solve, jacpcg_solve, jor_solve, solve)
 from .metrics import (BerReport, LinkReport, ber_montecarlo, convergence_trace,
                       sinr_eq9, sum_se)
-from .precoder import (BlockPrecoder, PrecoderBlock, assemble_precoder,
-                       build_precoder, gram_regularized, rzf_direct,
-                       rzf_iterative, solve_iterative)
+from .precoder import BlockPrecoder, build_precoder, gram_regularized
 from .scenario import Scenario, TrialDraw, build_scenario, draw_trial
 from .seeding import seed_stream

@@ -53,11 +53,10 @@ def rows_convergence(cfg: ExperimentConfig):
 
 
 def _se_point(args):
-    cfg, M, trial = args
-    scenario = build_scenario(cfg, M=M)
+    cfg, scenario, trial = args
     # Per-trial seeds fold M in so different grid points use distinct streams.
     return se_trial(cfg, scenario, trial, cfg.run.methods,
-                    seed=cfg.run.seed + 1_000_003 * M)
+                    seed=cfg.run.seed + 1_000_003 * scenario.geometry.M)
 
 
 def _map_trials(fn, args_list, workers: int):
@@ -70,7 +69,8 @@ def _map_trials(fn, args_list, workers: int):
 def rows_se_vs_m(cfg: ExperimentConfig):
     trials = cfg.run.trials
     for M in cfg.run.m_grid:
-        args = [(cfg, M, t) for t in range(trials)]
+        scenario = build_scenario(cfg, M=M)
+        args = [(cfg, scenario, t) for t in range(trials)]
         results = _map_trials(_se_point, args, cfg.run.workers)
         for method in cfg.run.methods:
             mean, sem = sum_se([r[method] for r in results])

@@ -24,66 +24,59 @@ class FlopModel:
         return self.init_flops + self.T * self.per_iter_flops
 
 
-def _check(K: int, T: int = 1) -> None:
-    if K < 1:
-        raise ConfigurationError(f"dimension K must be >= 1, got {K}")
-    if T < 1:
-        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
-
-
-def flops_direct(K: int) -> int:
-    """Cholesky factor + triangular inverse + product: 4K^3 + K - 1."""
-    _check(K)
-    return 4 * K ** 3 + K - 1
-
-
 def _sweep_flops(K: int) -> int:
     # Dense w <- A w + b costs 8K^2; the zero first column saves 8K.
     return 8 * K ** 2 - 8 * K
 
 
-def flops_gs(K: int, T: int) -> int:
-    """Forward-substitution initialization plus T sweeps."""
-    _check(K, T)
-    init = 4 * K ** 3 - 3 * K ** 2 + K
-    return init + T * _sweep_flops(K)
+def _cg_iteration_flops(K: int) -> int:
+    return 8 * K ** 2 + 46 * K - 6
 
 
-def flops_jor(K: int, T: int) -> int:
-    """Diagonal-scaling initialization plus T sweeps."""
-    _check(K, T)
-    init = 2 * K ** 2 + K + 1
-    return init + T * _sweep_flops(K)
-
-
-def flops_cg(K: int, T: int) -> int:
-    """T CG iterations at 8K^2 + 46K - 6 flops each."""
-    _check(K, T)
-    return T * (8 * K ** 2 + 46 * K - 6)
-
-
-def flops_jacpcg(K: int, T: int) -> int:
-    """CG cost plus one diagonal-preconditioning pass of 4K^2 + 2K flops."""
-    _check(K, T)
-    return flops_cg(K, T) + (4 * K ** 2 + 2 * K)
+# method -> K -> (init flops, per-iteration flops) of one K x K solve; the
+# flops_* functions below document each formula.
+_FLOPS = {
+    "direct": lambda K: (4 * K ** 3 + K - 1, 0),
+    "gs": lambda K: (4 * K ** 3 - 3 * K ** 2 + K, _sweep_flops(K)),
+    "jor": lambda K: (2 * K ** 2 + K + 1, _sweep_flops(K)),
+    "cg": lambda K: (0, _cg_iteration_flops(K)),
+    "jacpcg": lambda K: (4 * K ** 2 + 2 * K, _cg_iteration_flops(K)),
+}
 
 
 def flop_model(method: str, K: int, T: int = 1) -> FlopModel:
     """Structured init/per-iteration breakdown for one method."""
-    _check(K, T)
-    if method == "direct":
-        return FlopModel(method, K, T, init_flops=flops_direct(K), per_iter_flops=0)
-    if method == "gs":
-        return FlopModel(method, K, T, init_flops=4 * K ** 3 - 3 * K ** 2 + K,
-                         per_iter_flops=_sweep_flops(K))
-    if method == "jor":
-        return FlopModel(method, K, T, init_flops=2 * K ** 2 + K + 1,
-                         per_iter_flops=_sweep_flops(K))
-    if method == "cg":
-        return FlopModel(method, K, T, init_flops=0,
-                         per_iter_flops=8 * K ** 2 + 46 * K - 6)
-    if method == "jacpcg":
-        return FlopModel(method, K, T, init_flops=4 * K ** 2 + 2 * K,
-                         per_iter_flops=8 * K ** 2 + 46 * K - 6)
-    raise ConfigurationError(
-        f"unknown method {method!r}; expected one of {METHODS}")
+    if K < 1:
+        raise ConfigurationError(f"dimension K must be >= 1, got {K}")
+    if T < 1:
+        raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
+    if method not in _FLOPS:
+        raise ConfigurationError(
+            f"unknown method {method!r}; expected one of {METHODS}")
+    init, per_iter = _FLOPS[method](K)
+    return FlopModel(method, K, T, init_flops=init, per_iter_flops=per_iter)
+
+
+def flops_direct(K: int) -> int:
+    """Cholesky factor + triangular inverse + product: 4K^3 + K - 1."""
+    return flop_model("direct", K).total_flops
+
+
+def flops_gs(K: int, T: int) -> int:
+    """Forward-substitution initialization plus T sweeps."""
+    return flop_model("gs", K, T).total_flops
+
+
+def flops_jor(K: int, T: int) -> int:
+    """Diagonal-scaling initialization plus T sweeps."""
+    return flop_model("jor", K, T).total_flops
+
+
+def flops_cg(K: int, T: int) -> int:
+    """T CG iterations at 8K^2 + 46K - 6 flops each."""
+    return flop_model("cg", K, T).total_flops
+
+
+def flops_jacpcg(K: int, T: int) -> int:
+    """CG cost plus one diagonal-preconditioning pass of 4K^2 + 2K flops."""
+    return flop_model("jacpcg", K, T).total_flops

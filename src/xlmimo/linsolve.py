@@ -32,7 +32,6 @@ class HpdSystem:
 
     P: np.ndarray
     rhs: np.ndarray
-    xi: float | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P)
@@ -254,3 +253,22 @@ ITERATIVE_SOLVERS = {
 
 METHODS = ("direct", *ITERATIVE_SOLVERS)
 """Every precoding method name; the single list the package validates against."""
+
+
+def solve(sys: HpdSystem, method: str, T: int = DEFAULT_T,
+          omega: float = DEFAULT_OMEGA,
+          pcg_variant: str = DEFAULT_PCG_VARIANT) -> SolverOutcome:
+    """Solve P w = s with the named method; T iterations unless direct.
+
+    Each scheme gets only its own option: omega goes to JOR, pcg_variant to
+    Jac-PCG.  The solvers are looked up at call time, so a replaced
+    `direct_solve` or `ITERATIVE_SOLVERS` entry is the one that runs.
+    """
+    if method == "direct":
+        return direct_solve(sys)
+    if method not in ITERATIVE_SOLVERS:
+        raise ConfigurationError(
+            f"unknown method {method!r}; expected one of {METHODS}")
+    options = {"jor": {"omega": omega},
+               "jacpcg": {"variant": pcg_variant}}.get(method, {})
+    return ITERATIVE_SOLVERS[method](sys, T, **options)

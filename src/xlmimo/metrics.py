@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .precoder import build_precoder
+from .linsolve import HpdSystem, solve
+from .precoder import build_precoder, gram_regularized
 from .scenario import build_scenario, draw_trial
 from .seeding import seed_stream
 
@@ -20,7 +21,6 @@ class LinkReport:
     gamma: np.ndarray        # (K,) per-user SINR
     se_per_user: np.ndarray  # (K,) log2(1 + gamma)
     sum_se: float
-    noise_power: float
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class BerReport:
     ber: dict                # method -> (len(grid),) error rates
     bit_errors: dict         # method -> (len(grid),) integer counts
     bits_simulated: int      # per grid point
-    modulation: str = "qpsk-gray"
 
 
 def coupling_matrix(realization, precoder) -> np.ndarray:
@@ -54,8 +53,7 @@ def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
     interference = np.sum(np.abs(B) ** 2, axis=1) - signal
     gamma = signal / (interference + sigma2)
     se = np.log2(1.0 + gamma)
-    return LinkReport(gamma=gamma, se_per_user=se, sum_se=float(se.sum()),
-                      noise_power=sigma2)
+    return LinkReport(gamma=gamma, se_per_user=se, sum_se=float(se.sum()))
 
 
 def sum_se(per_trial_sums) -> tuple[float, float]:
@@ -83,13 +81,6 @@ def qpsk_detect(y: np.ndarray) -> np.ndarray:
     return np.stack([b0, b1], axis=-1)
 
 
-def _precoders_for_trial(realization, xi, power, methods, T, omega,
-                         pcg_variant):
-    return {m: build_precoder(realization, xi, power, m, T=T, omega=omega,
-                              pcg_variant=pcg_variant)
-            for m in methods}
-
-
 def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
     """Downlink QPSK BER over the SNR grid, all methods on shared realizations.
 
@@ -111,22 +102,21 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
     scenario = build_scenario(cfg)
     sigma2 = cfg.power.sigma2_watts
     K = scenario.K
-    T, omega = cfg.solver.T, cfg.solver.omega
+    sol = cfg.solver
+    bits_per_draw = 2 * K * nsym
+    draws = -(-bits_min // bits_per_draw)  # ceil: at least bits_min bits
 
     errors = {m: np.zeros(grid.size, dtype=np.int64) for m in methods}
-    bits_done = 0
     for ig, snr_db in enumerate(grid):
         snr = 10.0 ** (snr_db / 10.0)
         xi = 1.0 / snr
         power = sigma2 * snr
-        bits_done = 0
-        trial = 0
-        while bits_done < bits_min:
+        for trial in range(draws):
             rng = seed_stream(seed, trial * grid.size + ig)
             draw = draw_trial(scenario, rng)
-            precoders = _precoders_for_trial(draw.realization, xi, power,
-                                             methods, T, omega,
-                                             cfg.solver.pcg_variant)
+            precoders = {m: build_precoder(draw.realization, xi, power, m,
+                                           sol.T, sol.omega, sol.pcg_variant)
+                         for m in methods}
             bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
             symbols = qpsk_modulate(bits)
             noise = np.sqrt(sigma2 / 2.0) * (
@@ -139,11 +129,10 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
                 Y = B @ symbols + noise
                 detected = qpsk_detect(Y / gain[:, None])
                 errors[m][ig] += int(np.count_nonzero(detected != bits))
-            bits_done += 2 * K * nsym
-            trial += 1
-    ber = {m: errors[m] / float(bits_done) for m in methods}
+    bits_simulated = draws * bits_per_draw
+    ber = {m: errors[m] / float(bits_simulated) for m in methods}
     return BerReport(snr_grid_db=grid, ber=ber, bit_errors=errors,
-                     bits_simulated=bits_done)
+                     bits_simulated=bits_simulated)
 
 
 def convergence_trace(cfg, methods=None, T_max: int | None = None,
@@ -153,8 +142,6 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     Solves the central-subarray system P_c w = s with a random QPSK symbol
     vector per trial; returns {method: array of length T_max + 1}.
     """
-    from .precoder import gram_regularized, solve_iterative
-
     methods = [m for m in (methods or cfg.run.methods) if m != "direct"]
     if not methods:
         raise ConfigurationError("convergence trace needs at least one iterative method")
@@ -170,13 +157,11 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     for trial in range(trials):
         rng = seed_stream(seed, trial)
         draw = draw_trial(scenario, rng)
-        sys = gram_regularized(draw.realization.Hc, xi)
+        P = gram_regularized(draw.realization.Hc, xi)
         bits = rng.integers(0, 2, size=(scenario.K, 2), dtype=np.int8)
-        s = qpsk_modulate(bits)
-        sys = type(sys)(P=sys.P, rhs=s, xi=xi)
+        sys = HpdSystem(P=P, rhs=qpsk_modulate(bits))
         for m in methods:
-            out = solve_iterative(sys, m, T_max, omega=cfg.solver.omega, eps=None,
-                                  pcg_variant=cfg.solver.pcg_variant)
+            out = solve(sys, m, T_max, cfg.solver.omega, cfg.solver.pcg_variant)
             # Krylov methods stop once the residual is exactly zero; hold the
             # final error so every trace spans t = 0..T_max.
             tr = out.residual_trace
@@ -193,8 +178,9 @@ def se_trial(cfg, scenario, trial_index: int, methods, seed=None) -> dict:
     xi = cfg.power.xi
     power = cfg.power.tx_power_watts
     sigma2 = cfg.power.sigma2_watts
-    precoders = _precoders_for_trial(draw.realization, xi, power, methods,
-                                     cfg.solver.T, cfg.solver.omega,
-                                     cfg.solver.pcg_variant)
-    return {m: sinr_eq9(draw.realization, precoders[m], sigma2).sum_se
+    sol = cfg.solver
+    return {m: sinr_eq9(draw.realization,
+                        build_precoder(draw.realization, xi, power, m, sol.T,
+                                       sol.omega, sol.pcg_variant),
+                        sigma2).sum_se
             for m in methods}

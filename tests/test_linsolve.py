@@ -6,7 +6,8 @@ import pytest
 from helpers import diag_scaled_hpd, random_hpd, random_rhs
 from xlmimo.errors import ConfigurationError, NotHpdError, SplittingError
 from xlmimo.linsolve import (HpdSystem, cg_solve, condition_number,
-                             direct_solve, gs_solve, jacpcg_solve, jor_solve)
+                             direct_solve, gs_solve, jacpcg_solve, jor_solve,
+                             solve)
 
 
 def _sys(P, s):
@@ -189,6 +190,30 @@ class TestJacPcg:
             single = jacpcg_solve(HpdSystem(P=P, rhs=S[:, j]), T=5)
             np.testing.assert_allclose(joint.w[:, j], single.w, rtol=1e-12,
                                        atol=1e-14)
+
+
+class TestSolve:
+    def setup_method(self):
+        rng = np.random.default_rng(13)
+        self.sys = HpdSystem(P=random_hpd(rng, 6), rhs=random_rhs(rng, 6, 2))
+
+    def test_direct_is_direct_solve(self):
+        np.testing.assert_array_equal(solve(self.sys, "direct").w,
+                                      direct_solve(self.sys).w)
+
+    def test_each_scheme_gets_its_own_option(self):
+        expected = {"gs": gs_solve(self.sys, 3),
+                    "jor": jor_solve(self.sys, 3, omega=0.5),
+                    "cg": cg_solve(self.sys, 3),
+                    "jacpcg": jacpcg_solve(self.sys, 3, variant="algorithm")}
+        for method, ref in expected.items():
+            out = solve(self.sys, method, 3, omega=0.5,
+                        pcg_variant="algorithm")
+            np.testing.assert_array_equal(out.w, ref.w)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigurationError):
+            solve(self.sys, "sor")
 
 
 class TestConditionNumber:

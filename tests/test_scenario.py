@@ -29,6 +29,13 @@ class TestBuildScenario:
         assert scenario.geometry.M == 132
         assert scenario.geometry.M_s == 44
 
+    def test_later_config_edits_do_not_reach_scenario(self):
+        cfg = ExperimentConfig()
+        scenario = build_scenario(cfg)
+        apply_overrides(cfg, ["users.K=4", "channel.vr_mu_frac=3.0"])
+        assert scenario.K == 32
+        assert scenario.vr_mu == pytest.approx(0.1 * scenario.geometry.N)
+
 
 class TestDrawTrial:
     def setup_method(self):
@@ -99,7 +106,8 @@ class TestDrawTrial:
         n = 0
         for trial in range(5000):
             draw = draw_trial(scenario, seed_stream(2, trial))
-            W = path_loss(draw.layout.distances, scenario.omega, scenario.nu)
+            W = path_loss(draw.layout.distances, scenario.channel.omega,
+                          scenario.channel.nu)
             H = draw.realization.H
             for k in range(scenario.K):
                 served = _served(geo, draw.layout.group_of[k])
