@@ -1,4 +1,19 @@
-"""XL-MIMO downlink RZF precoding with iterative matrix-inversion solvers."""
+"""XL-MIMO downlink RZF precoding with iterative matrix-inversion solvers.
+
+Importing the package pins BLAS to one thread, before numpy loads: the
+simulator solves thousands of 16x16 and 32x32 systems, where BLAS threads
+cost far more in synchronization than they gain.  Parallelism comes from
+trial processes (``run.workers``), which inherit the setting.  An explicit
+setting in the environment wins; a caller that imports numpy before this
+package must pin its own BLAS.
+"""
+
+import os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
 

@@ -1,19 +1,24 @@
 """Experiment orchestration: figure scenarios, CSV emission, run manifests.
 
 Each scenario writes one UTF-8 CSV with a fixed header and a JSON manifest
-sidecar recording config, seed, and code version.  (config, seed) determines
-every output byte except the manifest timestamp and timing entries.
+sidecar recording config, seed, code version and the numerical environment
+(library versions, BLAS thread variables, CPU count).  (config, seed)
+determines every output byte except the manifest timestamp, timing and
+environment entries.
 """
 
 import csv
 import datetime
 import json
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigurationError
 from .flops import flop_model
@@ -124,6 +129,13 @@ def _write_manifest(cfg: ExperimentConfig, out_path: str, elapsed: float) -> Non
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_seconds": elapsed,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+            "cpu_count": os.cpu_count(),
+        },
         "output": out_path,
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:

@@ -42,7 +42,8 @@ class HpdSystem:
             raise NotHpdError(
                 f"rhs shape {rhs.shape} incompatible with n={P.shape[0]}")
         scale = max(1.0, float(np.abs(P).max()))
-        if not np.allclose(P, P.conj().T, atol=HERMITIAN_RTOL * scale, rtol=0):
+        # NaN fails the comparison, so a NaN entry is rejected too.
+        if not float(np.abs(P - P.conj().T).max()) <= HERMITIAN_RTOL * scale:
             raise NotHpdError("P is not Hermitian to machine precision")
 
     @property

@@ -134,6 +134,12 @@ class TestRunExperiment:
         assert manifest["seed"] == 0
         assert manifest["config"]["run"]["experiment"] == experiment
         assert "version" in manifest and "timestamp" in manifest
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas_threads",
+                            "cpu_count"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_flops_csv_contains_pinned_value(self, tmp_path):
         out = tmp_path / "flops.csv"

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import diag_scaled_hpd, random_hpd, random_rhs
 from xlmimo.errors import ConfigurationError, NotHpdError, SplittingError
-from xlmimo.linsolve import (HpdSystem, cg_solve, condition_number,
-                             direct_solve, gs_solve, jacpcg_solve, jor_solve,
-                             solve)
+from xlmimo.linsolve import (HERMITIAN_RTOL, HpdSystem, cg_solve,
+                             condition_number, direct_solve, gs_solve,
+                             jacpcg_solve, jor_solve, solve)
 
 
 def _sys(P, s):
@@ -26,6 +26,23 @@ class TestHpdSystem:
     def test_rejects_incompatible_rhs(self):
         with pytest.raises(NotHpdError):
             HpdSystem(P=np.eye(2), rhs=np.zeros(3))
+
+    # The tolerance is HERMITIAN_RTOL * max|P|, and max|P| = 1 for these P.
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 1), np.nan),                   # NaN off the diagonal
+        ((1, 1), np.nan),                   # NaN on the diagonal
+        ((0, 1), 2 * HERMITIAN_RTOL),       # asymmetry of twice the tolerance
+    ])
+    def test_rejects_nan_and_asymmetry(self, entry, value):
+        P = np.eye(2, dtype=complex)
+        P[entry] = value
+        with pytest.raises(NotHpdError):
+            HpdSystem(P=P, rhs=np.zeros(2))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        P = np.eye(2, dtype=complex)
+        P[0, 1] = 0.5 * HERMITIAN_RTOL
+        assert HpdSystem(P=P, rhs=np.zeros(2)).n == 2
 
 
 class TestDirectSolve:

@@ -1,0 +1,49 @@
+"""The program pins BLAS to one thread by itself, and an explicit setting wins.
+
+Each case runs the CLI in a fresh interpreter whose environment carries no
+BLAS thread variable (or only the one the case sets), so the result does not
+depend on ``conftest.py`` or on the shell the suite runs in.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden import GOLDEN, SMALL
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Spelled out, not read from the package, so a shorter list there still fails.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+             "MKL_NUM_THREADS")
+
+
+def _run_cli(tmp_path, extra_env):
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS and not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(extra_env)
+    out = tmp_path / "se.csv"
+    args = [sys.executable, "-m", "xlmimo.cli", "se_vs_m", "--out", str(out)]
+    for item in SMALL:
+        args += ["--set", item]
+    proc = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    return manifest["environment"]["blas_threads"], out.read_bytes()
+
+
+@pytest.mark.parametrize("extra_env, threads", [
+    ({}, "1"),                                # the package pins by itself
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),     # the operator's setting wins
+])
+def test_cli_blas_threads_and_bytes(tmp_path, extra_env, threads):
+    seen, csv = _run_cli(tmp_path, extra_env)
+    assert seen["OPENBLAS_NUM_THREADS"] == threads
+    assert seen["OMP_NUM_THREADS"] == seen["MKL_NUM_THREADS"] == "1"
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN["se_vs_m"]
