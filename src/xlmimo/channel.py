@@ -56,51 +56,62 @@ def psd_sqrt(mat: np.ndarray, neg_tol: float = PSD_NEG_TOL,
 
 
 def check_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> None:
-    """The central block serves both groups: it needs K1 + K2 columns."""
-    K1, K, K2 = B1.shape[1], Bc.shape[1], B2.shape[1]
+    """The central block serves both groups: it needs K1 + K2 columns.
+
+    Blocks may carry leading trial dimensions, the same for all three.
+    """
+    K1, K, K2 = B1.shape[-1], Bc.shape[-1], B2.shape[-1]
     if K != K1 + K2:
         raise AssemblyError(
             f"central block has {K} columns, expected K1+K2 = {K1 + K2}")
+    if not B1.shape[:-2] == Bc.shape[:-2] == B2.shape[:-2]:
+        raise AssemblyError(
+            f"blocks have different trial dimensions: {B1.shape}, "
+            f"{Bc.shape}, {B2.shape}")
 
 
 def stack_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Stack side/central/side blocks into the M x K matrix with zero blocks."""
-    M1, K1 = B1.shape
-    Mc, K = Bc.shape
-    out = np.zeros((M1 + Mc + B2.shape[0], K), dtype=complex)
-    out[:M1, :K1] = B1
-    out[M1:M1 + Mc, :] = Bc
-    out[M1 + Mc:, K1:] = B2
+    """Stack side/central/side blocks into the (..., M, K) matrix with zero blocks."""
+    M1, K1 = B1.shape[-2:]
+    Mc, K = Bc.shape[-2:]
+    out = np.zeros((*Bc.shape[:-2], M1 + Mc + B2.shape[-2], K), dtype=complex)
+    out[..., :M1, :K1] = B1
+    out[..., M1:M1 + Mc, :] = Bc
+    out[..., M1 + Mc:, K1:] = B2
     return out
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Block channel matrices for the S=3, L=2 topology."""
+    """Block channel matrices for the S=3, L=2 topology.
 
-    H1: np.ndarray  # (M_1, K_1) subarray 1 x group 1
-    Hc: np.ndarray  # (M_c, K)   central subarray x all users
-    H2: np.ndarray  # (M_2, K_2) subarray 2 x group 2
+    Each block may carry leading trial dimensions (...): one object then
+    holds a stack of trials (see `stack_realizations`).
+    """
+
+    H1: np.ndarray  # (..., M_1, K_1) subarray 1 x group 1
+    Hc: np.ndarray  # (..., M_c, K)   central subarray x all users
+    H2: np.ndarray  # (..., M_2, K_2) subarray 2 x group 2
 
     def __post_init__(self):
         check_blocks(self.H1, self.Hc, self.H2)
 
     @cached_property
     def H(self) -> np.ndarray:
-        """(M, K) stacked channel with exact zero blocks, built on first use."""
+        """(..., M, K) stacked channel with exact zero blocks, built on first use."""
         return stack_blocks(self.H1, self.Hc, self.H2)
 
     @property
     def K1(self) -> int:
-        return self.H1.shape[1]
+        return self.H1.shape[-1]
 
     @property
     def K2(self) -> int:
-        return self.H2.shape[1]
+        return self.H2.shape[-1]
 
     @property
     def K(self) -> int:
-        return self.Hc.shape[1]
+        return self.Hc.shape[-1]
 
     def blocks(self):
         return self.H1, self.Hc, self.H2
@@ -108,6 +119,12 @@ class ChannelRealization:
     def scaled(self, factor: float) -> "ChannelRealization":
         return assemble_blocks(self.H1 * factor, self.Hc * factor,
                                self.H2 * factor)
+
+
+def stack_realizations(realizations) -> ChannelRealization:
+    """One realization whose blocks carry a leading axis over `realizations`."""
+    return ChannelRealization(*(np.stack(blocks) for blocks in
+                                zip(*(r.blocks() for r in realizations))))
 
 
 def assemble_blocks(H1: np.ndarray, Hc: np.ndarray,

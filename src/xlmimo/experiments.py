@@ -2,9 +2,10 @@
 
 Each scenario writes one UTF-8 CSV with a fixed header and a JSON manifest
 sidecar recording config, seed, code version and the numerical environment
-(library versions, BLAS thread variables, CPU count).  (config, seed)
-determines every output byte except the manifest timestamp, timing and
-environment entries.
+(library versions, the BLAS builds numpy and scipy link, BLAS thread
+variables, CPU count).  (config, seed) determines every output byte except
+the manifest timestamp, timing and environment entries; so does neither the
+worker count nor how trials are batched.
 """
 
 import csv
@@ -22,7 +23,8 @@ from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigurationError
 from .flops import flop_model
-from .metrics import ber_montecarlo, convergence_trace, se_trial, sum_se
+from .metrics import (ber_montecarlo, convergence_trace, precoding_bytes,
+                      se_trial, sum_se, trial_batches)
 from .scenario import build_scenario
 
 CSV_COLUMNS = {
@@ -57,28 +59,29 @@ def rows_convergence(cfg: ExperimentConfig):
             yield [method, t, err, cfg.run.trials]
 
 
-def _se_point(args):
-    cfg, scenario, trial = args
+def _se_batch(args):
+    cfg, scenario, batch = args
     # Per-trial seeds fold M in so different grid points use distinct streams.
-    return se_trial(cfg, scenario, trial, cfg.run.methods,
+    return se_trial(cfg, scenario, batch, cfg.run.methods,
                     seed=cfg.run.seed + 1_000_003 * scenario.geometry.M)
 
 
-def _map_trials(fn, args_list, workers: int):
+def _map_batches(fn, args_list, workers: int):
     if workers <= 1:
         return [fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=8))
+        return list(pool.map(fn, args_list))
 
 
 def rows_se_vs_m(cfg: ExperimentConfig):
     trials = cfg.run.trials
     for M in cfg.run.m_grid:
         scenario = build_scenario(cfg, M=M)
-        args = [(cfg, scenario, t) for t in range(trials)]
-        results = _map_trials(_se_point, args, cfg.run.workers)
+        args = [(cfg, scenario, batch)
+                for batch in trial_batches(trials, precoding_bytes(scenario))]
+        results = _map_batches(_se_batch, args, cfg.run.workers)
         for method in cfg.run.methods:
-            mean, sem = sum_se([r[method] for r in results])
+            mean, sem = sum_se(np.concatenate([r[method] for r in results]))
             yield [M, method, mean, sem, trials]
 
 
@@ -122,6 +125,17 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> str:
     return out_path
 
 
+def _blas_build(lib) -> dict:
+    """Name and version of the BLAS that numpy or scipy was built against.
+
+    numpy and scipy may each bundle their own OpenBLAS, so rounding that
+    both touch is checked per library.
+    """
+    deps = lib.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_manifest(cfg: ExperimentConfig, out_path: str, elapsed: float) -> None:
     manifest = {
         "config": config_to_dict(cfg),
@@ -133,6 +147,8 @@ def _write_manifest(cfg: ExperimentConfig, out_path: str, elapsed: float) -> Non
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas_builds": {"numpy": _blas_build(np),
+                            "scipy": _blas_build(scipy)},
             "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "cpu_count": os.cpu_count(),
         },

@@ -1,11 +1,19 @@
-"""Solvers for P w = s with P Hermitian positive definite.
+"""Solvers for P w = s with P Hermitian positive definite, over stacks of systems.
 
 Direct Cholesky plus four iterative schemes: Gauss-Seidel, Jacobi
-over-relaxation, conjugate gradient, and Jacobi-preconditioned CG.  All
-solvers accept one right-hand side (shape (n,)) or several (shape (n, m))
-and record a per-iteration least-square error trace
-||P w^(t) - s||_F^2 / ||s||_F^2.  The iterative schemes are step generators
-run by one driver, `_iterate`.
+over-relaxation, conjugate gradient, and Jacobi-preconditioned CG.  P has
+shape (..., n, n): any leading dimensions index independent systems (one per
+Monte-Carlo trial), and no leading dimension is one system.  The rhs has the
+same leading dimensions and is one vector per system, (..., n), or several,
+(..., n, m); one dimension fewer than P means vectors.  Unless called with
+`trace=False`, the solvers record a per-iteration least-square error trace
+||P w^(t) - s||_F^2 / ||s||_F^2 per system.  The iterative schemes are step
+generators run by one driver, `_iterate`.
+
+Element-wise steps and stacked matrix products round every system exactly as
+a solve of that system alone.  The reductions whose rounding differs between
+one call per system and one call per stack (the `np.vdot` norms, and scipy's
+Cholesky and triangular solves) run system by system.
 """
 
 from dataclasses import dataclass, field
@@ -28,147 +36,203 @@ DEFAULT_PCG_VARIANT = "textbook"
 
 @dataclass(frozen=True)
 class HpdSystem:
-    """A Hermitian positive-definite matrix with right-hand side(s)."""
+    """Hermitian positive-definite matrices (..., n, n) with right-hand sides."""
 
     P: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
         P = np.asarray(self.P)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
             raise NotHpdError(f"P must be square, got shape {P.shape}")
         rhs = np.asarray(self.rhs)
-        if rhs.shape[0] != P.shape[0] or rhs.ndim not in (1, 2):
+        if (rhs.ndim not in (P.ndim - 1, P.ndim)
+                or rhs.shape[:P.ndim - 1] != P.shape[:-1]):
             raise NotHpdError(
-                f"rhs shape {rhs.shape} incompatible with n={P.shape[0]}")
-        scale = max(1.0, float(np.abs(P).max()))
-        # NaN fails the comparison, so a NaN entry is rejected too.
-        if not float(np.abs(P - P.conj().T).max()) <= HERMITIAN_RTOL * scale:
+                f"rhs shape {rhs.shape} incompatible with P shape {P.shape}")
+        # Per system: the tolerance scales with that system's largest entry,
+        # and NaN fails the comparison, so a NaN entry is rejected too.
+        scale = np.maximum(1.0, np.abs(P).max(axis=(-2, -1)))
+        asym = np.abs(P - herm(P)).max(axis=(-2, -1))
+        if not np.all(asym <= HERMITIAN_RTOL * scale):
             raise NotHpdError("P is not Hermitian to machine precision")
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
+        return self.P.shape[-1]
 
 
 @dataclass
 class SolverOutcome:
-    """Solution, iteration count, residual telemetry, and convergence flag."""
+    """Solutions, iteration count, residual telemetry, and convergence flags.
+
+    `w` has the rhs's shape.  `residual_trace` (..., iterations + 1), index 0
+    the initial guess, and `converged` (...) are None unless the errors were
+    computed (a trace or eps was asked for).  A system whose Krylov residual
+    is exactly zero before the others' holds its final iterate and error.
+    """
 
     w: np.ndarray
     iterations: int
-    residual_trace: np.ndarray  # length iterations + 1; index 0 = initial guess
-    converged: bool
+    residual_trace: np.ndarray | None
+    converged: np.ndarray | None
     iterates: list = field(default_factory=list)  # populated on request only
 
 
+def herm(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(A.conj(), -1, -2)
+
+
+def _per_system(fn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """fn(A_i, B_i) for each system i of the stacks A (..., n, n), B (..., n, m).
+
+    scipy's LAPACK wrappers take one system per call; looping here keeps each
+    system's rounding that of a call on it alone.
+    """
+    out = [fn(a, b) for a, b in zip(A.reshape(-1, *A.shape[-2:]),
+                                    B.reshape(-1, *B.shape[-2:]))]
+    return np.stack(out).reshape(B.shape)
+
+
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """||X_i||_F^2 of each matrix in a stack (...), one `np.vdot` per matrix."""
+    flat = X.reshape(-1, *X.shape[-2:])
+    return np.array([np.vdot(x, x).real for x in flat]).reshape(X.shape[:-2])
+
+
 def _prepare(sys: HpdSystem, w0):
-    """Promote rhs/initial guess to 2-D working arrays."""
+    """Promote rhs/initial guess to (..., n, m) working arrays."""
     s = np.asarray(sys.rhs, dtype=complex)
-    was_1d = s.ndim == 1
-    s2 = s[:, None] if was_1d else s
+    is_vec = s.ndim < np.ndim(sys.P)
+    s2 = s[..., None] if is_vec else s
     if w0 is None:
         w = np.zeros_like(s2)
     else:
         w = np.asarray(w0, dtype=complex)
-        w = w[:, None] if w.ndim == 1 else w
+        w = w[..., None] if w.ndim == s2.ndim - 1 else w
         if w.shape != s2.shape:
             raise ConfigurationError(
                 f"w0 shape {w.shape} does not match rhs shape {s2.shape}")
         w = w.copy()
-    snorm2 = float(np.vdot(s2, s2).real)
-    return s2, w, was_1d, (snorm2 if snorm2 > 0 else 1.0)
+    return s2, w, is_vec
 
 
-def _ls_error(P, w, s2, snorm2) -> float:
-    r = P @ w - s2
-    return float(np.vdot(r, r).real / snorm2)
+def _ls_error(P, w, s2, snorm2) -> np.ndarray:
+    return sq_norms(P @ w - s2) / snorm2
 
 
-def _finish(w, was_1d, trace, converged, iterates):
-    if was_1d:
-        w = w[:, 0]
-        iterates = [x[:, 0] for x in iterates]
-    return SolverOutcome(w=w, iterations=len(trace) - 1,
-                         residual_trace=np.asarray(trace),
+def _rhs_norms(s2) -> np.ndarray:
+    snorm2 = sq_norms(s2)
+    return np.where(snorm2 > 0, snorm2, 1.0)
+
+
+def _finish(w, is_vec, iterations, errors, converged, iterates):
+    if is_vec:
+        w = w[..., 0]
+        iterates = [x[..., 0] for x in iterates]
+    trace = None if errors is None else np.stack(errors, axis=-1)
+    return SolverOutcome(w=w, iterations=iterations, residual_trace=trace,
                          converged=converged, iterates=iterates)
 
 
-def direct_solve(sys: HpdSystem) -> SolverOutcome:
+def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
     """Exact solve via Cholesky P = M M^H; reference oracle for the iterative paths."""
-    s2, _, was_1d, snorm2 = _prepare(sys, None)
-    try:
-        factor = scipy.linalg.cho_factor(np.asarray(sys.P, dtype=complex),
-                                         lower=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
-    w = scipy.linalg.cho_solve(factor, s2)
-    return _finish(w, was_1d, [_ls_error(sys.P, w, s2, snorm2)], True, [])
+    P = np.asarray(sys.P, dtype=complex)
+    s2, _, is_vec = _prepare(sys, None)
+
+    def one(p, s):
+        try:
+            factor = scipy.linalg.cho_factor(p, lower=True)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
+        return scipy.linalg.cho_solve(factor, s)
+
+    w = _per_system(one, P, s2)
+    errors = [_ls_error(P, w, s2, _rhs_norms(s2))] if trace else None
+    converged = np.ones(P.shape[:-2], dtype=bool) if trace else None
+    return _finish(w, is_vec, 0, errors, converged, [])
 
 
-def _iterate(sys: HpdSystem, T: int, eps, w0, keep_iterates,
+def _iterate(sys: HpdSystem, T: int, eps, w0, keep_iterates, trace,
              steps) -> SolverOutcome:
     """Run at most T iterations of `steps(P, s, w)`, a generator of iterates.
 
-    Stops early once sqrt(LS error) <= eps, or when the generator ends (a
-    Krylov method whose residual is exactly zero).  Without eps, converged
-    means the final LS error does not exceed the initial one.
+    Stops early once sqrt(LS error) <= eps for every system, or when the
+    generator ends (a Krylov method whose residuals are all exactly zero).
+    The errors are computed only when a trace or eps is asked for.  Without
+    eps, converged means the final LS error does not exceed the initial one.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     P = np.asarray(sys.P, dtype=complex)
-    s2, w, was_1d, snorm2 = _prepare(sys, w0)
-    trace = [_ls_error(P, w, s2, snorm2)]
-    iterates = []
+    s2, w, is_vec = _prepare(sys, w0)
+    measure = trace or eps is not None
+    if measure:
+        snorm2 = _rhs_norms(s2)
+        errors = [_ls_error(P, w, s2, snorm2)]
+    iterations, iterates = 0, []
     for w in islice(steps(P, s2, w), T):
-        trace.append(_ls_error(P, w, s2, snorm2))
+        iterations += 1
         if keep_iterates:
             iterates.append(w.copy())
-        if eps is not None and np.sqrt(trace[-1]) <= eps:
-            break
-    converged = (np.sqrt(trace[-1]) <= eps if eps is not None
-                 else trace[-1] <= trace[0])
-    return _finish(w, was_1d, trace, converged, iterates)
+        if measure:
+            errors.append(_ls_error(P, w, s2, snorm2))
+            if eps is not None and np.all(np.sqrt(errors[-1]) <= eps):
+                break
+    if not measure:
+        return _finish(w, is_vec, iterations, None, None, iterates)
+    converged = (np.sqrt(errors[-1]) <= eps if eps is not None
+                 else errors[-1] <= errors[0])
+    return _finish(w, is_vec, iterations, errors, converged, iterates)
 
 
 def _check_diag(d) -> np.ndarray:
     if np.any(d == 0):
-        raise SplittingError(
-            f"zero diagonal entry at index {int(np.argmin(np.abs(d)))}")
+        where = tuple(int(i) for i in np.argwhere(d == 0)[0])
+        raise SplittingError(f"zero diagonal entry at {where}")
     return d
 
 
+def _diag(P) -> np.ndarray:
+    return np.diagonal(P, axis1=-2, axis2=-1)
+
+
 def gs_solve(sys: HpdSystem, T: int, w0=None, eps: float | None = None,
-             keep_iterates: bool = False) -> SolverOutcome:
+             keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
     """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo)."""
+    def sweep(DL, b):
+        return scipy.linalg.solve_triangular(DL, b, lower=True)
+
     def steps(P, s, w):
-        _check_diag(np.diag(P))
+        _check_diag(_diag(P))
         DL, Up = np.tril(P), np.triu(P, 1)
         while True:
-            w = scipy.linalg.solve_triangular(DL, s - Up @ w, lower=True)
+            w = _per_system(sweep, DL, s - Up @ w)
             yield w
 
-    return _iterate(sys, T, eps, w0, keep_iterates, steps)
+    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
 
 
 def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA, w0=None,
-              eps: float | None = None,
-              keep_iterates: bool = False) -> SolverOutcome:
+              eps: float | None = None, keep_iterates: bool = False,
+              trace: bool = True) -> SolverOutcome:
     """Jacobi over-relaxation: w <- w + omega * D^{-1} (s - P w)."""
     if omega <= 0:
         raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
 
     def steps(P, s, w):
-        d = _check_diag(np.diag(P))[:, None]
+        d = _check_diag(_diag(P))[..., None]
         while True:
             w = w + omega * ((s - P @ w) / d)
             yield w
 
-    return _iterate(sys, T, eps, w0, keep_iterates, steps)
+    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
 
 
 def _col_dot(a, b) -> np.ndarray:
-    return np.einsum("ij,ij->j", a.conj(), b).real
+    """Re(a_j^H b_j) per column j, shaped (..., 1, m) to scale columns."""
+    return np.einsum("...ij,...ij->...j", a.conj(), b).real[..., None, :]
 
 
 def _pcg_steps(c_res, c_dir):
@@ -178,7 +242,8 @@ def _pcg_steps(c_res, c_dir):
     z = C^{-1} r, with r^H z inner products.  `c_res` (the paper's
     algorithm) keeps the residual itself preconditioned, r = C^{-1}(s - P w),
     with r^H r inner products.  Both None is plain CG; a side without C skips
-    its division.
+    its division.  A column whose r^H z is exactly zero takes zero steps from
+    then on, so it holds its iterate while the other columns go on.
     """
     def steps(P, s, w):
         r = s - P @ w
@@ -209,27 +274,30 @@ def _pcg_steps(c_res, c_dir):
 
 
 def cg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
-             keep_iterates: bool = False) -> SolverOutcome:
+             keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
     """Classical conjugate gradient; exact within n iterations in exact arithmetic."""
-    return _iterate(sys, T, eps, w0, keep_iterates, _pcg_steps(None, None))
+    return _iterate(sys, T, eps, w0, keep_iterates, trace,
+                    _pcg_steps(None, None))
 
 
 def jacpcg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
                  precond_diag=None, keep_iterates: bool = False,
-                 variant: str = DEFAULT_PCG_VARIANT) -> SolverOutcome:
+                 variant: str = DEFAULT_PCG_VARIANT,
+                 trace: bool = True) -> SolverOutcome:
     """Diagonally preconditioned CG with C = diag(P) by default.
 
     `variant="textbook"` runs standard PCG with r^H z inner products;
     `variant="algorithm"` runs the recurrences on the preconditioned residual
     r = C^{-1}(s - P w) with beta = r+^H r+ / r^H r.  Both coincide with CG
-    for C = I.  Pass `precond_diag` to override the preconditioner.
+    for C = I.  Pass `precond_diag` ((n,) or (..., n)) to override the
+    preconditioner.
     """
     if variant not in PCG_VARIANTS:
         raise ConfigurationError(f"unknown PCG variant {variant!r}")
-    c = np.diag(sys.P).real if precond_diag is None else precond_diag
-    c = _check_diag(np.asarray(c, dtype=float))[:, None]
+    c = _diag(np.asarray(sys.P)).real if precond_diag is None else precond_diag
+    c = _check_diag(np.asarray(c, dtype=float))[..., None]
     steps = _pcg_steps(c, None) if variant == "algorithm" else _pcg_steps(None, c)
-    return _iterate(sys, T, eps, w0, keep_iterates, steps)
+    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
 
 
 def condition_number(P: np.ndarray) -> float:
@@ -258,18 +326,20 @@ METHODS = ("direct", *ITERATIVE_SOLVERS)
 
 def solve(sys: HpdSystem, method: str, T: int = DEFAULT_T,
           omega: float = DEFAULT_OMEGA,
-          pcg_variant: str = DEFAULT_PCG_VARIANT) -> SolverOutcome:
-    """Solve P w = s with the named method; T iterations unless direct.
+          pcg_variant: str = DEFAULT_PCG_VARIANT,
+          trace: bool = True) -> SolverOutcome:
+    """Solve every system of P w = s with the named method; T iterations unless direct.
 
     Each scheme gets only its own option: omega goes to JOR, pcg_variant to
-    Jac-PCG.  The solvers are looked up at call time, so a replaced
-    `direct_solve` or `ITERATIVE_SOLVERS` entry is the one that runs.
+    Jac-PCG.  `trace=False` skips the LS-error trace (and `converged`).  The
+    solvers are looked up at call time, so a replaced `direct_solve` or
+    `ITERATIVE_SOLVERS` entry is the one that runs.
     """
     if method == "direct":
-        return direct_solve(sys)
+        return direct_solve(sys, trace=trace)
     if method not in ITERATIVE_SOLVERS:
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}")
     options = {"jor": {"omega": omega},
                "jacpcg": {"variant": pcg_variant}}.get(method, {})
-    return ITERATIVE_SOLVERS[method](sys, T, **options)
+    return ITERATIVE_SOLVERS[method](sys, T, trace=trace, **options)

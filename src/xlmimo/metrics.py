@@ -3,24 +3,56 @@
 The SINR of user k in group i combines the own-subarray and central-subarray
 signal terms, intra-group interference through both, cross-group interference
 through the central subarray only, and the noise floor.
+
+The Monte-Carlo pipelines draw each trial from its own stream, one at a
+time, then stack a batch of trials and make one precoder, solver and SINR
+call per batch.  A batch holds as many trials as `BATCH_BYTES` holds of
+their working set, so memory stays bounded as M and K grow.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import stack_realizations
 from .errors import ConfigurationError
-from .linsolve import HpdSystem, solve
+from .linsolve import HpdSystem, herm, solve
 from .precoder import build_precoder, gram_regularized
 from .scenario import build_scenario, draw_trial
 from .seeding import seed_stream
 
+BATCH_BYTES = 3 << 19
+"""Working memory one batched kernel call may hold, in bytes (1.5 MiB).
+
+Trials per batch are this over one trial's working set.  Larger batches
+save little more time and add to peak memory: the benchmark's
+`peak_rss_mb` has a 5% bound, about 3 MB."""
+
+
+def trial_batches(trials: int, trial_bytes: int) -> list:
+    """Trial indices 0..trials-1 as consecutive ranges of near-equal length.
+
+    Each range holds at most max(1, BATCH_BYTES // trial_bytes) trials.
+    """
+    size = max(1, BATCH_BYTES // trial_bytes)
+    count = -(-trials // size)
+    return [range(i * trials // count, (i + 1) * trials // count)
+            for i in range(count)]
+
+
+def precoding_bytes(scenario) -> int:
+    """One trial's working set while precoding: its channel and precoder
+    blocks (at most M x K complex entries each) and about eight K x K
+    solver arrays."""
+    M, K = scenario.geometry.M, scenario.K
+    return 16 * (2 * M * K + 8 * K * K)
+
 
 @dataclass(frozen=True)
 class LinkReport:
-    gamma: np.ndarray        # (K,) per-user SINR
-    se_per_user: np.ndarray  # (K,) log2(1 + gamma)
-    sum_se: float
+    gamma: np.ndarray        # (..., K) per-user SINR
+    se_per_user: np.ndarray  # (..., K) log2(1 + gamma)
+    sum_se: np.ndarray       # (...) per trial
 
 
 @dataclass(frozen=True)
@@ -32,28 +64,24 @@ class BerReport:
 
 
 def coupling_matrix(realization, precoder) -> np.ndarray:
-    """K x K effective gain matrix B with B[k, j] the gain from symbol j to user k."""
+    """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k."""
     K1 = realization.K1
-    A1 = realization.H1.conj().T @ precoder.G1
-    Ac = realization.Hc.conj().T @ precoder.Gc
-    A2 = realization.H2.conj().T @ precoder.G2
-    B = Ac.copy()
-    B[:K1, :K1] += A1
-    B[K1:, K1:] += A2
+    B = herm(realization.Hc) @ precoder.Gc
+    B[..., :K1, :K1] += herm(realization.H1) @ precoder.G1
+    B[..., K1:, K1:] += herm(realization.H2) @ precoder.G2
     return B
 
 
 def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
-    """Per-user SINR from the block channel and block precoder."""
+    """Per-user SINR from the block channel and block precoder, per trial."""
     if sigma2 <= 0:
         raise ConfigurationError(f"noise power must be positive, got {sigma2}")
     B = coupling_matrix(realization, precoder)
-    diag = np.diag(B)
-    signal = np.abs(diag) ** 2
-    interference = np.sum(np.abs(B) ** 2, axis=1) - signal
+    signal = np.abs(np.diagonal(B, axis1=-2, axis2=-1)) ** 2
+    interference = np.sum(np.abs(B) ** 2, axis=-1) - signal
     gamma = signal / (interference + sigma2)
     se = np.log2(1.0 + gamma)
-    return LinkReport(gamma=gamma, se_per_user=se, sum_se=float(se.sum()))
+    return LinkReport(gamma=gamma, se_per_user=se, sum_se=se.sum(axis=-1))
 
 
 def sum_se(per_trial_sums) -> tuple[float, float]:
@@ -105,30 +133,34 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
     sol = cfg.solver
     bits_per_draw = 2 * K * nsym
     draws = -(-bits_min // bits_per_draw)  # ceil: at least bits_min bits
+    batches = trial_batches(draws, precoding_bytes(scenario))
 
     errors = {m: np.zeros(grid.size, dtype=np.int64) for m in methods}
     for ig, snr_db in enumerate(grid):
         snr = 10.0 ** (snr_db / 10.0)
         xi = 1.0 / snr
         power = sigma2 * snr
-        for trial in range(draws):
-            rng = seed_stream(seed, trial * grid.size + ig)
-            draw = draw_trial(scenario, rng)
-            precoders = {m: build_precoder(draw.realization, xi, power, m,
-                                           sol.T, sol.omega, sol.pcg_variant)
-                         for m in methods}
-            bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
-            symbols = qpsk_modulate(bits)
-            noise = np.sqrt(sigma2 / 2.0) * (
-                rng.standard_normal((K, nsym))
-                + 1j * rng.standard_normal((K, nsym)))
-            for m in methods:
-                B = coupling_matrix(draw.realization, precoders[m])
-                gain = np.diag(B).copy()
-                gain[gain == 0] = 1.0  # dead user: decisions become coin flips
-                Y = B @ symbols + noise
-                detected = qpsk_detect(Y / gain[:, None])
-                errors[m][ig] += int(np.count_nonzero(detected != bits))
+        for batch in batches:
+            rngs = [seed_stream(seed, trial * grid.size + ig) for trial in batch]
+            real = stack_realizations(draw_trial(scenario, rng).realization
+                                      for rng in rngs)
+            couplings = {m: coupling_matrix(real, build_precoder(
+                real, xi, power, m, sol.T, sol.omega, sol.pcg_variant))
+                for m in methods}
+            # Each trial's bits and noise follow its channel on its own stream.
+            for i, rng in enumerate(rngs):
+                bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
+                symbols = qpsk_modulate(bits)
+                noise = np.sqrt(sigma2 / 2.0) * (
+                    rng.standard_normal((K, nsym))
+                    + 1j * rng.standard_normal((K, nsym)))
+                for m in methods:
+                    B = couplings[m][i]
+                    gain = np.diag(B).copy()
+                    gain[gain == 0] = 1.0  # dead user: decisions become coin flips
+                    Y = B @ symbols + noise
+                    detected = qpsk_detect(Y / gain[:, None])
+                    errors[m][ig] += int(np.count_nonzero(detected != bits))
     bits_simulated = draws * bits_per_draw
     ber = {m: errors[m] / float(bits_simulated) for m in methods}
     return BerReport(snr_grid_db=grid, ber=ber, bit_errors=errors,
@@ -152,35 +184,49 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     seed = cfg.run.seed if seed is None else seed
     scenario = build_scenario(cfg)
     xi = cfg.power.xi
+    K = scenario.K
+    # One trial's working set: its central block and a copy of it in the
+    # Gram product, P and about five K x K temporaries of P's checks.
+    trial_bytes = 16 * (2 * scenario.geometry.M_s * K + 6 * K * K)
 
     traces = {m: np.empty((trials, T_max + 1)) for m in methods}
-    for trial in range(trials):
-        rng = seed_stream(seed, trial)
-        draw = draw_trial(scenario, rng)
-        P = gram_regularized(draw.realization.Hc, xi)
-        bits = rng.integers(0, 2, size=(scenario.K, 2), dtype=np.int8)
-        sys = HpdSystem(P=P, rhs=qpsk_modulate(bits))
+    for batch in trial_batches(trials, trial_bytes):
+        Hc, bits = [], []
+        for trial in batch:
+            rng = seed_stream(seed, trial)
+            Hc.append(draw_trial(scenario, rng).realization.Hc)
+            bits.append(rng.integers(0, 2, size=(K, 2), dtype=np.int8))
+        sys = HpdSystem(P=gram_regularized(np.stack(Hc), xi),
+                        rhs=qpsk_modulate(np.stack(bits)))
         for m in methods:
             out = solve(sys, m, T_max, cfg.solver.omega, cfg.solver.pcg_variant)
-            # Krylov methods stop once the residual is exactly zero; hold the
-            # final error so every trace spans t = 0..T_max.
+            # Krylov methods stop once every residual is exactly zero; hold
+            # the final error so every trace spans t = 0..T_max.
             tr = out.residual_trace
-            traces[m][trial, :tr.size] = tr
-            traces[m][trial, tr.size:] = tr[-1]
+            rows = traces[m][batch.start:batch.stop]
+            rows[:, :tr.shape[-1]] = tr
+            rows[:, tr.shape[-1]:] = tr[:, -1:]
     return {m: np.median(traces[m], axis=0) for m in methods}
 
 
-def se_trial(cfg, scenario, trial_index: int, methods, seed=None) -> dict:
-    """One Monte-Carlo trial of sum SE for every method (paired draw)."""
+def se_trial(cfg, scenario, trials, methods, seed=None) -> dict:
+    """Sum SE of every method on paired draws (the same channels for all).
+
+    `trials` is one trial index, giving one float per method, or a sequence
+    of them, run as one stack and giving an array over them per method.
+    """
     seed = cfg.run.seed if seed is None else seed
-    rng = seed_stream(seed, trial_index)
-    draw = draw_trial(scenario, rng)
+    if np.ndim(trials) == 0:
+        real = draw_trial(scenario, seed_stream(seed, trials)).realization
+    else:
+        real = stack_realizations(
+            draw_trial(scenario, seed_stream(seed, t)).realization
+            for t in trials)
     xi = cfg.power.xi
     power = cfg.power.tx_power_watts
     sigma2 = cfg.power.sigma2_watts
     sol = cfg.solver
-    return {m: sinr_eq9(draw.realization,
-                        build_precoder(draw.realization, xi, power, m, sol.T,
-                                       sol.omega, sol.pcg_variant),
+    return {m: sinr_eq9(real, build_precoder(real, xi, power, m, sol.T,
+                                             sol.omega, sol.pcg_variant),
                         sigma2).sum_se
             for m in methods}

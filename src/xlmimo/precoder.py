@@ -4,7 +4,8 @@ Each block i gets G_i = beta_i * F_i with F_i = H_i P_i^{-1},
 P_i = H_i^H H_i + xi I, and beta_i enforcing tr(G_i^H G_i) = power.  Every
 method solves P_i X = I with one right-hand side per user, so per-user
 precoding vectors exist for the SINR evaluation; beta is computed from the
-(possibly approximate) solution.
+(possibly approximate) solution.  Blocks may carry leading trial dimensions
+(..., M_i, K_i): one call then precodes a stack of trials.
 """
 
 from dataclasses import dataclass
@@ -15,56 +16,62 @@ import numpy as np
 from .channel import check_blocks, stack_blocks
 from .errors import ConfigurationError, DegenerateChannelError
 from .linsolve import (DEFAULT_OMEGA, DEFAULT_PCG_VARIANT, DEFAULT_T,
-                       HpdSystem, solve)
+                       HpdSystem, herm, solve, sq_norms)
 
 
 @dataclass(frozen=True)
 class BlockPrecoder:
-    """Stacked precoder for the S=3, L=2 topology with per-block power control."""
+    """Stacked precoder for the S=3, L=2 topology with per-block power control.
+
+    Blocks are (..., M_i, K_i) and the power scalings beta_i have the leading
+    trial shape (...).
+    """
 
     G1: np.ndarray
     Gc: np.ndarray
     G2: np.ndarray
-    beta_1: float
-    beta_c: float
-    beta_2: float
+    beta_1: np.ndarray
+    beta_c: np.ndarray
+    beta_2: np.ndarray
 
     def __post_init__(self):
         check_blocks(self.G1, self.Gc, self.G2)
 
     @cached_property
     def G(self) -> np.ndarray:
-        """(M, K) stacked precoder with exact zero blocks, built on first use."""
+        """(..., M, K) stacked precoder with exact zero blocks, built on first use."""
         return stack_blocks(self.G1, self.Gc, self.G2)
 
 
 def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
-    """P = H^H H + xi I, symmetrized."""
+    """P = H^H H + xi I per trial, symmetrized: (..., M, K) -> (..., K, K)."""
     if xi <= 0:
         raise ConfigurationError(f"regularization xi must be positive, got {xi}")
     H = np.asarray(H, dtype=complex)
-    P = H.conj().T @ H + xi * np.eye(H.shape[1])
-    return (P + P.conj().T) / 2.0
+    P = herm(H) @ H + xi * np.eye(H.shape[-1])
+    return (P + herm(P)) / 2.0
 
 
 def _rzf_block(H, xi, power, method, T, omega, pcg_variant):
     """One block's (G, beta): F = H P^{-1}, beta = sqrt(power / tr(F^H F))."""
     H = np.asarray(H, dtype=complex)
     P = gram_regularized(H, xi)
-    sys = HpdSystem(P=P, rhs=np.eye(P.shape[0], dtype=complex))
-    F = H @ solve(sys, method, T, omega, pcg_variant).w
-    tr = float(np.vdot(F, F).real)
-    if tr <= 0:
+    eye = np.broadcast_to(np.eye(P.shape[-1], dtype=complex), P.shape)
+    out = solve(HpdSystem(P=P, rhs=eye), method, T, omega, pcg_variant,
+                trace=False)
+    F = H @ out.w
+    tr = sq_norms(F)
+    if np.any(tr <= 0):
         raise DegenerateChannelError(
             "tr(F^H F) = 0; channel block carries no energy")
-    beta = float(np.sqrt(power / tr))
-    return beta * F, beta
+    beta = np.sqrt(power / tr)
+    return beta[..., None, None] * F, beta
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
                    T: int = DEFAULT_T, omega: float = DEFAULT_OMEGA,
                    pcg_variant: str = DEFAULT_PCG_VARIANT) -> BlockPrecoder:
-    """All three blocks of Eq.-6 structure for one channel realization."""
+    """All three blocks of Eq.-6 structure for a realization (or a stack of them)."""
     (G1, beta_1), (Gc, beta_c), (G2, beta_2) = (
         _rzf_block(H, xi, power, method, T, omega, pcg_variant)
         for H in realization.blocks())

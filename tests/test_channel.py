@@ -8,7 +8,7 @@ import pytest
 
 from xlmimo.channel import (ChannelRealization, assemble_blocks,
                             assemble_from_user_channels, build_correlation,
-                            path_loss, psd_sqrt)
+                            path_loss, psd_sqrt, stack_realizations)
 from xlmimo.errors import (AssemblyError, ConfigurationError, ModelError,
                            UnsupportedTopologyError)
 from xlmimo.geometry import build_geometry, drop_users
@@ -108,6 +108,22 @@ class TestBlockAssembly:
         doubled = real.scaled(2.0)
         np.testing.assert_array_equal(doubled.H, 2.0 * real.H)
         assert isinstance(doubled, ChannelRealization)
+
+    def test_stack_of_realizations(self):
+        rng = np.random.default_rng(1)
+        reals = [assemble_blocks(*(rng.standard_normal(shape)
+                                   for shape in ((3, 2), (3, 4), (3, 2))))
+                 for _ in range(3)]
+        stack = stack_realizations(reals)
+        assert stack.H1.shape == (3, 3, 2) and stack.H.shape == (3, 9, 4)
+        assert (stack.K1, stack.K2, stack.K) == (2, 2, 4)
+        for i, real in enumerate(reals):
+            np.testing.assert_array_equal(stack.H[i], real.H)
+
+    def test_trial_dimension_mismatch(self):
+        with pytest.raises(AssemblyError):
+            assemble_blocks(np.zeros((2, 3, 2)), np.zeros((3, 3, 4)),
+                            np.zeros((2, 3, 2)))
 
     def test_unsupported_topology(self):
         geo = build_geometry(8, 4, 1e9)

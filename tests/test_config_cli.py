@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from xlmimo import cli, experiments
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
@@ -135,9 +136,13 @@ class TestRunExperiment:
         assert manifest["config"]["run"]["experiment"] == experiment
         assert "version" in manifest and "timestamp" in manifest
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas_threads",
-                            "cpu_count"}
+        assert set(env) == {"python", "numpy", "scipy", "blas_builds",
+                            "blas_threads", "cpu_count"}
         assert env["numpy"] == np.__version__
+        for lib in (np, scipy):
+            blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert env["blas_builds"][lib.__name__] == {
+                "name": blas["name"], "version": blas["version"]}
         assert set(env["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 

@@ -1,13 +1,20 @@
-"""Experiment pipelines: work done per grid point, and the call paths that an
-outside-in tracer (perfbench/xlbench/layers.py) counts by swapping module
-attributes and solver-table entries."""
+"""Experiment pipelines: work done per grid point, output bytes that do not
+depend on how trials are batched, and the call paths that an outside-in
+tracer (perfbench/xlbench/layers.py) counts by swapping module attributes
+and solver-table entries."""
 
+import hashlib
 import sys
 from collections import Counter
 
+import pytest
+
 from helpers import small_config
-from xlmimo import experiments, linsolve, precoder
+from test_golden import GOLDEN, SMALL
+from xlmimo import experiments, linsolve, metrics, precoder
+from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.experiments import run_experiment
+from xlmimo.scenario import build_scenario
 
 M_GRID = [9, 12]
 TRIALS = 5
@@ -27,10 +34,9 @@ def _counting(counts, name, fn):
     return wrapper
 
 
-def _count_calls(monkeypatch, counts, name, original):
-    """Swap `original` for a counting wrapper in every xlmimo module that
-    holds it, the way the tracer does."""
-    wrapper = _counting(counts, name, original)
+def _swap(monkeypatch, original, wrapper):
+    """Swap `original` for `wrapper` in every xlmimo module that holds it,
+    the way the tracer does."""
     for modname, module in list(sys.modules.items()):
         if module is None or not (modname == "xlmimo"
                                   or modname.startswith("xlmimo.")):
@@ -38,6 +44,10 @@ def _count_calls(monkeypatch, counts, name, original):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, wrapper)
+
+
+def _count_calls(monkeypatch, counts, name, original):
+    _swap(monkeypatch, original, _counting(counts, name, original))
 
 
 def test_se_vs_m_builds_one_scenario_per_m(tmp_path, monkeypatch):
@@ -57,14 +67,60 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
         monkeypatch.setitem(linsolve.ITERATIVE_SOLVERS, method,
                             _counting(counts, method, fn))
 
-    # se_vs_m: one solve per method, channel block and trial.
-    run_experiment(_small("se_vs_m"), str(tmp_path / "se.csv"))
-    solves = 3 * len(M_GRID) * TRIALS
+    # se_vs_m: one solve per method, channel block and batch of trials; at
+    # this size the trials of an M point make one batch.
+    cfg = _small("se_vs_m")
+    assert all(len(metrics.trial_batches(
+        TRIALS, metrics.precoding_bytes(build_scenario(cfg, M)))) == 1
+        for M in M_GRID)
+    run_experiment(cfg, str(tmp_path / "se.csv"))
+    solves = 3 * len(M_GRID)
     assert counts == Counter({**{m: solves for m in linsolve.METHODS},
                               "gram": solves * len(linsolve.METHODS)})
 
-    # convergence: one Gram matrix per trial, one solve per iterative method.
+    # convergence: one Gram stack per batch, one solve per iterative method.
     counts.clear()
     run_experiment(_small("convergence"), str(tmp_path / "conv.csv"))
-    assert counts == Counter({**{m: TRIALS for m in linsolve.ITERATIVE_SOLVERS},
-                              "gram": TRIALS})
+    assert counts == Counter({**{m: 1 for m in linsolve.ITERATIVE_SOLVERS},
+                              "gram": 1})
+
+
+def _fix_batch_size(monkeypatch, per_batch):
+    """Set the byte budget, at each batching decision, to `per_batch` trials'
+    working sets; returns the list of batch sizes used."""
+    sizes = []
+    original = metrics.trial_batches
+
+    def batches(trials, trial_bytes):
+        monkeypatch.setattr(metrics, "BATCH_BYTES", per_batch * trial_bytes)
+        out = original(trials, trial_bytes)
+        sizes.extend(len(b) for b in out)
+        return out
+
+    _swap(monkeypatch, original, batches)
+    return sizes
+
+
+def _golden_sha256(tmp_path, experiment, *extra):
+    cfg = ExperimentConfig()
+    apply_overrides(cfg, [f"run.experiment={experiment}", *SMALL, *extra])
+    out = tmp_path / f"{experiment}.csv"
+    run_experiment(cfg, str(out))
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("experiment", ["se_vs_m", "convergence", "ber"])
+@pytest.mark.parametrize("per_batch", [1, 2, 1000])
+def test_bytes_do_not_depend_on_batching(tmp_path, monkeypatch, experiment,
+                                         per_batch):
+    # 1000 puts all trials of a grid point (5, or 4 BER draws) in one batch.
+    sizes = _fix_batch_size(monkeypatch, per_batch)
+    assert _golden_sha256(tmp_path, experiment) == GOLDEN[experiment]
+    assert max(sizes) == min(per_batch, 5 if experiment != "ber" else 4)
+
+
+def test_workers_split_batches_and_keep_bytes(tmp_path, monkeypatch):
+    # Three batches per M point, mapped one per task onto two workers.
+    sizes = _fix_batch_size(monkeypatch, 2)
+    assert _golden_sha256(tmp_path, "se_vs_m", "run.workers=2") == GOLDEN["se_vs_m"]
+    assert sizes == [1, 2, 2] * 2

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import diag_scaled_hpd, random_hpd, random_rhs
 from xlmimo.errors import ConfigurationError, NotHpdError, SplittingError
-from xlmimo.linsolve import (HERMITIAN_RTOL, HpdSystem, cg_solve,
+from xlmimo.linsolve import (HERMITIAN_RTOL, METHODS, HpdSystem, cg_solve,
                              condition_number, direct_solve, gs_solve,
                              jacpcg_solve, jor_solve, solve)
 
@@ -231,6 +233,118 @@ class TestSolve:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError):
             solve(self.sys, "sor")
+
+
+def _held(trace, length):
+    """A trace padded to `length` with its final error, as a finished
+    system of a stack reports it."""
+    return np.concatenate([trace, np.full(length - trace.size, trace[-1])])
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of 1-5 HPD systems of size 1-8, some of them the identity
+    (its Krylov residual reaches exactly zero after one step), with one
+    vector or 1-3 column right-hand sides per system."""
+    batch = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([None, 1, 2, 3]))
+    identity = draw(st.lists(st.booleans(), min_size=batch, max_size=batch))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = np.stack([np.eye(n, dtype=complex) if eye else random_hpd(rng, n)
+                  for eye in identity])
+    rhs = np.stack([random_rhs(rng, n, m) for _ in range(batch)])
+    return P, rhs
+
+
+class TestStacks:
+    """A stack of systems solves as each system alone, bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stack=_stacks(), T=st.integers(1, 10),
+           variant=st.sampled_from(["textbook", "algorithm"]))
+    def test_stack_equals_single_solves(self, method, stack, T, variant):
+        P, rhs = stack
+        sys = HpdSystem(P=P, rhs=rhs)
+        try:
+            singles = [solve(HpdSystem(P=p, rhs=s), method, T, omega=0.7,
+                             pcg_variant=variant) for p, s in zip(P, rhs)]
+        except NotHpdError:
+            # The "algorithm" PCG variant can lose positivity on an HPD
+            # system; then the stack holding that system fails too.
+            with pytest.raises(NotHpdError):
+                solve(sys, method, T, omega=0.7, pcg_variant=variant)
+            return
+        out = solve(sys, method, T, omega=0.7, pcg_variant=variant)
+        assert out.w.shape == rhs.shape
+        assert out.residual_trace.shape == (len(P), out.iterations + 1)
+        assert out.iterations == max(one.iterations for one in singles)
+        for i, one in enumerate(singles):
+            np.testing.assert_array_equal(out.w[i], one.w)
+            np.testing.assert_array_equal(
+                out.residual_trace[i],
+                _held(one.residual_trace, out.iterations + 1))
+
+    @pytest.mark.parametrize("method", ["cg", "jacpcg"])
+    def test_one_system_finishes_before_the_others(self, method):
+        rng = np.random.default_rng(20)
+        P = np.stack([random_hpd(rng, 4), np.eye(4), random_hpd(rng, 4)])
+        rhs = random_rhs(rng, 3, 4)
+        out = solve(HpdSystem(P=P, rhs=rhs), method, T=4)
+        alone = solve(HpdSystem(P=P[1], rhs=rhs[1]), method, T=4)
+        assert alone.iterations == 1 and alone.residual_trace[-1] == 0.0
+        assert out.iterations == 4
+        np.testing.assert_array_equal(out.w[1], alone.w)
+        np.testing.assert_array_equal(out.residual_trace[1], [1.0] + [0.0] * 4)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, "asymmetric"])
+    def test_one_bad_system_rejects_the_stack(self, method, bad):
+        P = np.stack([np.eye(3, dtype=complex)] * 3)
+        if bad == "asymmetric":
+            P[1, 0, 2] = 0.5
+        else:
+            P[1, 2, 2] = bad
+        with pytest.raises(NotHpdError):
+            solve(HpdSystem(P=P, rhs=np.ones((3, 3))), method)
+
+    @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
+    def test_zero_diagonal_system_rejects_the_stack(self, method):
+        P = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+        with pytest.raises(SplittingError):
+            solve(HpdSystem(P=P, rhs=np.ones((3, 2))), method)
+
+    def test_eps_stops_when_every_system_meets_it(self):
+        rng = np.random.default_rng(21)
+        P = np.stack([np.eye(8), random_hpd(rng, 8, cond_cap=10.0)])
+        rhs = random_rhs(rng, 2, 8)
+        alone = [gs_solve(HpdSystem(P=p, rhs=s), T=500, eps=1e-6)
+                 for p, s in zip(P, rhs)]
+        assert alone[0].iterations == 1 < alone[1].iterations
+        out = gs_solve(HpdSystem(P=P, rhs=rhs), T=500, eps=1e-6)
+        assert out.iterations == alone[1].iterations
+        np.testing.assert_array_equal(out.converged, [True, True])
+        assert np.all(np.sqrt(out.residual_trace[:, -1]) <= 1e-6)
+        # The system that met eps first keeps iterating with the others.
+        more = gs_solve(HpdSystem(P=P, rhs=rhs), T=out.iterations)
+        np.testing.assert_array_equal(out.w, more.w)
+
+    def test_converged_is_reported_per_system(self):
+        rng = np.random.default_rng(22)
+        P = np.stack([np.eye(8), random_hpd(rng, 8, cond_cap=10.0)])
+        out = gs_solve(HpdSystem(P=P, rhs=random_rhs(rng, 2, 8)), T=2,
+                       eps=1e-12)
+        assert out.iterations == 2
+        np.testing.assert_array_equal(out.converged, [True, False])
+
+    def test_trace_off_keeps_the_solution(self):
+        rng = np.random.default_rng(23)
+        sys = HpdSystem(P=random_hpd(rng, 6), rhs=random_rhs(rng, 6, 2))
+        for method in METHODS:
+            off = solve(sys, method, 3, trace=False)
+            assert off.residual_trace is None and off.converged is None
+            np.testing.assert_array_equal(off.w, solve(sys, method, 3).w)
 
 
 class TestConditionNumber:

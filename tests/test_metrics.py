@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import sinr_scalar_oracle, small_config, small_draw
-from xlmimo.channel import assemble_blocks
+from xlmimo.channel import assemble_blocks, stack_realizations
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
@@ -64,6 +64,16 @@ class TestSinr:
         expected = np.array([np.linalg.norm(H1) ** 2,
                              np.linalg.norm(H2) ** 2]) / 0.5
         np.testing.assert_allclose(report.gamma, expected, rtol=1e-12)
+
+    def test_stack_equals_single_trials(self):
+        cfg = small_config()
+        reals = [small_draw(cfg, trial)[1].realization for trial in range(3)]
+        stack = stack_realizations(reals)
+        report = sinr_eq9(stack, build_precoder(stack, 0.5, 1.0, "cg"), 1e-9)
+        for i, real in enumerate(reals):
+            one = sinr_eq9(real, build_precoder(real, 0.5, 1.0, "cg"), 1e-9)
+            np.testing.assert_array_equal(report.gamma[i], one.gamma)
+            assert report.sum_se[i] == one.sum_se
 
     def test_invalid_noise_rejected(self):
         _, draw = small_draw()
@@ -172,6 +182,15 @@ class TestSeTrial:
         out = se_trial(cfg, scenario, 0, ["direct", "cg", "jor"])
         assert set(out) == {"direct", "cg", "jor"}
         assert all(v > 0 for v in out.values())
+
+    def test_batch_equals_single_trials(self):
+        cfg = small_config()
+        scenario = build_scenario(cfg)
+        methods = ["direct", "gs", "jacpcg"]
+        batch = se_trial(cfg, scenario, range(2, 6), methods)
+        for i, trial in enumerate(range(2, 6)):
+            one = se_trial(cfg, scenario, trial, methods)
+            assert {m: batch[m][i] for m in methods} == one
 
     def test_deterministic(self):
         cfg = small_config()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_rhs, small_config, small_draw
-from xlmimo.channel import assemble_blocks
+from xlmimo.channel import assemble_blocks, stack_realizations
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
@@ -150,6 +150,17 @@ class TestBuildPrecoder:
         Mc = real.Hc.shape[0]
         np.testing.assert_array_equal(pre.G[:M1, K1:], 0.0)
         np.testing.assert_array_equal(pre.G[M1 + Mc:, :K1], 0.0)
+
+    @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
+    def test_stack_equals_single_trials(self, method):
+        reals = [_random_realization(seed) for seed in range(5, 9)]
+        stack = build_precoder(stack_realizations(reals), 0.2, 2.0, method)
+        assert stack.G.shape == (4, 36, 6) and stack.beta_c.shape == (4,)
+        for i, real in enumerate(reals):
+            one = build_precoder(real, 0.2, 2.0, method)
+            for name in ("G1", "Gc", "G2", "beta_1", "beta_c", "beta_2"):
+                np.testing.assert_array_equal(getattr(stack, name)[i],
+                                              getattr(one, name))
 
     def test_library_defaults_are_config_defaults(self):
         # At 25 dB the "algorithm" PCG variant loses positivity on many of
