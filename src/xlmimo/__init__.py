@@ -30,8 +30,8 @@ from .flops import (FlopModel, flop_model, flops_cg, flops_direct, flops_gs,
 from .geometry import (ArrayGeometry, UserLayout, VisibilityRegion,
                        antennas_for_length, build_geometry, drop_users,
                        sample_vr)
-from .linsolve import (HpdSystem, SolverOutcome, cg_solve, condition_number,
-                       direct_solve, gs_solve, jacpcg_solve, jor_solve, solve)
+from .linsolve import (HpdSystem, SolverOutcome, cg_solve, direct_solve,
+                       gs_solve, jacpcg_solve, jor_solve, solve)
 from .metrics import (BerReport, LinkReport, ber_montecarlo, convergence_trace,
                       sinr_eq9, sum_se)
 from .precoder import BlockPrecoder, build_precoder, gram_regularized

@@ -40,18 +40,18 @@ def build_correlation(geometry, rho: float) -> np.ndarray:
     return scipy.linalg.toeplitz(rho ** np.arange(M)).astype(float)
 
 
-def psd_sqrt(mat: np.ndarray, neg_tol: float = PSD_NEG_TOL,
-             clamp: float = PSD_CLAMP) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition with rank handling.
 
-    Eigenvalues below `clamp` are zeroed; eigenvalues below -neg_tol raise.
+    Eigenvalues below `PSD_CLAMP` are zeroed; eigenvalues below
+    -PSD_NEG_TOL (relative to the largest) raise.
     """
     vals, vecs = np.linalg.eigh(mat)
     scale = max(1.0, float(vals[-1]) if vals.size else 1.0)
-    if vals.size and vals[0] < -neg_tol * scale:
+    if vals.size and vals[0] < -PSD_NEG_TOL * scale:
         raise ModelError(
             f"covariance not PSD: min eigenvalue {vals[0]:.3e}")
-    vals = np.where(vals < clamp, 0.0, vals)
+    vals = np.where(vals < PSD_CLAMP, 0.0, vals)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 

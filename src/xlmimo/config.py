@@ -14,8 +14,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .geometry import antennas_for_length, build_geometry
-from .linsolve import (DEFAULT_OMEGA, DEFAULT_PCG_VARIANT, DEFAULT_T, METHODS,
-                       PCG_VARIANTS)
+from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 
@@ -44,7 +43,6 @@ class ChannelConfig:
     rho: float = 0.5
     vr_mu_frac: float = 0.1       # mu_l = vr_mu_frac * N
     vr_sigma: float = 0.1
-    vr_interpretation: str = "linear-mean"
     normalize_gain: bool = True   # calibrate mean per-user gain (see gain_ref_m)
     gain_ref_m: int = 99          # antenna count at which mean gain is unity
     gain_exponent: float = 2.0    # gain ~ (M / gain_ref_m)^exponent; 2 models
@@ -77,7 +75,6 @@ class PowerConfig:
 class SolverConfig:
     T: int = DEFAULT_T
     omega: float = DEFAULT_OMEGA  # JOR relaxation (1 = classical Jacobi)
-    pcg_variant: str = DEFAULT_PCG_VARIANT  # PCG inner products, see PCG_VARIANTS
 
 
 @dataclass
@@ -239,10 +236,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("channel.omega must be > 0 and channel.nu >= 0")
     if ch.vr_sigma <= 0:
         raise ConfigurationError("channel.vr_sigma must be positive")
-    if ch.vr_interpretation not in ("log-mean", "linear-mean"):
-        raise ConfigurationError(
-            f"channel.vr_interpretation must be 'log-mean' or 'linear-mean', "
-            f"got {ch.vr_interpretation!r}")
     if ch.gain_ref_m <= 0:
         raise ConfigurationError(
             f"channel.gain_ref_m must be positive, got {ch.gain_ref_m}")
@@ -253,10 +246,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
     if s.omega <= 0:
         raise ConfigurationError(f"solver.omega must be positive, got {s.omega}")
-    if s.pcg_variant not in PCG_VARIANTS:
-        raise ConfigurationError(
-            f"solver.pcg_variant must be one of {PCG_VARIANTS}, "
-            f"got {s.pcg_variant!r}")
     if r.experiment not in EXPERIMENTS:
         raise ConfigurationError(
             f"run.experiment must be one of {EXPERIMENTS}, got {r.experiment!r}")

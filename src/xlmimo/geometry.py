@@ -136,31 +136,21 @@ def drop_users(rng: np.random.Generator, K: int, L: int, cell_side: float,
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
               mu_l: float, sigma_l: float,
-              interpretation: str = "log-mean",
               required: np.ndarray | None = None,
               max_retries: int = DEFAULT_MAX_RETRIES) -> VisibilityRegion:
     """Sample a visibility region: center uniform on [0, N], log-normal length.
 
-    `interpretation` selects how mu_l parameterizes the log-normal law:
-    "log-mean" treats it as the mean of log-length, "linear-mean" as the
-    linear-scale mean length.  When `required` is given, draws are rejected
+    mu_l is the mean length on the linear scale, so the log-length has mean
+    log(mu_l) - sigma_l^2 / 2.  When `required` is given, draws are rejected
     until the region covers at least one antenna of that mask (e.g. the
     subarrays actually serving the user's group), so no user ends up with an
     all-zero effective channel.
     """
     if sigma_l <= 0:
         raise ConfigurationError(f"sigma_l must be positive, got {sigma_l}")
-    if interpretation == "log-mean":
-        mu = mu_l
-    elif interpretation == "linear-mean":
-        if mu_l <= 0:
-            raise ConfigurationError(
-                f"linear-mean VR length must be positive, got {mu_l}")
-        mu = np.log(mu_l) - 0.5 * sigma_l ** 2
-    else:
-        raise ConfigurationError(
-            f"unknown VR interpretation {interpretation!r}; "
-            "expected 'log-mean' or 'linear-mean'")
+    if mu_l <= 0:
+        raise ConfigurationError(f"mean VR length must be positive, got {mu_l}")
+    mu = np.log(mu_l) - 0.5 * sigma_l ** 2
 
     pos = geometry.positions
     needed = np.ones(geometry.M, dtype=bool) if required is None else required

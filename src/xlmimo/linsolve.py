@@ -25,13 +25,13 @@ import scipy.linalg
 from .errors import ConfigurationError, NotHpdError, SplittingError
 
 HERMITIAN_RTOL = 1e-12
-CONDITION_SIZE_CAP = 512
+# A PCG column whose r^H z is below the smallest normal float has converged:
+# iterating on, its recurrences underflow to zero curvature on an HPD system.
+RZ_FLOOR = np.finfo(float).tiny
 
 # Library defaults; the experiment config (SolverConfig) takes its own from here.
 DEFAULT_T = 5
 DEFAULT_OMEGA = 1.0                # JOR relaxation (1 = classical Jacobi)
-PCG_VARIANTS = ("textbook", "algorithm")
-DEFAULT_PCG_VARIANT = "textbook"
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,10 @@ class SolverOutcome:
     """Solutions, iteration count, residual telemetry, and convergence flags.
 
     `w` has the rhs's shape.  `residual_trace` (..., iterations + 1), index 0
-    the initial guess, and `converged` (...) are None unless the errors were
-    computed (a trace or eps was asked for).  A system whose Krylov residual
-    is exactly zero before the others' holds its final iterate and error.
+    the starting point w = 0, and `converged` (...), true where the final LS
+    error does not exceed the initial one, are None when the trace is off.
+    A system whose Krylov residual vanishes before the others' holds its
+    final iterate and error.
     """
 
     w: np.ndarray
@@ -101,21 +102,11 @@ def sq_norms(X: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(x, x).real for x in flat]).reshape(X.shape[:-2])
 
 
-def _prepare(sys: HpdSystem, w0):
-    """Promote rhs/initial guess to (..., n, m) working arrays."""
+def _prepare(sys: HpdSystem):
+    """Promote the rhs to a (..., n, m) working array."""
     s = np.asarray(sys.rhs, dtype=complex)
     is_vec = s.ndim < np.ndim(sys.P)
-    s2 = s[..., None] if is_vec else s
-    if w0 is None:
-        w = np.zeros_like(s2)
-    else:
-        w = np.asarray(w0, dtype=complex)
-        w = w[..., None] if w.ndim == s2.ndim - 1 else w
-        if w.shape != s2.shape:
-            raise ConfigurationError(
-                f"w0 shape {w.shape} does not match rhs shape {s2.shape}")
-        w = w.copy()
-    return s2, w, is_vec
+    return (s[..., None] if is_vec else s), is_vec
 
 
 def _ls_error(P, w, s2, snorm2) -> np.ndarray:
@@ -139,7 +130,7 @@ def _finish(w, is_vec, iterations, errors, converged, iterates):
 def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
     """Exact solve via Cholesky P = M M^H; reference oracle for the iterative paths."""
     P = np.asarray(sys.P, dtype=complex)
-    s2, _, is_vec = _prepare(sys, None)
+    s2, is_vec = _prepare(sys)
 
     def one(p, s):
         try:
@@ -154,21 +145,21 @@ def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
     return _finish(w, is_vec, 0, errors, converged, [])
 
 
-def _iterate(sys: HpdSystem, T: int, eps, w0, keep_iterates, trace,
+def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
              steps) -> SolverOutcome:
-    """Run at most T iterations of `steps(P, s, w)`, a generator of iterates.
+    """Run at most T iterations of `steps(P, s, w)`, a generator of iterates,
+    from w = 0.
 
-    Stops early once sqrt(LS error) <= eps for every system, or when the
-    generator ends (a Krylov method whose residuals are all exactly zero).
-    The errors are computed only when a trace or eps is asked for.  Without
-    eps, converged means the final LS error does not exceed the initial one.
+    Stops early only when the generator ends (a Krylov method whose
+    residuals have all vanished).  With `trace`, records the LS error per
+    iteration; converged means the final error does not exceed the initial.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     P = np.asarray(sys.P, dtype=complex)
-    s2, w, is_vec = _prepare(sys, w0)
-    measure = trace or eps is not None
-    if measure:
+    s2, is_vec = _prepare(sys)
+    w = np.zeros_like(s2)
+    if trace:
         snorm2 = _rhs_norms(s2)
         errors = [_ls_error(P, w, s2, snorm2)]
     iterations, iterates = 0, []
@@ -176,15 +167,12 @@ def _iterate(sys: HpdSystem, T: int, eps, w0, keep_iterates, trace,
         iterations += 1
         if keep_iterates:
             iterates.append(w.copy())
-        if measure:
+        if trace:
             errors.append(_ls_error(P, w, s2, snorm2))
-            if eps is not None and np.all(np.sqrt(errors[-1]) <= eps):
-                break
-    if not measure:
+    if not trace:
         return _finish(w, is_vec, iterations, None, None, iterates)
-    converged = (np.sqrt(errors[-1]) <= eps if eps is not None
-                 else errors[-1] <= errors[0])
-    return _finish(w, is_vec, iterations, errors, converged, iterates)
+    return _finish(w, is_vec, iterations, errors, errors[-1] <= errors[0],
+                   iterates)
 
 
 def _check_diag(d) -> np.ndarray:
@@ -198,8 +186,8 @@ def _diag(P) -> np.ndarray:
     return np.diagonal(P, axis1=-2, axis2=-1)
 
 
-def gs_solve(sys: HpdSystem, T: int, w0=None, eps: float | None = None,
-             keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
+def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
+             trace: bool = True) -> SolverOutcome:
     """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo)."""
     def sweep(DL, b):
         return scipy.linalg.solve_triangular(DL, b, lower=True)
@@ -211,12 +199,11 @@ def gs_solve(sys: HpdSystem, T: int, w0=None, eps: float | None = None,
             w = _per_system(sweep, DL, s - Up @ w)
             yield w
 
-    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
+    return _iterate(sys, T, keep_iterates, trace, steps)
 
 
-def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA, w0=None,
-              eps: float | None = None, keep_iterates: bool = False,
-              trace: bool = True) -> SolverOutcome:
+def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA,
+              keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
     """Jacobi over-relaxation: w <- w + omega * D^{-1} (s - P w)."""
     if omega <= 0:
         raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
@@ -227,7 +214,7 @@ def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA, w0=None,
             w = w + omega * ((s - P @ w) / d)
             yield w
 
-    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
+    return _iterate(sys, T, keep_iterates, trace, steps)
 
 
 def _col_dot(a, b) -> np.ndarray:
@@ -235,82 +222,60 @@ def _col_dot(a, b) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a.conj(), b).real[..., None, :]
 
 
-def _pcg_steps(c_res, c_dir):
-    """PCG recurrence with diagonal preconditioner C applied on one side.
+def _pcg_steps(c):
+    """PCG recurrence with diagonal preconditioner C (..., n, 1); None is CG.
 
-    `c_dir` (textbook PCG) divides the residual into the search direction,
-    z = C^{-1} r, with r^H z inner products.  `c_res` (the paper's
-    algorithm) keeps the residual itself preconditioned, r = C^{-1}(s - P w),
-    with r^H r inner products.  Both None is plain CG; a side without C skips
-    its division.  A column whose r^H z is exactly zero takes zero steps from
-    then on, so it holds its iterate while the other columns go on.
+    The search direction is built from z = C^{-1} r, with r^H z inner
+    products.  A column whose r^H z is below `RZ_FLOOR` (zero, or underflowed
+    after convergence) takes zero steps from then on, so it holds its iterate
+    while the other columns go on.
     """
     def steps(P, s, w):
         r = s - P @ w
-        if c_res is not None:
-            r = r / c_res
-        z = r if c_dir is None else r / c_dir
+        z = r if c is None else r / c
         m = z.copy()
         rz = _col_dot(r, z)
-        while np.any(rz > 0):
+        live = rz >= RZ_FLOOR
+        while np.any(live):
             q = P @ m
-            if c_res is not None:
-                q = q / c_res
             curv = _col_dot(m, q)
-            if np.any((curv <= 0) & (rz > 0)):
+            if np.any((curv <= 0) & live):
                 raise NotHpdError(
                     "nonpositive direction curvature encountered; P is not HPD")
-            alpha = np.where(rz > 0, rz / np.where(curv > 0, curv, 1.0), 0.0)
+            alpha = np.where(live, rz / np.where(curv > 0, curv, 1.0), 0.0)
             w = w + alpha * m
             r = r - alpha * q
-            z = r if c_dir is None else r / c_dir
+            z = r if c is None else r / c
             rz_new = _col_dot(r, z)
-            beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+            beta = np.where(live, rz_new / np.where(live, rz, 1.0), 0.0)
             m = z + beta * m
             rz = rz_new
+            live = rz >= RZ_FLOOR
             yield w
 
     return steps
 
 
-def cg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
-             keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
+def cg_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
+             trace: bool = True) -> SolverOutcome:
     """Classical conjugate gradient; exact within n iterations in exact arithmetic."""
-    return _iterate(sys, T, eps, w0, keep_iterates, trace,
-                    _pcg_steps(None, None))
+    return _iterate(sys, T, keep_iterates, trace, _pcg_steps(None))
 
 
-def jacpcg_solve(sys: HpdSystem, T: int, eps: float | None = None, w0=None,
-                 precond_diag=None, keep_iterates: bool = False,
-                 variant: str = DEFAULT_PCG_VARIANT,
+def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,
+                 keep_iterates: bool = False,
                  trace: bool = True) -> SolverOutcome:
-    """Diagonally preconditioned CG with C = diag(P) by default.
+    """Standard PCG with the Jacobi preconditioner C = diag(P) by default.
 
-    `variant="textbook"` runs standard PCG with r^H z inner products;
-    `variant="algorithm"` runs the recurrences on the preconditioned residual
-    r = C^{-1}(s - P w) with beta = r+^H r+ / r^H r.  Both coincide with CG
-    for C = I.  Pass `precond_diag` ((n,) or (..., n)) to override the
-    preconditioner.
+    Pass `precond_diag` ((n,) or (..., n)) to override the preconditioner;
+    C = I gives CG.  C must be positive: a zero entry raises
+    `SplittingError`, a negative one `NotHpdError`.
     """
-    if variant not in PCG_VARIANTS:
-        raise ConfigurationError(f"unknown PCG variant {variant!r}")
     c = _diag(np.asarray(sys.P)).real if precond_diag is None else precond_diag
-    c = _check_diag(np.asarray(c, dtype=float))[..., None]
-    steps = _pcg_steps(c, None) if variant == "algorithm" else _pcg_steps(None, c)
-    return _iterate(sys, T, eps, w0, keep_iterates, trace, steps)
-
-
-def condition_number(P: np.ndarray) -> float:
-    """Spectral condition number lambda_max / lambda_min of an HPD matrix."""
-    P = np.asarray(P)
-    if P.shape[0] > CONDITION_SIZE_CAP:
-        raise ConfigurationError(
-            f"dense condition number capped at n={CONDITION_SIZE_CAP}, "
-            f"got n={P.shape[0]}")
-    vals = np.linalg.eigvalsh(P)
-    if vals[0] <= 0:
-        raise NotHpdError(f"min eigenvalue {vals[0]:.3e} is not positive")
-    return float(vals[-1] / vals[0])
+    c = _check_diag(np.asarray(c, dtype=float))
+    if np.any(c < 0):
+        raise NotHpdError("negative preconditioner entry; P is not HPD")
+    return _iterate(sys, T, keep_iterates, trace, _pcg_steps(c[..., None]))
 
 
 ITERATIVE_SOLVERS = {
@@ -325,21 +290,17 @@ METHODS = ("direct", *ITERATIVE_SOLVERS)
 
 
 def solve(sys: HpdSystem, method: str, T: int = DEFAULT_T,
-          omega: float = DEFAULT_OMEGA,
-          pcg_variant: str = DEFAULT_PCG_VARIANT,
-          trace: bool = True) -> SolverOutcome:
+          omega: float = DEFAULT_OMEGA, trace: bool = True) -> SolverOutcome:
     """Solve every system of P w = s with the named method; T iterations unless direct.
 
-    Each scheme gets only its own option: omega goes to JOR, pcg_variant to
-    Jac-PCG.  `trace=False` skips the LS-error trace (and `converged`).  The
-    solvers are looked up at call time, so a replaced `direct_solve` or
-    `ITERATIVE_SOLVERS` entry is the one that runs.
+    omega goes to JOR only.  `trace=False` skips the LS-error trace (and
+    `converged`).  The solvers are looked up at call time, so a replaced
+    `direct_solve` or `ITERATIVE_SOLVERS` entry is the one that runs.
     """
     if method == "direct":
         return direct_solve(sys, trace=trace)
     if method not in ITERATIVE_SOLVERS:
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}")
-    options = {"jor": {"omega": omega},
-               "jacpcg": {"variant": pcg_variant}}.get(method, {})
+    options = {"omega": omega} if method == "jor" else {}
     return ITERATIVE_SOLVERS[method](sys, T, trace=trace, **options)

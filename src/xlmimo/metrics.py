@@ -109,7 +109,7 @@ def qpsk_detect(y: np.ndarray) -> np.ndarray:
     return np.stack([b0, b1], axis=-1)
 
 
-def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
+def ber_montecarlo(cfg, methods, snr_grid_db=None) -> BerReport:
     """Downlink QPSK BER over the SNR grid, all methods on shared realizations.
 
     Per point: fresh channel draws, precoder with xi = 1/SNR, genie-aided
@@ -126,7 +126,7 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
     if bits_min < 1:
         raise ConfigurationError("bits per point must be >= 1")
     nsym = cfg.run.symbols_per_channel
-    seed = cfg.run.seed if seed is None else seed
+    seed = cfg.run.seed
     scenario = build_scenario(cfg)
     sigma2 = cfg.power.sigma2_watts
     K = scenario.K
@@ -145,7 +145,7 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
             real = stack_realizations(draw_trial(scenario, rng).realization
                                       for rng in rngs)
             couplings = {m: coupling_matrix(real, build_precoder(
-                real, xi, power, m, sol.T, sol.omega, sol.pcg_variant))
+                real, xi, power, m, sol.T, sol.omega))
                 for m in methods}
             # Each trial's bits and noise follow its channel on its own stream.
             for i, rng in enumerate(rngs):
@@ -168,7 +168,7 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None, seed=None) -> BerReport:
 
 
 def convergence_trace(cfg, methods=None, T_max: int | None = None,
-                      seed=None, trials: int | None = None) -> dict:
+                      trials: int | None = None) -> dict:
     """Median least-square error ||P w^(t) - s||^2 / ||s||^2 per iteration.
 
     Solves the central-subarray system P_c w = s with a random QPSK symbol
@@ -181,7 +181,7 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     if T_max < 1:
         raise ConfigurationError(f"T_max must be >= 1, got {T_max}")
     trials = cfg.run.trials if trials is None else trials
-    seed = cfg.run.seed if seed is None else seed
+    seed = cfg.run.seed
     scenario = build_scenario(cfg)
     xi = cfg.power.xi
     K = scenario.K
@@ -199,8 +199,8 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
         sys = HpdSystem(P=gram_regularized(np.stack(Hc), xi),
                         rhs=qpsk_modulate(np.stack(bits)))
         for m in methods:
-            out = solve(sys, m, T_max, cfg.solver.omega, cfg.solver.pcg_variant)
-            # Krylov methods stop once every residual is exactly zero; hold
+            out = solve(sys, m, T_max, cfg.solver.omega)
+            # Krylov methods stop once every residual has vanished; hold
             # the final error so every trace spans t = 0..T_max.
             tr = out.residual_trace
             rows = traces[m][batch.start:batch.stop]
@@ -227,6 +227,6 @@ def se_trial(cfg, scenario, trials, methods, seed=None) -> dict:
     sigma2 = cfg.power.sigma2_watts
     sol = cfg.solver
     return {m: sinr_eq9(real, build_precoder(real, xi, power, m, sol.T,
-                                             sol.omega, sol.pcg_variant),
+                                             sol.omega),
                         sigma2).sum_se
             for m in methods}

@@ -15,8 +15,7 @@ import numpy as np
 
 from .channel import check_blocks, stack_blocks
 from .errors import ConfigurationError, DegenerateChannelError
-from .linsolve import (DEFAULT_OMEGA, DEFAULT_PCG_VARIANT, DEFAULT_T,
-                       HpdSystem, herm, solve, sq_norms)
+from .linsolve import DEFAULT_OMEGA, DEFAULT_T, HpdSystem, herm, solve, sq_norms
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,12 @@ def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
     return (P + herm(P)) / 2.0
 
 
-def _rzf_block(H, xi, power, method, T, omega, pcg_variant):
+def _rzf_block(H, xi, power, method, T, omega):
     """One block's (G, beta): F = H P^{-1}, beta = sqrt(power / tr(F^H F))."""
     H = np.asarray(H, dtype=complex)
     P = gram_regularized(H, xi)
     eye = np.broadcast_to(np.eye(P.shape[-1], dtype=complex), P.shape)
-    out = solve(HpdSystem(P=P, rhs=eye), method, T, omega, pcg_variant,
-                trace=False)
+    out = solve(HpdSystem(P=P, rhs=eye), method, T, omega, trace=False)
     F = H @ out.w
     tr = sq_norms(F)
     if np.any(tr <= 0):
@@ -69,11 +67,11 @@ def _rzf_block(H, xi, power, method, T, omega, pcg_variant):
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
-                   T: int = DEFAULT_T, omega: float = DEFAULT_OMEGA,
-                   pcg_variant: str = DEFAULT_PCG_VARIANT) -> BlockPrecoder:
+                   T: int = DEFAULT_T,
+                   omega: float = DEFAULT_OMEGA) -> BlockPrecoder:
     """All three blocks of Eq.-6 structure for a realization (or a stack of them)."""
     (G1, beta_1), (Gc, beta_c), (G2, beta_2) = (
-        _rzf_block(H, xi, power, method, T, omega, pcg_variant)
+        _rzf_block(H, xi, power, method, T, omega)
         for H in realization.blocks())
     return BlockPrecoder(G1=G1, Gc=Gc, G2=G2, beta_1=beta_1, beta_c=beta_c,
                          beta_2=beta_2)

@@ -62,7 +62,6 @@ def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
     masks = np.empty((K, M), dtype=bool)
     for k in range(K):
         vr = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
-                       interpretation=ch.vr_interpretation,
                        required=group_support[layout.group_of[k]])
         masks[k] = vr.visible
     W = path_loss(layout.distances, ch.omega, ch.nu)

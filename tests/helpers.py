@@ -1,8 +1,10 @@
-"""Shared test utilities: random HPD ensembles and an independent SINR oracle."""
+"""Shared test utilities: random HPD ensembles, condition numbers and an
+independent SINR oracle."""
 
 import numpy as np
 
 from xlmimo.config import ExperimentConfig, apply_overrides
+from xlmimo.errors import ConfigurationError, NotHpdError
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
 
@@ -28,6 +30,22 @@ def diag_scaled_hpd(rng, n, scale_max=1e6):
     rng.shuffle(d)
     P = (d[:, None] * P0) * d[None, :]
     return (P + P.conj().T) / 2.0
+
+
+CONDITION_SIZE_CAP = 512
+
+
+def condition_number(P: np.ndarray) -> float:
+    """Spectral condition number lambda_max / lambda_min of an HPD matrix."""
+    P = np.asarray(P)
+    if P.shape[0] > CONDITION_SIZE_CAP:
+        raise ConfigurationError(
+            f"dense condition number capped at n={CONDITION_SIZE_CAP}, "
+            f"got n={P.shape[0]}")
+    vals = np.linalg.eigvalsh(P)
+    if vals[0] <= 0:
+        raise NotHpdError(f"min eigenvalue {vals[0]:.3e} is not positive")
+    return float(vals[-1] / vals[0])
 
 
 def small_config(**overrides):

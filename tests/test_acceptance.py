@@ -166,8 +166,7 @@ def test_criterion_6_structural_invariants():
     np.testing.assert_array_equal(H[66:, :16], 0.0)
     for method in METHODS:
         pre = build_precoder(draw.realization, xi, power, method,
-                             T=cfg.solver.T, omega=cfg.solver.omega,
-                             pcg_variant=cfg.solver.pcg_variant)
+                             T=cfg.solver.T, omega=cfg.solver.omega)
         np.testing.assert_array_equal(pre.G[:33, 16:], 0.0)
         np.testing.assert_array_equal(pre.G[66:, :16], 0.0)
         # power identity per block to 1e-10 relative

@@ -62,9 +62,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             parse_config("users:\n  K: many\n")
 
-    def test_bad_pcg_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_config("solver:\n  pcg_variant: fast\n")
+    # Removed fields are unknown keys, even set to their old default.
+    @pytest.mark.parametrize("form", ["yaml", "set"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "pcg_variant", "textbook"),
+        ("channel", "vr_interpretation", "linear-mean")])
+    def test_removed_keys_rejected(self, section, key, value, form):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown config key {section}.{key}"):
+            if form == "yaml":
+                parse_config(f"{section}:\n  {key}: {value}\n")
+            else:
+                apply_overrides(ExperimentConfig(),
+                                [f"{section}.{key}={value}"])
 
     def test_m_grid_must_match_subarrays(self):
         with pytest.raises(ConfigurationError):

@@ -109,15 +109,14 @@ class TestSampleVr:
 
     def test_full_length_region_covers_array(self):
         # length ~ 10N with tiny spread: every antenna visible
-        vr = sample_vr(seed_stream(0, 0), self.geo,
-                       mu_l=float(np.log(10 * self.geo.N)), sigma_l=0.01)
+        vr = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
+                       sigma_l=0.01)
         assert vr.visible.all()
 
     def test_mask_matches_bruteforce_interval(self):
         rng = seed_stream(3, 0)
         for _ in range(200):
-            vr = sample_vr(rng, self.geo, mu_l=0.1 * self.geo.N, sigma_l=0.1,
-                           interpretation="linear-mean")
+            vr = sample_vr(rng, self.geo, mu_l=0.1 * self.geo.N, sigma_l=0.1)
             lo = max(0.0, vr.center - vr.length / 2.0)
             hi = min(self.geo.N, vr.center + vr.length / 2.0)
             expected = (self.geo.positions >= lo) & (self.geo.positions <= hi)
@@ -127,24 +126,16 @@ class TestSampleVr:
     def test_linear_mean_interpretation(self):
         rng = seed_stream(5, 0)
         mu = 0.1 * self.geo.N
-        lengths = [sample_vr(rng, self.geo, mu, 0.1,
-                             interpretation="linear-mean").length
-                   for _ in range(5000)]
-        assert np.mean(lengths) == pytest.approx(mu, rel=0.05)
-
-    def test_log_mean_interpretation(self):
-        rng = seed_stream(6, 0)
-        mu = 0.5
         lengths = [sample_vr(rng, self.geo, mu, 0.1).length
                    for _ in range(5000)]
-        assert np.mean(np.log(lengths)) == pytest.approx(mu, rel=0.05)
+        assert np.mean(lengths) == pytest.approx(mu, rel=0.05)
 
     def test_required_mask_honored(self):
         required = self.geo.subarray_of == 2
         rng = seed_stream(9, 0)
         for _ in range(100):
             vr = sample_vr(rng, self.geo, mu_l=1.0, sigma_l=0.3,
-                           interpretation="linear-mean", required=required)
+                           required=required)
             assert (vr.visible & required).any()
 
     def test_empty_required_mask_rejected(self):
@@ -162,8 +153,4 @@ class TestSampleVr:
         with pytest.raises(ConfigurationError):
             sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.0)
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1,
-                      interpretation="linear-mean")
-        with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.1,
-                      interpretation="median")
+            sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1)

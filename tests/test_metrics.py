@@ -162,7 +162,7 @@ class TestConvergenceTrace:
         assert set(traces) == {"gs", "jor", "cg", "jacpcg"}
         for trace in traces.values():
             assert trace.shape == (5,)
-            # w0 = 0 means the initial normalized error is exactly 1
+            # Every solver starts from w = 0: the initial normalized error is 1
             assert trace[0] == pytest.approx(1.0)
 
     def test_tmax_validation(self):

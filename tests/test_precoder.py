@@ -94,8 +94,7 @@ class TestRzfIterative:
 
     @pytest.mark.parametrize("method", ["gs", "jor", "cg", "jacpcg"])
     def test_power_identity_all_solvers(self, method):
-        pre = build_precoder(self.real, 0.2, 4.0, method, T=3, omega=0.5,
-                             pcg_variant="textbook")
+        pre = build_precoder(self.real, 0.2, 4.0, method, T=3, omega=0.5)
         for G in _blocks(pre):
             assert float(np.vdot(G, G).real) == pytest.approx(4.0, rel=1e-10)
 
@@ -142,7 +141,7 @@ class TestBuildPrecoder:
         _, draw = small_draw(cfg)
         real = draw.realization
         pre = build_precoder(real, xi=0.5, power=1.0, method=method, T=3,
-                             omega=0.5, pcg_variant="textbook")
+                             omega=0.5)
         for G in (pre.G1, pre.Gc, pre.G2):
             assert float(np.vdot(G, G).real) == pytest.approx(1.0, rel=1e-10)
         K1 = real.K1
@@ -163,8 +162,8 @@ class TestBuildPrecoder:
                                               getattr(one, name))
 
     def test_library_defaults_are_config_defaults(self):
-        # At 25 dB the "algorithm" PCG variant loses positivity on many of
-        # these draws; the library default must be the config's variant.
+        # A build with the library's T and omega must equal one with the
+        # config's solver settings, at 25 dB where the systems are hardest.
         cfg = ExperimentConfig()
         apply_overrides(cfg, ["power.snr_db=25"])
         scenario = build_scenario(cfg)
@@ -174,8 +173,7 @@ class TestBuildPrecoder:
             for method in ("jor", "jacpcg"):
                 lib = build_precoder(real, xi, power, method)
                 ref = build_precoder(real, xi, power, method, T=sol.T,
-                                     omega=sol.omega,
-                                     pcg_variant=sol.pcg_variant)
+                                     omega=sol.omega)
                 for a, b in zip((lib.G1, lib.Gc, lib.G2),
                                 (ref.G1, ref.Gc, ref.G2)):
                     np.testing.assert_array_equal(a, b)
