@@ -23,7 +23,7 @@ from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_config)
 from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
                      GeometryInfeasibleError, ModelError, NotHpdError,
-                     SplittingError, UnsupportedTopologyError, XlMimoError)
+                     SplittingError, XlMimoError)
 from .experiments import run_experiment
 from .flops import (FlopModel, flop_model, flops_cg, flops_direct, flops_gs,
                     flops_jacpcg, flops_jor)

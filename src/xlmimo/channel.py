@@ -3,7 +3,8 @@
 Channel vectors are h = sqrt(w) .* hbar with hbar ~ CN(0, Theta), where
 Theta = D^{1/2} R D^{1/2} restricted to per-subarray diagonal blocks; D is
 the 0/1 visibility indicator and R the spatial correlation matrix.  The
-per-trial draw with this law is `scenario.draw_trial`.
+per-trial draw with this law is `scenario.draw_trial`.  The block layout is
+the model's constant topology: S = 3 subarrays, L = 2 user groups.
 """
 
 from dataclasses import dataclass
@@ -12,9 +13,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (AssemblyError, ConfigurationError, ModelError,
-                     UnsupportedTopologyError)
-from .geometry import ArrayGeometry, UserLayout
+from .errors import AssemblyError, ConfigurationError, ModelError
+from .geometry import SUBARRAYS
 
 PSD_CLAMP = 1e-12
 PSD_NEG_TOL = 1e-10
@@ -32,11 +32,10 @@ def path_loss(d, omega: float, nu: float) -> np.ndarray:
     return omega * d ** (-nu)
 
 
-def build_correlation(geometry, rho: float) -> np.ndarray:
-    """Exponential correlation matrix R[i, j] = rho^|i-j| (Hermitian Toeplitz)."""
+def build_correlation(M: int, rho: float) -> np.ndarray:
+    """Exponential M x M correlation matrix R[i, j] = rho^|i-j| (Hermitian Toeplitz)."""
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
-    M = geometry if isinstance(geometry, (int, np.integer)) else geometry.M
     return scipy.linalg.toeplitz(rho ** np.arange(M)).astype(float)
 
 
@@ -135,21 +134,14 @@ def assemble_blocks(H1: np.ndarray, Hc: np.ndarray,
                               H2=np.asarray(H2, dtype=complex))
 
 
-def assemble_from_user_channels(h_users: np.ndarray, geometry: ArrayGeometry,
-                                layout: UserLayout) -> ChannelRealization:
-    """Assemble per-user full-array channel vectors into the block layout.
+def assemble_from_user_channels(h_users: np.ndarray,
+                                K1: int) -> ChannelRealization:
+    """Assemble (K, M) per-user full-array channel rows into the block layout.
 
-    Antennas structurally invisible to a user's group (subarray 2 for group 0
-    users and vice versa) are dropped, producing the exact zero blocks.
+    The first K1 users form group 1, the rest group 2, and the antennas split
+    into three equal subarrays.  Dropping each group's unserved side subarray
+    leaves the exact zero blocks.
     """
-    if geometry.S != 3 or layout.L != 2:
-        raise UnsupportedTopologyError(
-            f"block assembly defined only for S=3, L=2; "
-            f"got S={geometry.S}, L={layout.L}")
-    sub = [geometry.subarray_indices(s) for s in range(3)]
-    g1 = layout.users_in_group(0)
-    g2 = layout.users_in_group(1)
-    H1 = h_users[np.ix_(g1, sub[0])].T
-    Hc = h_users[:, sub[1]].T
-    H2 = h_users[np.ix_(g2, sub[2])].T
-    return assemble_blocks(H1, Hc, H2)
+    Ms = h_users.shape[1] // SUBARRAYS
+    return assemble_blocks(h_users[:K1, :Ms].T, h_users[:, Ms:2 * Ms].T,
+                           h_users[K1:, 2 * Ms:].T)

@@ -3,7 +3,8 @@
 Defaults follow the reference simulation setup: 0.1 x 0.1 km^2 cell, 30 m
 minimum distance, ULA with 2-wavelength spacing at 2.6 GHz, aperture
 N = 23.0610 m (99 antennas in 3 subarrays), K = 32 users in 2 groups,
-path loss Omega = 4, nu = 3, noise -50 dBm, T = 5 iterations.
+path loss Omega = 4, nu = 3, noise -50 dBm, T = 5 iterations.  S = 3 and
+L = 2 are model constants (`geometry`): M must divide by 3, K by 2.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .geometry import antennas_for_length, build_geometry
+from .geometry import GROUPS, SUBARRAYS, antennas_for_length, build_geometry
 from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
@@ -23,7 +24,6 @@ EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 class GeometryConfig:
     M: int | None = None          # derived from N when omitted
     N: float = 23.0610            # target aperture [m]
-    S: int = 3
     carrier_hz: float = 2.6e9
     spacing_wavelengths: float = 2.0
 
@@ -31,7 +31,6 @@ class GeometryConfig:
 @dataclass
 class UsersConfig:
     K: int = 32
-    L: int = 2
     cell_side: float = 100.0      # [m]
     min_dist: float = 30.0        # [m]
 
@@ -43,10 +42,7 @@ class ChannelConfig:
     rho: float = 0.5
     vr_mu_frac: float = 0.1       # mu_l = vr_mu_frac * N
     vr_sigma: float = 0.1
-    normalize_gain: bool = True   # calibrate mean per-user gain (see gain_ref_m)
-    gain_ref_m: int = 99          # antenna count at which mean gain is unity
-    gain_exponent: float = 2.0    # gain ~ (M / gain_ref_m)^exponent; 2 models
-                                  # per-antenna power budget plus aperture gain
+    normalize_gain: bool = True   # calibrate mean per-user gain (scenario.py)
 
 
 @dataclass
@@ -106,13 +102,11 @@ _SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(value, target, path):
-    if value is None:
-        return None
+    if target in (int, float) and isinstance(value, bool):
+        raise ConfigurationError(f"{path}: expected number, got {value!r}")
     if target is float and isinstance(value, (int, float)):
         return float(value)
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{path}: expected integer, got {value!r}")
+    if target is int and isinstance(value, int):
         return value
     if target is bool and isinstance(value, bool):
         return value
@@ -125,7 +119,7 @@ def _coerce(value, target, path):
 
 
 _FIELD_TYPES = {
-    # optional fields need explicit base types
+    # optional fields (None allowed) need explicit base types
     ("geometry", "M"): int,
 }
 
@@ -139,7 +133,9 @@ def _fill_section(section_obj, data: dict, section: str):
         if ftype is None:
             default = getattr(type(section_obj)(), key)
             ftype = list if isinstance(default, list) else type(default)
-        setattr(section_obj, key, _coerce(value, ftype, f"{section}.{key}"))
+        if value is not None or (section, key) not in _FIELD_TYPES:
+            value = _coerce(value, ftype, f"{section}.{key}")
+        setattr(section_obj, key, value)
     return section_obj
 
 
@@ -204,28 +200,26 @@ def resolved_antenna_count(cfg: ExperimentConfig) -> int:
     if g.M is not None:
         return g.M
     spacing = g.spacing_wavelengths * (3.0e8 / g.carrier_hz)
-    return antennas_for_length(g.N, g.S, spacing)
+    return antennas_for_length(g.N, spacing)
 
 
 def build_geometry_from_config(cfg: ExperimentConfig, M: int | None = None):
     g = cfg.geometry
     return build_geometry(M if M is not None else resolved_antenna_count(cfg),
-                          g.S, g.carrier_hz, g.spacing_wavelengths)
+                          g.carrier_hz, g.spacing_wavelengths)
 
 
 def validate(cfg: ExperimentConfig) -> None:
     g, u, ch, p, s, r = (cfg.geometry, cfg.users, cfg.channel, cfg.power,
                          cfg.solver, cfg.run)
-    if g.S <= 0:
-        raise ConfigurationError(f"geometry.S must be positive, got {g.S}")
-    if g.M is not None and (g.M <= 0 or g.M % g.S != 0):
+    if g.M is not None and (g.M <= 0 or g.M % SUBARRAYS != 0):
         raise ConfigurationError(
-            f"geometry.M={g.M} must be a positive multiple of S={g.S}")
+            f"geometry.M={g.M} must be a positive multiple of S={SUBARRAYS}")
     if g.carrier_hz <= 0 or g.spacing_wavelengths <= 0:
         raise ConfigurationError("geometry.carrier_hz and spacing must be positive")
-    if u.K <= 0 or u.L <= 0 or u.K % u.L != 0:
+    if u.K <= 0 or u.K % GROUPS != 0:
         raise ConfigurationError(
-            f"users.K={u.K} must be a positive multiple of users.L={u.L}")
+            f"users.K={u.K} must be a positive multiple of L={GROUPS}")
     if u.cell_side <= 0:
         raise ConfigurationError("users.cell_side must be positive")
     if u.min_dist >= np.hypot(u.cell_side, u.cell_side):
@@ -236,12 +230,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("channel.omega must be > 0 and channel.nu >= 0")
     if ch.vr_sigma <= 0:
         raise ConfigurationError("channel.vr_sigma must be positive")
-    if ch.gain_ref_m <= 0:
-        raise ConfigurationError(
-            f"channel.gain_ref_m must be positive, got {ch.gain_ref_m}")
-    if ch.gain_exponent < 0:
-        raise ConfigurationError(
-            f"channel.gain_exponent must be >= 0, got {ch.gain_exponent}")
     if s.T < 1:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
     if s.omega <= 0:
@@ -253,17 +241,24 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("run.trials, run.workers and run.t_max must be >= 1")
     if r.bits_per_point < 1 or r.symbols_per_channel < 1:
         raise ConfigurationError("run.bits_per_point and symbols_per_channel must be >= 1")
-    for name, grid in (("m_grid", r.m_grid), ("k_grid", r.k_grid),
-                       ("snr_grid_db", r.snr_grid_db), ("methods", r.methods)):
+    for name, grid, kind in (("m_grid", r.m_grid, int), ("k_grid", r.k_grid, int),
+                             ("snr_grid_db", r.snr_grid_db, (int, float)),
+                             ("methods", r.methods, str)):
         if not grid:
             raise ConfigurationError(f"run.{name} must be non-empty")
+        for entry in grid:
+            if isinstance(entry, bool) or not isinstance(entry, kind):
+                raise ConfigurationError(
+                    f"run.{name} entry {entry!r} has the wrong type")
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")
     for M in r.m_grid:
-        if M % g.S != 0:
+        if M <= 0 or M % SUBARRAYS != 0:
             raise ConfigurationError(
-                f"run.m_grid entry {M} is not divisible by S={g.S}")
+                f"run.m_grid entry {M} must be a positive multiple of S={SUBARRAYS}")
+    if min(r.k_grid) < 1:
+        raise ConfigurationError("run.k_grid entries must be >= 1")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -13,10 +13,6 @@ class GeometryInfeasibleError(XlMimoError, RuntimeError):
     """Rejection sampling could not satisfy the geometric constraints."""
 
 
-class UnsupportedTopologyError(XlMimoError, ValueError):
-    """Block assembly requested for a topology other than S=3, L=2."""
-
-
 class ModelError(XlMimoError, ValueError):
     """Statistical model violated (e.g. covariance not positive semi-definite)."""
 

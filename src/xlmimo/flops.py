@@ -14,7 +14,7 @@ from .linsolve import METHODS
 @dataclass(frozen=True)
 class FlopModel:
     method: str
-    K_l: int
+    K: int
     T: int
     init_flops: int
     per_iter_flops: int

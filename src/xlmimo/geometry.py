@@ -1,7 +1,8 @@
 """Physical ULA construction, subarray partition, user drop and visibility regions.
 
 The base-station array lies along one edge of the square cell, from (0, 0)
-towards (N, 0); users live in the square [0, cell_side]^2.
+towards (N, 0); users live in the square [0, cell_side]^2.  S = 3 subarrays
+and L = 2 user groups are constants of the model, not settings.
 """
 
 from dataclasses import dataclass
@@ -16,42 +17,32 @@ C_LIGHT = 3.0e8
 
 DEFAULT_MAX_RETRIES = 10_000
 
+SUBARRAYS = 3  # S: side subarray, central subarray, side subarray
+GROUPS = 2     # L: user groups, each served by one side plus the central one
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array split into S contiguous subarrays."""
+    """Uniform linear array split into `SUBARRAYS` contiguous subarrays."""
 
     M: int
-    S: int
     spacing: float
     positions: np.ndarray  # (M,) antenna positions along the array axis [m]
     N: float               # physical array length, M * spacing [m]
-    subarray_of: np.ndarray  # (M,) antenna index -> subarray index in 0..S-1
+    subarray_of: np.ndarray  # (M,) antenna index -> subarray index 0, 1 or 2
 
     @property
     def M_s(self) -> int:
-        return self.M // self.S
-
-    def subarray_indices(self, s: int) -> np.ndarray:
-        return np.nonzero(self.subarray_of == s)[0]
+        return self.M // SUBARRAYS
 
 
 @dataclass(frozen=True)
 class UserLayout:
-    """Planar user positions, logical grouping, and user-antenna distances."""
+    """Planar user positions and user-antenna distances (groups: `Scenario`)."""
 
     K: int
-    L: int
-    group_of: np.ndarray     # (K,) user -> group index in 0..L-1
     positions_2d: np.ndarray  # (K, 2) [m]
     distances: np.ndarray    # (K, M) Euclidean user-antenna distances [m]
-
-    @property
-    def K_l(self) -> int:
-        return self.K // self.L
-
-    def users_in_group(self, l: int) -> np.ndarray:
-        return np.nonzero(self.group_of == l)[0]
 
 
 @dataclass(frozen=True)
@@ -63,14 +54,14 @@ class VisibilityRegion:
     visible: np.ndarray  # (M,) boolean mask, diagonal of the indicator matrix
 
 
-def build_geometry(M: int, S: int, carrier_hz: float,
+def build_geometry(M: int, carrier_hz: float,
                    spacing_wavelengths: float = 2.0) -> ArrayGeometry:
     """Build the ULA with wavelength-derived spacing and a contiguous partition."""
-    if M <= 0 or S <= 0:
-        raise ConfigurationError(f"M and S must be positive, got M={M}, S={S}")
-    if M % S != 0:
+    if M <= 0:
+        raise ConfigurationError(f"M must be positive, got M={M}")
+    if M % SUBARRAYS != 0:
         raise ConfigurationError(
-            f"antenna count M={M} is not divisible by subarray count S={S}")
+            f"antenna count M={M} is not divisible by S={SUBARRAYS}")
     if carrier_hz <= 0:
         raise ConfigurationError(f"carrier frequency must be positive, got {carrier_hz}")
     if spacing_wavelengths <= 0:
@@ -79,36 +70,35 @@ def build_geometry(M: int, S: int, carrier_hz: float,
     wavelength = C_LIGHT / carrier_hz
     spacing = spacing_wavelengths * wavelength
     positions = np.arange(M) * spacing
-    subarray_of = np.repeat(np.arange(S), M // S)
-    return ArrayGeometry(M=M, S=S, spacing=spacing, positions=positions,
+    subarray_of = np.repeat(np.arange(SUBARRAYS), M // SUBARRAYS)
+    return ArrayGeometry(M=M, spacing=spacing, positions=positions,
                          N=M * spacing, subarray_of=subarray_of)
 
 
-def antennas_for_length(N: float, S: int, spacing: float) -> int:
+def antennas_for_length(N: float, spacing: float) -> int:
     """Largest multiple of S whose aperture M*spacing does not exceed N."""
-    if N <= 0 or spacing <= 0 or S <= 0:
+    if N <= 0 or spacing <= 0:
         raise ConfigurationError(
-            f"need positive N, S, spacing; got N={N}, S={S}, spacing={spacing}")
+            f"need positive N and spacing; got N={N}, spacing={spacing}")
     m_max = int(np.floor(N / spacing + 1e-9))
-    M = (m_max // S) * S
+    M = (m_max // SUBARRAYS) * SUBARRAYS
     if M <= 0:
         raise ConfigurationError(
-            f"aperture N={N} m too short for S={S} subarrays at spacing {spacing} m")
+            f"aperture N={N} m too short for S={SUBARRAYS} at spacing {spacing} m")
     return M
 
 
-def drop_users(rng: np.random.Generator, K: int, L: int, cell_side: float,
+def drop_users(rng: np.random.Generator, K: int, cell_side: float,
                min_dist: float, geometry: ArrayGeometry,
                max_retries: int = DEFAULT_MAX_RETRIES) -> UserLayout:
     """Place K users uniformly in the cell, at least min_dist from every antenna.
 
-    Users are assigned to groups in contiguous index blocks (first K/L users
-    form group 0, and so on).
+    K must split evenly into the `GROUPS` user groups.
     """
     if cell_side <= 0:
         raise ConfigurationError(f"cell_side must be positive, got {cell_side}")
-    if K <= 0 or L <= 0 or K % L != 0:
-        raise ConfigurationError(f"user count K={K} is not divisible by L={L}")
+    if K <= 0 or K % GROUPS != 0:
+        raise ConfigurationError(f"user count K={K} is not divisible by L={GROUPS}")
     diagonal = np.hypot(cell_side, cell_side)
     if min_dist >= diagonal:
         raise ConfigurationError(
@@ -129,9 +119,7 @@ def drop_users(rng: np.random.Generator, K: int, L: int, cell_side: float,
             raise GeometryInfeasibleError(
                 f"could not place user {k} at min_dist={min_dist} m "
                 f"after {max_retries} attempts")
-    group_of = np.repeat(np.arange(L), K // L)
-    return UserLayout(K=K, L=L, group_of=group_of,
-                      positions_2d=positions, distances=distances)
+    return UserLayout(K=K, positions_2d=positions, distances=distances)
 
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
@@ -142,9 +130,9 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
 
     mu_l is the mean length on the linear scale, so the log-length has mean
     log(mu_l) - sigma_l^2 / 2.  When `required` is given, draws are rejected
-    until the region covers at least one antenna of that mask (e.g. the
-    subarrays actually serving the user's group), so no user ends up with an
-    all-zero effective channel.
+    until the region covers at least one antenna of that mask (the user's
+    row of `Scenario.serving`), so no user ends up with an all-zero effective
+    channel.
     """
     if sigma_l <= 0:
         raise ConfigurationError(f"sigma_l must be positive, got {sigma_l}")

@@ -1,6 +1,10 @@
 """Monte-Carlo scenario assembly: one object per (config, M) holding the
 fixed pieces, plus a fast per-trial channel draw.
 
+The topology is a model constant (S = 3, L = 2): the first K/2 users form
+group 1, served by side subarray 1 and the central one; the rest form group
+2, served by the central subarray and side subarray 2.
+
 Per subarray the covariance block is D_s R_s D_s with R_s the (shared)
 Toeplitz correlation block, so a draw with that law is the masked product
 of the precomputed R_s^{1/2} with a white vector.
@@ -14,7 +18,8 @@ from .channel import (assemble_from_user_channels, build_correlation, path_loss,
                       psd_sqrt)
 from .config import (ChannelConfig, ExperimentConfig, UsersConfig,
                      build_geometry_from_config)
-from .geometry import ArrayGeometry, UserLayout, drop_users, sample_vr
+from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, UserLayout,
+                       drop_users, sample_vr)
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,8 @@ class Scenario:
     users: UsersConfig      # copies of the config sections, taken when built
     channel: ChannelConfig
     Rsub_sqrt: np.ndarray  # (M_s, M_s) square root of the subarray correlation block
+    K1: int                # users in group 1, the first K/2
+    serving: np.ndarray    # (K, M) boolean: the antennas serving each user's group
 
     @property
     def K(self) -> int:
@@ -44,38 +51,40 @@ class TrialDraw:
 def build_scenario(cfg: ExperimentConfig, M: int | None = None) -> Scenario:
     geometry = build_geometry_from_config(cfg, M=M)
     Rsub = build_correlation(geometry.M_s, cfg.channel.rho)
+    K1, sub = cfg.users.K // GROUPS, geometry.subarray_of
+    in_group1 = np.arange(cfg.users.K)[:, None] < K1
+    serving = np.where(in_group1, sub == 0, sub == SUBARRAYS - 1) | (sub == 1)
     return Scenario(geometry=geometry, users=replace(cfg.users),
-                    channel=replace(cfg.channel), Rsub_sqrt=psd_sqrt(Rsub))
+                    channel=replace(cfg.channel), Rsub_sqrt=psd_sqrt(Rsub),
+                    K1=K1, serving=serving)
+
+
+# Mean per-user gain (M / GAIN_REF_M)^GAIN_EXPONENT: unity at the reference
+# array.  The exponent 2 models a per-antenna power budget (radiated power
+# ~ M) on top of the aperture gain (~ M).
+GAIN_REF_M = 99
+GAIN_EXPONENT = 2.0
 
 
 def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
     geo, users, ch = scenario.geometry, scenario.users, scenario.channel
-    K, L, M, S, Ms = users.K, users.L, geo.M, geo.S, geo.M_s
-    layout = drop_users(rng, K, L, users.cell_side, users.min_dist, geo)
-    # Group l is served by its side subarray plus the shared central one;
-    # each user's VR must reach at least one of those antennas.
-    group_support = np.empty((L, M), dtype=bool)
-    for l in range(L):
-        group_support[l] = ((geo.subarray_of == l if l == 0
-                             else geo.subarray_of == S - 1)
-                            | (geo.subarray_of == 1))
+    K, M, Ms = users.K, geo.M, geo.M_s
+    layout = drop_users(rng, K, users.cell_side, users.min_dist, geo)
+    # Each user's VR must reach at least one antenna serving its group.
     masks = np.empty((K, M), dtype=bool)
     for k in range(K):
         vr = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
-                       required=group_support[layout.group_of[k]])
+                       required=scenario.serving[k])
         masks[k] = vr.visible
     W = path_loss(layout.distances, ch.omega, ch.nu)
 
-    z = (rng.standard_normal((K, S, Ms))
-         + 1j * rng.standard_normal((K, S, Ms))) / np.sqrt(2.0)
+    z = (rng.standard_normal((K, SUBARRAYS, Ms))
+         + 1j * rng.standard_normal((K, SUBARRAYS, Ms))) / np.sqrt(2.0)
     hbar = np.einsum("ij,ksj->ksi", scenario.Rsub_sqrt, z).reshape(K, M)
     h_users = np.sqrt(W) * masks * hbar
-    realization = assemble_from_user_channels(h_users, geo, layout)
+    realization = assemble_from_user_channels(h_users, scenario.K1)
     if ch.normalize_gain:
-        # Mean per-user gain (M / gain_ref_m)^gain_exponent: unity at the
-        # reference array.  The default exponent 2 models a per-antenna power
-        # budget (radiated power ~ M) on top of the aperture gain (~ M).
-        target = K * (M / ch.gain_ref_m) ** ch.gain_exponent
+        target = K * (M / GAIN_REF_M) ** GAIN_EXPONENT
         fro2 = float(np.vdot(realization.H, realization.H).real)
         realization = realization.scaled(float(np.sqrt(target / fro2)))
     return TrialDraw(layout=layout, vr_masks=masks, realization=realization)

@@ -9,9 +9,7 @@ import pytest
 from xlmimo.channel import (ChannelRealization, assemble_blocks,
                             assemble_from_user_channels, build_correlation,
                             path_loss, psd_sqrt, stack_realizations)
-from xlmimo.errors import (AssemblyError, ConfigurationError, ModelError,
-                           UnsupportedTopologyError)
-from xlmimo.geometry import build_geometry, drop_users
+from xlmimo.errors import AssemblyError, ConfigurationError, ModelError
 from xlmimo.seeding import seed_stream
 
 
@@ -50,10 +48,6 @@ class TestCorrelation:
     def test_positive_definite_at_desk_scale(self, rho):
         vals = np.linalg.eigvalsh(build_correlation(64, rho))
         assert vals[0] > 0
-
-    def test_accepts_geometry_object(self):
-        geo = build_geometry(6, 3, 1e9)
-        assert build_correlation(geo, 0.5).shape == (6, 6)
 
     @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
     def test_invalid_rho(self, rho):
@@ -125,8 +119,11 @@ class TestBlockAssembly:
             assemble_blocks(np.zeros((2, 3, 2)), np.zeros((3, 3, 4)),
                             np.zeros((2, 3, 2)))
 
-    def test_unsupported_topology(self):
-        geo = build_geometry(8, 4, 1e9)
-        layout = drop_users(seed_stream(0, 0), 4, 2, 100.0, 30.0, geo)
-        with pytest.raises(UnsupportedTopologyError):
-            assemble_from_user_channels(np.zeros((4, 8), complex), geo, layout)
+    def test_from_user_channels(self):
+        # 4 users x 6 antennas: users 0-1 form group 1, antennas 2-3 are
+        # the central subarray.
+        h = np.arange(24).reshape(4, 6) * (1 + 1j)
+        real = assemble_from_user_channels(h, 2)
+        np.testing.assert_array_equal(real.H1, h[:2, :2].T)
+        np.testing.assert_array_equal(real.Hc, h[:, 2:4].T)
+        np.testing.assert_array_equal(real.H2, h[2:, 4:].T)

@@ -18,10 +18,9 @@ class TestDefaults:
     def test_empty_document_yields_reference_defaults(self):
         cfg = parse_config("")
         assert cfg.geometry.N == 23.0610
-        assert cfg.geometry.S == 3
         assert cfg.geometry.carrier_hz == 2.6e9
         assert cfg.geometry.spacing_wavelengths == 2.0
-        assert (cfg.users.K, cfg.users.L) == (32, 2)
+        assert cfg.users.K == 32
         assert (cfg.users.cell_side, cfg.users.min_dist) == (100.0, 30.0)
         assert (cfg.channel.omega, cfg.channel.nu) == (4.0, 3.0)
         assert cfg.channel.vr_mu_frac == 0.1 and cfg.channel.vr_sigma == 0.1
@@ -43,8 +42,8 @@ class TestValidation:
             parse_config("solver:\n  T: 0\n")
 
     def test_indivisible_users_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_config("users:\n  K: 31\n  L: 2\n")
+        with pytest.raises(ConfigurationError, match="users.K=31"):
+            parse_config("users:\n  K: 31\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="solver.momentum"):
@@ -62,11 +61,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             parse_config("users:\n  K: many\n")
 
+    @pytest.mark.parametrize("item", ["run.trials=null", "power.snr_db=null"])
+    def test_null_for_required_field_rejected(self, item):
+        with pytest.raises(ConfigurationError, match="got None"):
+            apply_overrides(ExperimentConfig(), [item])
+
+    def test_null_resets_optional_antenna_count(self):
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["geometry.M=132", "geometry.M=null"])
+        assert cfg.geometry.M is None
+
     # Removed fields are unknown keys, even set to their old default.
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "pcg_variant", "textbook"),
-        ("channel", "vr_interpretation", "linear-mean")])
+        ("channel", "vr_interpretation", "linear-mean"),
+        ("geometry", "S", 3), ("users", "L", 2),
+        ("channel", "gain_ref_m", 99), ("channel", "gain_exponent", 2.0)])
     def test_removed_keys_rejected(self, section, key, value, form):
         with pytest.raises(ConfigurationError,
                            match=f"unknown config key {section}.{key}"):
@@ -79,6 +90,19 @@ class TestValidation:
     def test_m_grid_must_match_subarrays(self):
         with pytest.raises(ConfigurationError):
             parse_config("run:\n  m_grid: [100]\n")
+
+    @pytest.mark.parametrize("item", [
+        "run.m_grid=[99.0]", "run.m_grid=[true]", "run.m_grid=[0]",
+        "run.k_grid=[5.5]", "run.k_grid=[0]", "run.snr_grid_db=[a]",
+        "run.snr_grid_db=[false]", "run.methods=[1]"])
+    def test_bad_list_entry_rejected(self, item):
+        with pytest.raises(ConfigurationError, match=item.split("=")[0]):
+            apply_overrides(ExperimentConfig(), [item])
+
+    @pytest.mark.parametrize("item", ["run.trials=true", "power.snr_db=true"])
+    def test_bool_for_number_rejected(self, item):
+        with pytest.raises(ConfigurationError, match="expected number"):
+            apply_overrides(ExperimentConfig(), [item])
 
 
 class TestOverrides:
@@ -189,6 +213,21 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
+
+    @pytest.mark.parametrize("experiment, item", [
+        ("se_vs_m", "run.m_grid=[99.0]"), ("ber", "run.snr_grid_db=[a]"),
+        ("convergence", "power.snr_db=true"),
+        ("convergence", "geometry.S=3"), ("se_vs_m", "users.L=2"),
+        ("se_vs_m", "channel.gain_ref_m=99"),
+        ("se_vs_m", "channel.gain_exponent=2")])
+    def test_rejected_before_any_csv(self, experiment, item, tmp_path,
+                                     capsys):
+        out = tmp_path / "out.csv"
+        rc = cli.main([experiment, "--out", str(out), "--set", item])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_and_workers_flags(self, tmp_path):
         out = tmp_path / "flops.csv"

@@ -11,7 +11,8 @@ import pytest
 
 from helpers import small_config
 from test_golden import GOLDEN, SMALL
-from xlmimo import experiments, linsolve, metrics, precoder
+from xlmimo import (channel, experiments, geometry, linsolve, metrics,
+                    precoder, scenario)
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.experiments import run_experiment
 from xlmimo.scenario import build_scenario
@@ -56,6 +57,20 @@ def test_se_vs_m_builds_one_scenario_per_m(tmp_path, monkeypatch):
                  experiments.build_scenario)
     run_experiment(_small("se_vs_m"), str(tmp_path / "se.csv"))
     assert counts["build_scenario"] == len(M_GRID)
+
+
+def test_tracer_hooks_reach_the_channel_draw(tmp_path, monkeypatch):
+    counts = Counter()
+    for name, fn in (("draw", scenario.draw_trial),
+                     ("drop", geometry.drop_users),
+                     ("vr", geometry.sample_vr),
+                     ("assemble", channel.assemble_from_user_channels)):
+        _count_calls(monkeypatch, counts, name, fn)
+    cfg = _small("se_vs_m")
+    run_experiment(cfg, str(tmp_path / "se.csv"))
+    draws = TRIALS * len(M_GRID)
+    assert counts == Counter(draw=draws, drop=draws, assemble=draws,
+                             vr=cfg.users.K * draws)
 
 
 def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):

@@ -12,39 +12,39 @@ from xlmimo.seeding import seed_stream
 class TestBuildGeometry:
     def test_indivisible_partition_rejected(self):
         with pytest.raises(ConfigurationError, match="not divisible"):
-            build_geometry(100, 3, 2.6e9)
+            build_geometry(100, 2.6e9)
 
     def test_reference_array(self):
-        geo = build_geometry(99, 3, 2.6e9, 2.0)
+        geo = build_geometry(99, 2.6e9, 2.0)
         assert geo.spacing == pytest.approx(0.23077, rel=1e-4)
         assert geo.N == pytest.approx(22.846, rel=1e-4)
         assert geo.M_s == 33
 
     def test_small_array_positions_and_partition(self):
-        geo = build_geometry(6, 2, 3.0e9, 0.5)
+        geo = build_geometry(6, 3.0e9, 0.5)
         assert geo.spacing == pytest.approx(0.05)
         np.testing.assert_allclose(geo.positions,
                                    [0.0, 0.05, 0.10, 0.15, 0.20, 0.25])
-        np.testing.assert_array_equal(geo.subarray_of, [0, 0, 0, 1, 1, 1])
-        np.testing.assert_array_equal(geo.subarray_indices(1), [3, 4, 5])
+        np.testing.assert_array_equal(geo.subarray_of, [0, 0, 1, 1, 2, 2])
 
     def test_positions_uniformly_spaced(self):
-        geo = build_geometry(99, 3, 2.6e9, 2.0)
+        geo = build_geometry(99, 2.6e9, 2.0)
         gaps = np.diff(geo.positions)
         assert np.all(gaps > 0)
         np.testing.assert_allclose(gaps, geo.spacing, rtol=1e-12)
         assert geo.N == pytest.approx(geo.M * geo.spacing)
 
     def test_partition_is_disjoint_cover(self):
-        geo = build_geometry(12, 4, 1e9)
-        idx = np.concatenate([geo.subarray_indices(s) for s in range(4)])
+        geo = build_geometry(12, 1e9)
+        idx = np.concatenate([np.nonzero(geo.subarray_of == s)[0]
+                              for s in range(3)])
         np.testing.assert_array_equal(np.sort(idx), np.arange(12))
 
-    @pytest.mark.parametrize("bad", [dict(M=0, S=3), dict(M=9, S=0),
-                                     dict(M=9, S=3, carrier_hz=0.0),
-                                     dict(M=9, S=3, spacing_wavelengths=0.0)])
+    @pytest.mark.parametrize("bad", [dict(M=0), dict(M=-3),
+                                     dict(carrier_hz=0.0),
+                                     dict(spacing_wavelengths=0.0)])
     def test_invalid_inputs(self, bad):
-        kwargs = dict(M=9, S=3, carrier_hz=1e9, spacing_wavelengths=2.0)
+        kwargs = dict(M=9, carrier_hz=1e9, spacing_wavelengths=2.0)
         kwargs.update(bad)
         with pytest.raises(ConfigurationError):
             build_geometry(**kwargs)
@@ -53,30 +53,22 @@ class TestBuildGeometry:
 class TestAntennasForLength:
     def test_reference_aperture_gives_99(self):
         spacing = 2.0 * 3.0e8 / 2.6e9
-        assert antennas_for_length(23.0610, 3, spacing) == 99
+        assert antennas_for_length(23.0610, spacing) == 99
 
     def test_result_is_multiple_of_s(self):
-        assert antennas_for_length(1.01, 4, 0.1) == 8
+        assert antennas_for_length(1.01, 0.1) == 9
 
     def test_too_short_aperture_rejected(self):
         with pytest.raises(ConfigurationError):
-            antennas_for_length(0.05, 3, 0.1)
+            antennas_for_length(0.05, 0.1)
 
 
 class TestDropUsers:
     def setup_method(self):
-        self.geo = build_geometry(99, 3, 2.6e9, 2.0)
-
-    def test_group_assignment_blocks(self):
-        layout = drop_users(seed_stream(0, 0), 32, 2, 100.0, 30.0, self.geo)
-        np.testing.assert_array_equal(layout.group_of[:16], 0)
-        np.testing.assert_array_equal(layout.group_of[16:], 1)
-        assert layout.K_l == 16
-        np.testing.assert_array_equal(layout.users_in_group(1),
-                                      np.arange(16, 32))
+        self.geo = build_geometry(99, 2.6e9, 2.0)
 
     def test_min_distance_respected(self):
-        layout = drop_users(seed_stream(1, 0), 8, 2, 100.0, 30.0, self.geo)
+        layout = drop_users(seed_stream(1, 0), 8, 100.0, 30.0, self.geo)
         assert layout.distances.min() >= 30.0
         # distances recompute from positions
         d = np.hypot(layout.positions_2d[:, 0][:, None] - self.geo.positions,
@@ -84,28 +76,28 @@ class TestDropUsers:
         np.testing.assert_allclose(layout.distances, d, rtol=1e-12)
 
     def test_same_seed_identical(self):
-        a = drop_users(seed_stream(7, 3), 32, 2, 100.0, 30.0, self.geo)
-        b = drop_users(seed_stream(7, 3), 32, 2, 100.0, 30.0, self.geo)
+        a = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
+        b = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
         np.testing.assert_array_equal(a.positions_2d, b.positions_2d)
 
     def test_infeasible_cell_raises(self):
         # every point of a 10 m cell is within 12 m of some antenna
         with pytest.raises(GeometryInfeasibleError):
-            drop_users(seed_stream(0, 0), 2, 2, 10.0, 12.0, self.geo,
+            drop_users(seed_stream(0, 0), 2, 10.0, 12.0, self.geo,
                        max_retries=200)
 
     def test_min_dist_beyond_diagonal_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_users(seed_stream(0, 0), 2, 2, 10.0, 15.0, self.geo)
+            drop_users(seed_stream(0, 0), 2, 10.0, 15.0, self.geo)
 
     def test_indivisible_users_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_users(seed_stream(0, 0), 31, 2, 100.0, 30.0, self.geo)
+            drop_users(seed_stream(0, 0), 31, 100.0, 30.0, self.geo)
 
 
 class TestSampleVr:
     def setup_method(self):
-        self.geo = build_geometry(99, 3, 2.6e9, 2.0)
+        self.geo = build_geometry(99, 2.6e9, 2.0)
 
     def test_full_length_region_covers_array(self):
         # length ~ 10N with tiny spread: every antenna visible

@@ -10,10 +10,18 @@ from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
 
 
-def _served(geo, group):
-    """Antennas serving a group: its side subarray plus the central one."""
-    own = 0 if group == 0 else geo.S - 1
-    return (geo.subarray_of == own) | (geo.subarray_of == 1)
+def _served(geo, K, k):
+    """Antennas serving user k of K: the first K/2 users are served by the
+    first and central thirds of the array, the others by the central and
+    last thirds."""
+    Ms = geo.M // 3
+    served = np.zeros(geo.M, dtype=bool)
+    served[Ms:2 * Ms] = True
+    if k < K // 2:
+        served[:Ms] = True
+    else:
+        served[2 * Ms:] = True
+    return served
 
 
 class TestBuildScenario:
@@ -28,6 +36,17 @@ class TestBuildScenario:
         scenario = build_scenario(ExperimentConfig(), M=132)
         assert scenario.geometry.M == 132
         assert scenario.geometry.M_s == 44
+
+    @pytest.mark.parametrize("M, K", [(99, 32), (132, 32), (9, 4)])
+    def test_serving_masks_match_group_split(self, M, K):
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, [f"users.K={K}"])
+        scenario = build_scenario(cfg, M=M)
+        assert scenario.serving.shape == (K, M)
+        assert scenario.K1 == K // 2
+        for k in range(K):
+            np.testing.assert_array_equal(scenario.serving[k],
+                                          _served(scenario.geometry, K, k))
 
     def test_later_config_edits_do_not_reach_scenario(self):
         cfg = ExperimentConfig()
@@ -53,7 +72,7 @@ class TestDrawTrial:
         for trial in range(10):
             draw = draw_trial(self.scenario, seed_stream(1, trial))
             for k in range(self.scenario.K):
-                support = _served(geo, draw.layout.group_of[k])
+                support = _served(geo, self.scenario.K, k)
                 assert (draw.vr_masks[k] & support).any()
 
     def test_out_of_vr_energy_exactly_zero(self):
@@ -91,7 +110,7 @@ class TestDrawTrial:
             draw = draw_trial(self.scenario, seed_stream(5, trial))
             H = draw.realization.H
             for k in range(self.scenario.K):
-                live = _served(geo, draw.layout.group_of[k]) & draw.vr_masks[k]
+                live = _served(geo, self.scenario.K, k) & draw.vr_masks[k]
                 np.testing.assert_array_equal(H[~live, k], 0.0)
                 assert np.all(H[live, k] != 0)
 
@@ -110,7 +129,7 @@ class TestDrawTrial:
                           scenario.channel.nu)
             H = draw.realization.H
             for k in range(scenario.K):
-                served = _served(geo, draw.layout.group_of[k])
+                served = _served(geo, scenario.K, k)
                 if not draw.vr_masks[k][served].all():
                     continue  # the VR law is independent of the fading
                 h = H[served, k] / np.sqrt(W[k, served])
