@@ -21,6 +21,10 @@ class NotHpdError(XlMimoError, ValueError):
     """Matrix expected to be Hermitian positive definite is not."""
 
 
+class NonFiniteError(XlMimoError, ValueError):
+    """Input holds an inf or NaN."""
+
+
 class SplittingError(XlMimoError, ValueError):
     """Matrix splitting unusable (zero diagonal entry)."""
 

@@ -61,9 +61,7 @@ def rows_convergence(cfg: ExperimentConfig):
 
 def _se_batch(args):
     cfg, scenario, batch = args
-    # Per-trial seeds fold M in so different grid points use distinct streams.
-    return se_trial(cfg, scenario, batch, cfg.run.methods,
-                    seed=cfg.run.seed + 1_000_003 * scenario.geometry.M)
+    return se_trial(cfg, scenario, batch, cfg.run.methods)
 
 
 def _map_batches(fn, args_list, workers: int):

@@ -47,11 +47,14 @@ class UserLayout:
 
 @dataclass(frozen=True)
 class VisibilityRegion:
-    """Interval of the array over which a user's channel is nonzero."""
+    """Interval of the array over which a user's channel is nonzero.
 
-    center: float
-    length: float
-    visible: np.ndarray  # (M,) boolean mask, diagonal of the indicator matrix
+    One region, or a stack of them with leading dimensions (...).
+    """
+
+    center: float | np.ndarray  # (...) [m]
+    length: float | np.ndarray  # (...) [m]
+    visible: np.ndarray  # (..., M) boolean mask, diagonal of the indicator matrix
 
 
 def build_geometry(M: int, carrier_hz: float,
@@ -93,7 +96,10 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
                max_retries: int = DEFAULT_MAX_RETRIES) -> UserLayout:
     """Place K users uniformly in the cell, at least min_dist from every antenna.
 
-    K must split evenly into the `GROUPS` user groups.
+    Rejection sampling over all users at once: each round draws one candidate
+    (uniform((n, 2))) for each of the n users still unplaced, and a user keeps
+    its first accepted candidate.  K must split evenly into the `GROUPS` user
+    groups.
     """
     if cell_side <= 0:
         raise ConfigurationError(f"cell_side must be positive, got {cell_side}")
@@ -107,32 +113,34 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
     positions = np.empty((K, 2))
     distances = np.empty((K, geometry.M))
     ax = geometry.positions
-    for k in range(K):
-        for _ in range(max_retries):
-            p = rng.uniform(0.0, cell_side, size=2)
-            d = np.hypot(p[0] - ax, p[1])
-            if d.min() >= min_dist:
-                positions[k] = p
-                distances[k] = d
-                break
-        else:
-            raise GeometryInfeasibleError(
-                f"could not place user {k} at min_dist={min_dist} m "
-                f"after {max_retries} attempts")
-    return UserLayout(K=K, positions_2d=positions, distances=distances)
+    pending = np.arange(K)
+    for _ in range(max_retries):
+        p = rng.uniform(0.0, cell_side, size=(pending.size, 2))
+        d = np.hypot(p[:, :1] - ax, p[:, 1:])
+        ok = d.min(axis=1) >= min_dist
+        positions[pending[ok]] = p[ok]
+        distances[pending[ok]] = d[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            return UserLayout(K=K, positions_2d=positions, distances=distances)
+    raise GeometryInfeasibleError(
+        f"could not place user {pending[0]} at min_dist={min_dist} m "
+        f"after {max_retries} attempts")
 
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
               mu_l: float, sigma_l: float,
               required: np.ndarray | None = None,
               max_retries: int = DEFAULT_MAX_RETRIES) -> VisibilityRegion:
-    """Sample a visibility region: center uniform on [0, N], log-normal length.
+    """Sample visibility regions: center uniform on [0, N], log-normal length.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
-    log(mu_l) - sigma_l^2 / 2.  When `required` is given, draws are rejected
-    until the region covers at least one antenna of that mask (the user's
-    row of `Scenario.serving`), so no user ends up with an all-zero effective
-    channel.
+    log(mu_l) - sigma_l^2 / 2.  `required` (..., M) asks for one region per
+    mask row (a user's row of `Scenario.serving`); a 1-D mask or None gives
+    one region.  A region is redrawn until it covers at least one antenna of
+    its row, so no user ends up with an all-zero effective channel.  Each
+    round draws uniform(n) centers, then lognormal(n) lengths, for the n
+    rows still pending; a row keeps its first accepted draw.
     """
     if sigma_l <= 0:
         raise ConfigurationError(f"sigma_l must be positive, got {sigma_l}")
@@ -140,19 +148,40 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
         raise ConfigurationError(f"mean VR length must be positive, got {mu_l}")
     mu = np.log(mu_l) - 0.5 * sigma_l ** 2
 
-    pos = geometry.positions
-    needed = np.ones(geometry.M, dtype=bool) if required is None else required
-    if not needed.any():
+    pos, N = geometry.positions, geometry.N
+    needed = (np.ones(geometry.M, dtype=bool) if required is None
+              else np.asarray(required, dtype=bool))
+    if needed.shape[-1:] != (geometry.M,):
+        raise ConfigurationError(
+            f"required mask shape {needed.shape} does not end in M={geometry.M}")
+    if not needed.any(axis=-1).all():
         raise ConfigurationError("required mask excludes every antenna")
+    rows = needed.reshape(-1, geometry.M)
+    center, length = np.empty(len(rows)), np.empty(len(rows))
+    visible = np.empty(rows.shape, dtype=bool)
+    pending = np.arange(len(rows))
     for _ in range(max_retries):
-        center = rng.uniform(0.0, geometry.N)
-        length = rng.lognormal(mean=mu, sigma=sigma_l)
-        lo = max(0.0, center - length / 2.0)
-        hi = min(geometry.N, center + length / 2.0)
-        visible = (pos >= lo) & (pos <= hi)
+        c = rng.uniform(0.0, N, size=pending.size)
+        ln = rng.lognormal(mean=mu, sigma=sigma_l, size=pending.size)
+        lo = np.maximum(0.0, c - ln / 2.0)
+        hi = np.minimum(N, c + ln / 2.0)
+        vis = (pos >= lo[:, None]) & (pos <= hi[:, None])
         # An all-invisible draw would zero the user's effective channel row;
         # resample until the region reaches an antenna that can serve them.
-        if (visible & needed).any():
-            return VisibilityRegion(center=center, length=length, visible=visible)
-    raise GeometryInfeasibleError(
-        f"no visible antenna after {max_retries} VR draws")
+        ok = (vis & rows[pending]).any(axis=1)
+        done = pending[ok]
+        center[done], length[done], visible[done] = c[ok], ln[ok], vis[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    else:
+        raise GeometryInfeasibleError(
+            f"no visible antenna for user {pending[0]} (row of `required`) "
+            f"after {max_retries} VR draws")
+    if needed.ndim == 1:
+        return VisibilityRegion(center=float(center[0]),
+                                length=float(length[0]), visible=visible[0])
+    shape = needed.shape[:-1]
+    return VisibilityRegion(center=center.reshape(shape),
+                            length=length.reshape(shape),
+                            visible=visible.reshape(needed.shape))

@@ -12,8 +12,8 @@ generators run by one driver, `_iterate`.
 
 Element-wise steps and stacked matrix products round every system exactly as
 a solve of that system alone.  The reductions whose rounding differs between
-one call per system and one call per stack (the `np.vdot` norms, and scipy's
-Cholesky and triangular solves) run system by system.
+one call per system and one call per stack (the `np.vdot` norms, and the
+LAPACK Cholesky and triangular solves) run system by system.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +22,8 @@ from itertools import islice
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, NotHpdError, SplittingError
+from .errors import (ConfigurationError, NonFiniteError, NotHpdError,
+                     SplittingError)
 
 HERMITIAN_RTOL = 1e-12
 # A PCG column whose r^H z is below the smallest normal float has converged:
@@ -188,13 +189,25 @@ def _diag(P) -> np.ndarray:
 
 def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
              trace: bool = True) -> SolverOutcome:
-    """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo)."""
-    def sweep(DL, b):
-        return scipy.linalg.solve_triangular(DL, b, lower=True)
+    """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo).
 
+    Each sweep calls LAPACK `trtrs` on the Fortran-ordered view DL^T with
+    trans=1, as scipy's `solve_triangular` does, without its per-call
+    checks: P and s are checked for inf and NaN once, before the sweeps.
+    """
     def steps(P, s, w):
         _check_diag(_diag(P))
+        if not (np.isfinite(P).all() and np.isfinite(s).all()):
+            raise NonFiniteError("Gauss-Seidel input holds an inf or NaN")
         DL, Up = np.tril(P), np.triu(P, 1)
+        trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (DL, s))
+
+        def sweep(dl, b):
+            x, info = trtrs(dl.T, b, lower=0, trans=1)
+            if info != 0:
+                raise SplittingError(f"LAPACK trtrs failed with info={info}")
+            return x
+
         while True:
             w = _per_system(sweep, DL, s - Up @ w)
             yield w

@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 from .linsolve import HpdSystem, herm, solve
 from .precoder import build_precoder, gram_regularized
 from .scenario import build_scenario, draw_trial
-from .seeding import seed_stream
+from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
 BATCH_BYTES = 3 << 19
 """Working memory one batched kernel call may hold, in bytes (1.5 MiB).
@@ -141,7 +141,7 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None) -> BerReport:
         xi = 1.0 / snr
         power = sigma2 * snr
         for batch in batches:
-            rngs = [seed_stream(seed, trial * grid.size + ig) for trial in batch]
+            rngs = [seed_stream(seed, BER, ig, trial) for trial in batch]
             real = stack_realizations(draw_trial(scenario, rng).realization
                                       for rng in rngs)
             couplings = {m: coupling_matrix(real, build_precoder(
@@ -193,7 +193,7 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     for batch in trial_batches(trials, trial_bytes):
         Hc, bits = [], []
         for trial in batch:
-            rng = seed_stream(seed, trial)
+            rng = seed_stream(seed, CONVERGENCE, trial)
             Hc.append(draw_trial(scenario, rng).realization.Hc)
             bits.append(rng.integers(0, 2, size=(K, 2), dtype=np.int8))
         sys = HpdSystem(P=gram_regularized(np.stack(Hc), xi),
@@ -214,14 +214,19 @@ def se_trial(cfg, scenario, trials, methods, seed=None) -> dict:
 
     `trials` is one trial index, giving one float per method, or a sequence
     of them, run as one stack and giving an array over them per method.
+    Trial t draws from the stream (SE_VS_M, M, t) of the master `seed`
+    (default `cfg.run.seed`).
     """
     seed = cfg.run.seed if seed is None else seed
+    M = scenario.geometry.M
+
+    def draw(t):
+        return draw_trial(scenario, seed_stream(seed, SE_VS_M, M, t)).realization
+
     if np.ndim(trials) == 0:
-        real = draw_trial(scenario, seed_stream(seed, trials)).realization
+        real = draw(trials)
     else:
-        real = stack_realizations(
-            draw_trial(scenario, seed_stream(seed, t)).realization
-            for t in trials)
+        real = stack_realizations(draw(t) for t in trials)
     xi = cfg.power.xi
     power = cfg.power.tx_power_watts
     sigma2 = cfg.power.sigma2_watts

@@ -52,26 +52,36 @@ def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
 
 
 def _rzf_block(H, xi, power, method, T, omega):
-    """One block's (G, beta): F = H P^{-1}, beta = sqrt(power / tr(F^H F))."""
+    """One block's (G, beta, live): F = H P^{-1}, beta = sqrt(power / tr(F^H F)).
+
+    A block with no energy in a trial (tr(F^H F) = 0: every user it serves
+    sees none of its antennas) gets G = 0 and beta = 0; `live` (...) is
+    false there.
+    """
     H = np.asarray(H, dtype=complex)
     P = gram_regularized(H, xi)
     eye = np.broadcast_to(np.eye(P.shape[-1], dtype=complex), P.shape)
     out = solve(HpdSystem(P=P, rhs=eye), method, T, omega, trace=False)
     F = H @ out.w
     tr = sq_norms(F)
-    if np.any(tr <= 0):
-        raise DegenerateChannelError(
-            "tr(F^H F) = 0; channel block carries no energy")
-    beta = np.sqrt(power / tr)
-    return beta[..., None, None] * F, beta
+    live = tr > 0
+    beta = np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
+    return beta[..., None, None] * F, beta, live
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
                    T: int = DEFAULT_T,
                    omega: float = DEFAULT_OMEGA) -> BlockPrecoder:
-    """All three blocks of Eq.-6 structure for a realization (or a stack of them)."""
-    (G1, beta_1), (Gc, beta_c), (G2, beta_2) = (
+    """All three blocks of Eq.-6 structure for a realization (or a stack of them).
+
+    Raises `DegenerateChannelError` when every block of some trial carries
+    no energy.
+    """
+    (G1, beta_1, live_1), (Gc, beta_c, live_c), (G2, beta_2, live_2) = (
         _rzf_block(H, xi, power, method, T, omega)
         for H in realization.blocks())
+    if not np.all(live_1 | live_c | live_2):
+        raise DegenerateChannelError(
+            "tr(F^H F) = 0 in every block; the channel carries no energy")
     return BlockPrecoder(G1=G1, Gc=Gc, G2=G2, beta_1=beta_1, beta_c=beta_c,
                          beta_2=beta_2)

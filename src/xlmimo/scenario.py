@@ -71,20 +71,18 @@ def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
     K, M, Ms = users.K, geo.M, geo.M_s
     layout = drop_users(rng, K, users.cell_side, users.min_dist, geo)
     # Each user's VR must reach at least one antenna serving its group.
-    masks = np.empty((K, M), dtype=bool)
-    for k in range(K):
-        vr = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
-                       required=scenario.serving[k])
-        masks[k] = vr.visible
+    masks = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
+                      required=scenario.serving).visible
     W = path_loss(layout.distances, ch.omega, ch.nu)
 
-    z = (rng.standard_normal((K, SUBARRAYS, Ms))
-         + 1j * rng.standard_normal((K, SUBARRAYS, Ms))) / np.sqrt(2.0)
-    hbar = np.einsum("ij,ksj->ksi", scenario.Rsub_sqrt, z).reshape(K, M)
-    h_users = np.sqrt(W) * masks * hbar
+    # White CN(0, I) fading z per user and subarray, coloured as z @ R_s^{1/2}.T;
+    # R_s^{1/2} is real, so one real product colours both parts of z.
+    zri = rng.standard_normal((2 * K * SUBARRAYS, Ms)) @ scenario.Rsub_sqrt.T
+    re, im = zri.reshape(2, K, M)
+    h_users = (np.sqrt(W / 2.0) * masks) * (re + 1j * im)
     realization = assemble_from_user_channels(h_users, scenario.K1)
     if ch.normalize_gain:
         target = K * (M / GAIN_REF_M) ** GAIN_EXPONENT
-        fro2 = float(np.vdot(realization.H, realization.H).real)
+        fro2 = sum(float(np.vdot(B, B).real) for B in realization.blocks())
         realization = realization.scaled(float(np.sqrt(target / fro2)))
     return TrialDraw(layout=layout, vr_masks=masks, realization=realization)

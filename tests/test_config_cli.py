@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from xlmimo import cli, experiments
+from xlmimo import cli, experiments, metrics
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
                            parse_config, resolved_antenna_count)
 from xlmimo.errors import ConfigurationError
@@ -138,6 +138,12 @@ class TestSeeding:
         np.testing.assert_array_equal(seed_stream(42, 7).standard_normal(64),
                                       seed_stream(42, 7).standard_normal(64))
 
+    def test_keys_are_tuples_not_sums(self):
+        # (tag, M, trial) keys: reordered or merged entries are other streams.
+        draws = [seed_stream(0, *key).standard_normal(4)
+                 for key in ((1, 99, 3), (1, 3, 99), (1, 102), (1, 99, 3, 0))]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+
     def test_master_seeds_do_not_collide(self):
         a = seed_stream(42, 0).standard_normal(10_000)
         b = seed_stream(43, 0).standard_normal(10_000)
@@ -236,6 +242,27 @@ class TestCli:
         manifest = json.loads((tmp_path / "flops.csv.manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config"]["run"]["workers"] == 2
+
+    def test_small_k_with_zero_side_blocks_runs(self, tmp_path, monkeypatch):
+        # With K=4 a side subarray often serves no user of its group; its
+        # block then gets no power instead of stopping the run.
+        side_zero = []
+        draw = metrics.draw_trial
+
+        def recording_draw(scenario, rng):
+            out = draw(scenario, rng)
+            H1, _, H2 = out.realization.blocks()
+            side_zero.append(not H1.any() or not H2.any())
+            return out
+
+        monkeypatch.setattr(metrics, "draw_trial", recording_draw)
+        out = tmp_path / "se.csv"
+        rc = cli.main(["se_vs_m", "--out", str(out), "--set", "users.K=4",
+                       "--set", "run.trials=20"])
+        assert rc == 0
+        assert len(side_zero) == 20 * len(ExperimentConfig().run.m_grid)
+        assert any(side_zero)
+        assert TRUNCATION_MARKER not in out.read_text()
 
     def test_default_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DEFAULT_OUT_ENV, str(tmp_path))

@@ -69,8 +69,9 @@ def test_tracer_hooks_reach_the_channel_draw(tmp_path, monkeypatch):
     cfg = _small("se_vs_m")
     run_experiment(cfg, str(tmp_path / "se.csv"))
     draws = TRIALS * len(M_GRID)
+    # One VR call per draw samples every user's region at once.
     assert counts == Counter(draw=draws, drop=draws, assemble=draws,
-                             vr=cfg.users.K * draws)
+                             vr=draws)
 
 
 def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
@@ -139,3 +140,60 @@ def test_workers_split_batches_and_keep_bytes(tmp_path, monkeypatch):
     sizes = _fix_batch_size(monkeypatch, 2)
     assert _golden_sha256(tmp_path, "se_vs_m", "run.workers=2") == GOLDEN["se_vs_m"]
     assert sizes == [1, 2, 2] * 2
+
+
+def _stream_starts(monkeypatch):
+    """The generator state each trial's draw starts from, in draw order."""
+    starts = []
+    original = metrics.draw_trial
+
+    def draw(scenario, rng):
+        starts.append(rng.bit_generator.state["state"]["state"])
+        return original(scenario, rng)
+
+    monkeypatch.setattr(metrics, "draw_trial", draw)
+    return starts
+
+
+def test_se_streams_differ_where_seed_plus_m_folds_collided(tmp_path,
+                                                             monkeypatch):
+    # seed + 1_000_003 * M is 102000306 for both (3000009, 99) and (0, 102).
+    starts = _stream_starts(monkeypatch)
+    for seed, M in ((3_000_009, 99), (0, 102)):
+        cfg = small_config(**{"run.experiment": "se_vs_m", "run.seed": seed,
+                              "run.m_grid": f"[{M}]", "run.trials": 2,
+                              "run.methods": "[direct]"})
+        run_experiment(cfg, str(tmp_path / "se.csv"))
+    assert len(starts) == 4
+    assert len(set(starts)) == 4
+
+
+def test_ber_streams_differ_where_trial_and_grid_index_folded(tmp_path,
+                                                              monkeypatch):
+    # trial * len(grid) + ig is 2 for (trial 1, ig 0) on a two-point grid
+    # and for (trial 0, ig 2) on a three-point grid.
+    starts = _stream_starts(monkeypatch)
+    runs = []
+    for grid in ("[0.0, 10.0]", "[0.0, 10.0, 20.0]"):
+        cfg = small_config(**{"run.experiment": "ber", "run.snr_grid_db": grid,
+                              "run.bits_per_point": 1024,
+                              "run.methods": "[direct]"})
+        starts.clear()
+        run_experiment(cfg, str(tmp_path / "ber.csv"))
+        runs.append(list(starts))
+    draws = 2  # 1024 bits over 2 * K * symbols_per_channel = 512 per draw
+    assert [len(r) for r in runs] == [2 * draws, 3 * draws]
+    assert runs[0][0 * draws + 1] != runs[1][2 * draws + 0]
+    # The same (grid index, trial) key gives the same stream on both grids.
+    assert runs[0][:2 * draws] == runs[1][:2 * draws]
+
+
+def test_pipelines_draw_from_disjoint_streams(tmp_path, monkeypatch):
+    starts = _stream_starts(monkeypatch)
+    seen = []
+    for experiment in ("se_vs_m", "ber", "convergence"):
+        starts.clear()
+        run_experiment(_small(experiment), str(tmp_path / "out.csv"))
+        seen.append(set(starts))
+    assert all(seen)
+    assert sum(len(s) for s in seen) == len(set.union(*seen))

@@ -146,3 +146,95 @@ class TestSampleVr:
             sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.0)
         with pytest.raises(ConfigurationError):
             sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1)
+
+
+def _first_accepted_vr(rng, geo, mu_l, sigma_l, required, block=256):
+    """Scalar reference: per region, the first accepted of i.i.d. candidates."""
+    mu = np.log(mu_l) - 0.5 * sigma_l ** 2
+    while True:
+        c = rng.uniform(0.0, geo.N, size=block)
+        ln = rng.lognormal(mu, sigma_l, size=block)
+        lo, hi = np.maximum(0.0, c - ln / 2), np.minimum(geo.N, c + ln / 2)
+        vis = (geo.positions >= lo[:, None]) & (geo.positions <= hi[:, None])
+        ok = np.flatnonzero((vis & required).any(axis=1))
+        if ok.size:
+            return c[ok[0]], ln[ok[0]]
+
+
+def _within_4se(a, b):
+    se = np.hypot(np.std(a, ddof=1) / np.sqrt(len(a)),
+                  np.std(b, ddof=1) / np.sqrt(len(b)))
+    return abs(np.mean(a) - np.mean(b)) <= 4.0 * se
+
+
+class TestVectorizedSampling:
+    """All users of a trial drawn at once: one candidate per pending user
+    and round, each keeping its first accepted one."""
+
+    def setup_method(self):
+        self.geo = build_geometry(99, 2.6e9, 2.0)
+
+    def test_vr_law_matches_scalar_first_accepted(self):
+        # Only the last three antennas count: about one candidate in ten is
+        # accepted.
+        required = np.zeros(self.geo.M, dtype=bool)
+        required[-3:] = True
+        n, mu_l = 3000, 0.1 * self.geo.N
+        vr = sample_vr(seed_stream(21, 0), self.geo, mu_l, 0.5,
+                       required=np.tile(required, (n, 1)))
+        rng = seed_stream(22, 0)
+        ref = np.array([_first_accepted_vr(rng, self.geo, mu_l, 0.5, required)
+                        for _ in range(n)])
+        assert vr.length.shape == vr.center.shape == (n,)
+        assert np.mean(vr.length) > 1.1 * mu_l  # long regions are favoured
+        assert _within_4se(vr.length, ref[:, 1])
+        assert _within_4se(vr.center, ref[:, 0])
+
+    def test_drop_law_matches_scalar_first_accepted(self):
+        # min_dist rejects about half of the cell's points.
+        cell, min_dist, K = 100.0, 60.0, 2000
+        layout = drop_users(seed_stream(23, 0), K, cell, min_dist, self.geo)
+        assert layout.distances.min() >= min_dist
+        rng, ref = seed_stream(24, 0), []
+        while len(ref) < K:
+            p = rng.uniform(0.0, cell, size=2)
+            if np.hypot(p[0] - self.geo.positions, p[1]).min() >= min_dist:
+                ref.append(p)
+        ref = np.array(ref)
+        for axis in (0, 1):
+            assert _within_4se(layout.positions_2d[:, axis], ref[:, axis])
+
+    def test_required_honoured_for_each_row(self):
+        # Each row asks for one subarray only; a short region must reach it.
+        rows = np.stack([self.geo.subarray_of == s for s in (0, 1, 2)] * 20)
+        vr = sample_vr(seed_stream(25, 0), self.geo, 0.05 * self.geo.N, 0.3,
+                       required=rows.reshape(3, 20, self.geo.M))
+        assert vr.visible.shape == (3, 20, self.geo.M)
+        assert vr.center.shape == vr.length.shape == (3, 20)
+        assert (vr.visible & rows.reshape(3, 20, -1)).any(axis=-1).all()
+        lo = np.maximum(0.0, vr.center - vr.length / 2)[..., None]
+        hi = np.minimum(self.geo.N, vr.center + vr.length / 2)[..., None]
+        pos = self.geo.positions
+        np.testing.assert_array_equal(vr.visible, (pos >= lo) & (pos <= hi))
+
+    def test_single_mask_gives_one_region(self):
+        vr = sample_vr(seed_stream(26, 0), self.geo, 0.5, 0.1,
+                       required=self.geo.subarray_of == 1)
+        assert isinstance(vr.center, float) and isinstance(vr.length, float)
+        assert vr.visible.shape == (self.geo.M,)
+
+    def test_vr_retries_exhausted_names_the_user(self):
+        # Regions about one antenna spacing long: a row that may use any
+        # antenna is accepted at once, user 3 needs the last antenna of 999.
+        geo = build_geometry(999, 2.6e9, 2.0)
+        required = np.ones((6, geo.M), dtype=bool)
+        required[3] = False
+        required[3, -1] = True
+        with pytest.raises(GeometryInfeasibleError, match="for user 3 .* after 5 "):
+            sample_vr(seed_stream(27, 0), geo, 1.01 * geo.spacing, 1e-3,
+                      required=required, max_retries=5)
+
+    def test_drop_retries_exhausted_names_the_user(self):
+        with pytest.raises(GeometryInfeasibleError, match="place user 0 "):
+            drop_users(seed_stream(0, 0), 4, 10.0, 12.0, self.geo,
+                       max_retries=50)

@@ -19,9 +19,9 @@ SMALL = ["geometry.M=9", "users.K=4", "run.trials=5", "run.m_grid=[9, 12]",
 
 GOLDEN = {
     "flops": "861ee8cd45364d93a832e1200a76df8c93c6b9416cb6e8ae013dbd3ca8615b0a",
-    "convergence": "db28cf2b914ab673fa3e274e2e8c262cf95cd8f47f44fe6ec2c5c0b6e0cd7b6c",
-    "se_vs_m": "3e089f17b587b18125a62d75e2de6e1e6572026c60e019673e3a11136cdfaad3",
-    "ber": "582941e8c5d50b0707f5b781b8dfa1c212232c5e52c6a889a4e0aa9a91e73cf1",
+    "convergence": "c7a9f12260035067c808e919aff032e43d5f37f90cf3efe4927bb1d04f147aaf",
+    "se_vs_m": "0ac3a8eb5092cbeb0f85753bece4b8c2ef196e46043b0e1beecd9711e4eddad8",
+    "ber": "8dddc70441023304c3556fbfad1dff8fa55543323e9d727b4d60ec6741e3af72",
 }
 
 # The benchmark workloads' overrides, copied from perfbench/xlbench/workloads.py
@@ -33,9 +33,9 @@ BENCHMARK_CONFIGS = {
 }
 
 BENCHMARK_GOLDEN = {
-    "se-sweep": "0caae5af32797d343a812af65366cdcdb5bbdb9f3d68f77a6234310b792fa1c1",
-    "ber-qpsk": "2d33aa63f46cf0c4969d1205a0ae895ad081994a198aad52a151e2fb747c1a62",
-    "conv-trace": "7c604a08e8e8b1247fd03131221b7980e57deafa0c10c04b84e63fd8c9e37c5b",
+    "se-sweep": "55974e0370028a74a407aeeb07576bee133b3db983a8264a38ef1d57d1bea94f",
+    "ber-qpsk": "45fcccfa3521e1006d874c13dcc70ac4a7a4a99442c2d66064c124062855682e",
+    "conv-trace": "61f1b2121f3c00dcbbfe84fef7ea0fb4403055e6a95ac8b812c11b8acf9480dc",
 }
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import condition_number, diag_scaled_hpd, random_hpd, random_rhs
-from xlmimo.errors import ConfigurationError, NotHpdError, SplittingError
+from xlmimo.errors import (ConfigurationError, NonFiniteError, NotHpdError,
+                           SplittingError)
 from xlmimo.linsolve import (HERMITIAN_RTOL, METHODS, HpdSystem, cg_solve,
                              direct_solve, gs_solve, jacpcg_solve, jor_solve,
                              solve)
@@ -93,6 +94,14 @@ class TestGaussSeidel:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(SplittingError):
             gs_solve(_sys([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), T=1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rhs_rejected(self, bad):
+        P = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
+        s = np.ones((2, 2))
+        s[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            gs_solve(_sys(P, s), T=1)
 
     def test_trace_length_and_t_validation(self):
         out = gs_solve(_sys(np.eye(2), [1.0, 1.0]), T=4)

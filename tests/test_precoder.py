@@ -8,6 +8,7 @@ from xlmimo.channel import assemble_blocks, stack_realizations
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
+from xlmimo.metrics import sinr_eq9
 from xlmimo.precoder import BlockPrecoder, build_precoder, gram_regularized
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
@@ -79,6 +80,25 @@ class TestRzfDirect:
                                np.zeros((4, 1)))
         with pytest.raises(DegenerateChannelError):
             build_precoder(real, 0.5, 1.0, "direct")
+
+    def test_zero_side_block_gets_no_power(self):
+        # Group 1 sees no antenna of its side subarray: H1 = 0.
+        rng = np.random.default_rng(6)
+        real = assemble_blocks(np.zeros((12, 3)), random_rhs(rng, 12, 6),
+                               random_rhs(rng, 12, 3))
+        pre = build_precoder(real, 0.2, 1.0, "direct")
+        np.testing.assert_array_equal(pre.G1, 0.0)
+        assert pre.beta_1 == 0.0
+        assert float(np.vdot(pre.Gc, pre.Gc).real) == pytest.approx(1.0)
+        gamma = sinr_eq9(real, pre, 0.1).gamma
+        assert np.all(np.isfinite(gamma)) and np.all(gamma > 0)
+
+    def test_all_zero_trial_in_a_stack_degenerate(self):
+        live = _random_realization(5)
+        dead = assemble_blocks(np.zeros((12, 3)), np.zeros((12, 6)),
+                               np.zeros((12, 3)))
+        with pytest.raises(DegenerateChannelError):
+            build_precoder(stack_realizations([live, dead]), 0.5, 1.0, "cg")
 
 
 class TestRzfIterative:
