@@ -1,8 +1,9 @@
 """Experiment configuration: dataclasses, YAML parsing, overrides, validation.
 
 Defaults follow the reference simulation setup: 0.1 x 0.1 km^2 cell, 30 m
-minimum distance, ULA with 2-wavelength spacing at 2.6 GHz, aperture
-N = 23.0610 m (99 antennas in 3 subarrays), K = 32 users in 2 groups,
+minimum distance, ULA of M = 99 antennas in 3 subarrays with 2-wavelength
+spacing at 2.6 GHz (the largest such array within the paper's 23.0610 m
+aperture), K = 32 users in 2 groups,
 path loss Omega = 4, nu = 3, noise -50 dBm, T = 5 iterations.  S = 3 and
 L = 2 are model constants (`geometry`): M must divide by 3, K by 2.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .geometry import GROUPS, SUBARRAYS, antennas_for_length, build_geometry
+from .geometry import GROUPS, SUBARRAYS
 from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
@@ -22,8 +23,7 @@ EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 
 @dataclass
 class GeometryConfig:
-    M: int | None = None          # derived from N when omitted
-    N: float = 23.0610            # target aperture [m]
+    M: int = 99
     carrier_hz: float = 2.6e9
     spacing_wavelengths: float = 2.0
 
@@ -118,24 +118,14 @@ def _coerce(value, target, path):
         f"{path}: expected {getattr(target, '__name__', target)}, got {value!r}")
 
 
-_FIELD_TYPES = {
-    # optional fields (None allowed) need explicit base types
-    ("geometry", "M"): int,
-}
-
-
 def _fill_section(section_obj, data: dict, section: str):
     valid = {f.name: f for f in fields(section_obj)}
     for key, value in data.items():
         if key not in valid:
             raise ConfigurationError(f"unknown config key {section}.{key}")
-        ftype = _FIELD_TYPES.get((section, key))
-        if ftype is None:
-            default = getattr(type(section_obj)(), key)
-            ftype = list if isinstance(default, list) else type(default)
-        if value is not None or (section, key) not in _FIELD_TYPES:
-            value = _coerce(value, ftype, f"{section}.{key}")
-        setattr(section_obj, key, value)
+        default = getattr(type(section_obj)(), key)
+        ftype = list if isinstance(default, list) else type(default)
+        setattr(section_obj, key, _coerce(value, ftype, f"{section}.{key}"))
     return section_obj
 
 
@@ -194,25 +184,10 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     return cfg
 
 
-def resolved_antenna_count(cfg: ExperimentConfig) -> int:
-    """Configured M, or the largest S-divisible count fitting the aperture N."""
-    g = cfg.geometry
-    if g.M is not None:
-        return g.M
-    spacing = g.spacing_wavelengths * (3.0e8 / g.carrier_hz)
-    return antennas_for_length(g.N, spacing)
-
-
-def build_geometry_from_config(cfg: ExperimentConfig, M: int | None = None):
-    g = cfg.geometry
-    return build_geometry(M if M is not None else resolved_antenna_count(cfg),
-                          g.carrier_hz, g.spacing_wavelengths)
-
-
 def validate(cfg: ExperimentConfig) -> None:
     g, u, ch, p, s, r = (cfg.geometry, cfg.users, cfg.channel, cfg.power,
                          cfg.solver, cfg.run)
-    if g.M is not None and (g.M <= 0 or g.M % SUBARRAYS != 0):
+    if g.M <= 0 or g.M % SUBARRAYS != 0:
         raise ConfigurationError(
             f"geometry.M={g.M} must be a positive multiple of S={SUBARRAYS}")
     if g.carrier_hz <= 0 or g.spacing_wavelengths <= 0:
@@ -228,12 +203,15 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"channel.rho must lie in [0, 1), got {ch.rho}")
     if ch.omega <= 0 or ch.nu < 0:
         raise ConfigurationError("channel.omega must be > 0 and channel.nu >= 0")
-    if ch.vr_sigma <= 0:
-        raise ConfigurationError("channel.vr_sigma must be positive")
+    if ch.vr_mu_frac <= 0 or ch.vr_sigma <= 0:
+        raise ConfigurationError(
+            "channel.vr_mu_frac and channel.vr_sigma must be positive")
     if s.T < 1:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
     if s.omega <= 0:
         raise ConfigurationError(f"solver.omega must be positive, got {s.omega}")
+    if r.seed < 0:
+        raise ConfigurationError(f"run.seed must be >= 0, got {r.seed}")
     if r.experiment not in EXPERIMENTS:
         raise ConfigurationError(
             f"run.experiment must be one of {EXPERIMENTS}, got {r.experiment!r}")

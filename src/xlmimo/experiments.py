@@ -60,8 +60,7 @@ def rows_convergence(cfg: ExperimentConfig):
 
 
 def _se_batch(args):
-    cfg, scenario, batch = args
-    return se_trial(cfg, scenario, batch, cfg.run.methods)
+    return se_trial(*args)
 
 
 def _map_batches(fn, args_list, workers: int):
@@ -84,7 +83,7 @@ def rows_se_vs_m(cfg: ExperimentConfig):
 
 
 def rows_ber(cfg: ExperimentConfig):
-    report = ber_montecarlo(cfg, cfg.run.methods)
+    report = ber_montecarlo(cfg)
     for ig, snr_db in enumerate(report.snr_grid_db):
         for method in cfg.run.methods:
             yield [snr_db, method, report.ber[method][ig],

@@ -11,8 +11,9 @@ import numpy as np
 
 from .errors import ConfigurationError, GeometryInfeasibleError
 
-# Engineering convention (c = 3e8 m/s) rather than the CODATA value; the
-# Table-I aperture N = 23.0610 m maps to M = 99 either way.
+# Engineering convention (c = 3e8 m/s) rather than the CODATA value: the
+# antenna spacing, and so every position and the array length N, derive
+# from it.
 C_LIGHT = 3.0e8
 
 DEFAULT_MAX_RETRIES = 10_000
@@ -47,13 +48,12 @@ class UserLayout:
 
 @dataclass(frozen=True)
 class VisibilityRegion:
-    """Interval of the array over which a user's channel is nonzero.
-
-    One region, or a stack of them with leading dimensions (...).
+    """Intervals of the array over which users' channels are nonzero, one
+    per row of the `required` mask, stacked with its leading dimensions (...).
     """
 
-    center: float | np.ndarray  # (...) [m]
-    length: float | np.ndarray  # (...) [m]
+    center: np.ndarray  # (...) [m]
+    length: np.ndarray  # (...) [m]
     visible: np.ndarray  # (..., M) boolean mask, diagonal of the indicator matrix
 
 
@@ -76,19 +76,6 @@ def build_geometry(M: int, carrier_hz: float,
     subarray_of = np.repeat(np.arange(SUBARRAYS), M // SUBARRAYS)
     return ArrayGeometry(M=M, spacing=spacing, positions=positions,
                          N=M * spacing, subarray_of=subarray_of)
-
-
-def antennas_for_length(N: float, spacing: float) -> int:
-    """Largest multiple of S whose aperture M*spacing does not exceed N."""
-    if N <= 0 or spacing <= 0:
-        raise ConfigurationError(
-            f"need positive N and spacing; got N={N}, spacing={spacing}")
-    m_max = int(np.floor(N / spacing + 1e-9))
-    M = (m_max // SUBARRAYS) * SUBARRAYS
-    if M <= 0:
-        raise ConfigurationError(
-            f"aperture N={N} m too short for S={SUBARRAYS} at spacing {spacing} m")
-    return M
 
 
 def drop_users(rng: np.random.Generator, K: int, cell_side: float,
@@ -130,17 +117,17 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
               mu_l: float, sigma_l: float,
-              required: np.ndarray | None = None,
+              required: np.ndarray,
               max_retries: int = DEFAULT_MAX_RETRIES) -> VisibilityRegion:
     """Sample visibility regions: center uniform on [0, N], log-normal length.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
     log(mu_l) - sigma_l^2 / 2.  `required` (..., M) asks for one region per
-    mask row (a user's row of `Scenario.serving`); a 1-D mask or None gives
-    one region.  A region is redrawn until it covers at least one antenna of
-    its row, so no user ends up with an all-zero effective channel.  Each
-    round draws uniform(n) centers, then lognormal(n) lengths, for the n
-    rows still pending; a row keeps its first accepted draw.
+    mask row (a user's row of `Scenario.serving`).  A region is redrawn
+    until it covers at least one antenna of its row, so no user ends up
+    with an all-zero effective channel.  Each round draws uniform(n)
+    centers, then lognormal(n) lengths, for the n rows still pending; a row
+    keeps its first accepted draw.
     """
     if sigma_l <= 0:
         raise ConfigurationError(f"sigma_l must be positive, got {sigma_l}")
@@ -149,8 +136,7 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
     mu = np.log(mu_l) - 0.5 * sigma_l ** 2
 
     pos, N = geometry.positions, geometry.N
-    needed = (np.ones(geometry.M, dtype=bool) if required is None
-              else np.asarray(required, dtype=bool))
+    needed = np.asarray(required, dtype=bool)
     if needed.shape[-1:] != (geometry.M,):
         raise ConfigurationError(
             f"required mask shape {needed.shape} does not end in M={geometry.M}")
@@ -173,15 +159,10 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
         center[done], length[done], visible[done] = c[ok], ln[ok], vis[ok]
         pending = pending[~ok]
         if not pending.size:
-            break
-    else:
-        raise GeometryInfeasibleError(
-            f"no visible antenna for user {pending[0]} (row of `required`) "
-            f"after {max_retries} VR draws")
-    if needed.ndim == 1:
-        return VisibilityRegion(center=float(center[0]),
-                                length=float(length[0]), visible=visible[0])
-    shape = needed.shape[:-1]
-    return VisibilityRegion(center=center.reshape(shape),
-                            length=length.reshape(shape),
-                            visible=visible.reshape(needed.shape))
+            shape = needed.shape[:-1]
+            return VisibilityRegion(center=center.reshape(shape),
+                                    length=length.reshape(shape),
+                                    visible=visible.reshape(needed.shape))
+    raise GeometryInfeasibleError(
+        f"no visible antenna for user {pending[0]} (row of `required`) "
+        f"after {max_retries} VR draws")

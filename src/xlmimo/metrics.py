@@ -109,24 +109,22 @@ def qpsk_detect(y: np.ndarray) -> np.ndarray:
     return np.stack([b0, b1], axis=-1)
 
 
-def ber_montecarlo(cfg, methods, snr_grid_db=None) -> BerReport:
-    """Downlink QPSK BER over the SNR grid, all methods on shared realizations.
+def ber_montecarlo(cfg) -> BerReport:
+    """Downlink QPSK BER over `run.snr_grid_db`, all of `run.methods` on
+    shared realizations.
 
     Per point: fresh channel draws, precoder with xi = 1/SNR, genie-aided
     scaling by the effective gain at the receiver, hard detection.  Bits,
     channels, and noise are shared across methods so comparisons are paired.
     """
-    if isinstance(methods, str):
-        methods = [methods]
-    grid = np.asarray(cfg.run.snr_grid_db if snr_grid_db is None else snr_grid_db,
-                      dtype=float)
+    methods, seed = cfg.run.methods, cfg.run.seed
+    grid = np.asarray(cfg.run.snr_grid_db, dtype=float)
     if grid.size == 0:
         raise ConfigurationError("SNR grid must be non-empty")
     bits_min = cfg.run.bits_per_point
     if bits_min < 1:
         raise ConfigurationError("bits per point must be >= 1")
     nsym = cfg.run.symbols_per_channel
-    seed = cfg.run.seed
     scenario = build_scenario(cfg)
     sigma2 = cfg.power.sigma2_watts
     K = scenario.K
@@ -167,21 +165,19 @@ def ber_montecarlo(cfg, methods, snr_grid_db=None) -> BerReport:
                      bits_simulated=bits_simulated)
 
 
-def convergence_trace(cfg, methods=None, T_max: int | None = None,
-                      trials: int | None = None) -> dict:
+def convergence_trace(cfg) -> dict:
     """Median least-square error ||P w^(t) - s||^2 / ||s||^2 per iteration.
 
     Solves the central-subarray system P_c w = s with a random QPSK symbol
-    vector per trial; returns {method: array of length T_max + 1}.
+    vector per trial, for `run.trials` trials; returns {method: array of
+    length run.t_max + 1} for the iterative methods of `run.methods`.
     """
-    methods = [m for m in (methods or cfg.run.methods) if m != "direct"]
+    methods = [m for m in cfg.run.methods if m != "direct"]
     if not methods:
         raise ConfigurationError("convergence trace needs at least one iterative method")
-    T_max = cfg.run.t_max if T_max is None else T_max
+    T_max, trials, seed = cfg.run.t_max, cfg.run.trials, cfg.run.seed
     if T_max < 1:
         raise ConfigurationError(f"T_max must be >= 1, got {T_max}")
-    trials = cfg.run.trials if trials is None else trials
-    seed = cfg.run.seed
     scenario = build_scenario(cfg)
     xi = cfg.power.xi
     K = scenario.K
@@ -209,24 +205,17 @@ def convergence_trace(cfg, methods=None, T_max: int | None = None,
     return {m: np.median(traces[m], axis=0) for m in methods}
 
 
-def se_trial(cfg, scenario, trials, methods, seed=None) -> dict:
-    """Sum SE of every method on paired draws (the same channels for all).
+def se_trial(cfg, scenario, trials) -> dict:
+    """Sum SE of every method of `run.methods` on paired draws (the same
+    channels for all), as an array over the sequence `trials` per method.
 
-    `trials` is one trial index, giving one float per method, or a sequence
-    of them, run as one stack and giving an array over them per method.
-    Trial t draws from the stream (SE_VS_M, M, t) of the master `seed`
-    (default `cfg.run.seed`).
+    The trials run as one stack; trial t draws from the stream
+    (SE_VS_M, M, t) of `run.seed`.
     """
-    seed = cfg.run.seed if seed is None else seed
     M = scenario.geometry.M
-
-    def draw(t):
-        return draw_trial(scenario, seed_stream(seed, SE_VS_M, M, t)).realization
-
-    if np.ndim(trials) == 0:
-        real = draw(trials)
-    else:
-        real = stack_realizations(draw(t) for t in trials)
+    real = stack_realizations(
+        draw_trial(scenario, seed_stream(cfg.run.seed, SE_VS_M, M, t)).realization
+        for t in trials)
     xi = cfg.power.xi
     power = cfg.power.tx_power_watts
     sigma2 = cfg.power.sigma2_watts
@@ -234,4 +223,4 @@ def se_trial(cfg, scenario, trials, methods, seed=None) -> dict:
     return {m: sinr_eq9(real, build_precoder(real, xi, power, m, sol.T,
                                              sol.omega),
                         sigma2).sum_se
-            for m in methods}
+            for m in cfg.run.methods}

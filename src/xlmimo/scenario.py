@@ -16,9 +16,8 @@ import numpy as np
 
 from .channel import (assemble_from_user_channels, build_correlation, path_loss,
                       psd_sqrt)
-from .config import (ChannelConfig, ExperimentConfig, UsersConfig,
-                     build_geometry_from_config)
-from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, UserLayout,
+from .config import ChannelConfig, ExperimentConfig, UsersConfig
+from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, build_geometry,
                        drop_users, sample_vr)
 
 
@@ -43,13 +42,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TrialDraw:
-    layout: UserLayout
     vr_masks: np.ndarray  # (K, M) boolean
     realization: object   # ChannelRealization, gain-normalized when configured
 
 
 def build_scenario(cfg: ExperimentConfig, M: int | None = None) -> Scenario:
-    geometry = build_geometry_from_config(cfg, M=M)
+    g = cfg.geometry
+    geometry = build_geometry(g.M if M is None else M, g.carrier_hz,
+                              g.spacing_wavelengths)
     Rsub = build_correlation(geometry.M_s, cfg.channel.rho)
     K1, sub = cfg.users.K // GROUPS, geometry.subarray_of
     in_group1 = np.arange(cfg.users.K)[:, None] < K1
@@ -85,4 +85,4 @@ def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
         target = K * (M / GAIN_REF_M) ** GAIN_EXPONENT
         fro2 = sum(float(np.vdot(B, B).real) for B in realization.blocks())
         realization = realization.scaled(float(np.sqrt(target / fro2)))
-    return TrialDraw(layout=layout, vr_masks=masks, realization=realization)
+    return TrialDraw(vr_masks=masks, realization=realization)

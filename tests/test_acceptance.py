@@ -12,7 +12,8 @@ from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.flops import flops_direct, flops_jacpcg
 from xlmimo.linsolve import (HpdSystem, cg_solve, direct_solve, gs_solve,
                              jacpcg_solve, jor_solve)
-from xlmimo.metrics import ber_montecarlo, convergence_trace, se_trial, sinr_eq9
+from xlmimo.metrics import (ber_montecarlo, convergence_trace, precoding_bytes,
+                            se_trial, sinr_eq9, trial_batches)
 from xlmimo.precoder import build_precoder
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
@@ -63,13 +64,15 @@ def test_criterion_3_se_ordering_and_gap_growth():
     apply_overrides(cfg, ["power.snr_db=25.0", f"run.trials={trials}"])
     assert trials >= 200
 
+    seed = cfg.run.seed
     per_m = {}
     for M in cfg.run.m_grid:
         scenario = build_scenario(cfg, M=M)
-        seed = cfg.run.seed + 1_000_003 * M
-        rows = [se_trial(cfg, scenario, t, METHODS, seed=seed)
-                for t in range(trials)]
-        per_m[M] = {m: np.array([r[m] for r in rows]) for m in METHODS}
+        # Each M point draws from its own master seed.
+        apply_overrides(cfg, [f"run.seed={seed + 1_000_003 * M}"])
+        rows = [se_trial(cfg, scenario, batch)
+                for batch in trial_batches(trials, precoding_bytes(scenario))]
+        per_m[M] = {m: np.concatenate([r[m] for r in rows]) for m in METHODS}
 
     # ordering chain with paired-difference significance at the reference M
     ref = per_m[cfg.run.m_grid[0]]
@@ -97,8 +100,9 @@ def test_criterion_3_se_ordering_and_gap_growth():
 def test_criterion_4_ber_ordering():
     """At 10 dB, >=1e6 bits: BER(jacpcg) <= BER(cg), JOR worst of all five."""
     cfg = ExperimentConfig()
+    apply_overrides(cfg, ["run.snr_grid_db=[10.0]"])
     assert cfg.run.bits_per_point >= 1_000_000
-    report = ber_montecarlo(cfg, METHODS, snr_grid_db=[10.0])
+    report = ber_montecarlo(cfg)
     assert report.bits_simulated >= 1_000_000
     ber = {m: float(report.ber[m][0]) for m in METHODS}
     assert ber["jacpcg"] <= ber["cg"], f"jacpcg {ber['jacpcg']} > cg {ber['cg']}"

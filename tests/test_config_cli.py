@@ -8,7 +8,7 @@ import scipy
 
 from xlmimo import cli, experiments, metrics
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
-                           parse_config, resolved_antenna_count)
+                           parse_config)
 from xlmimo.errors import ConfigurationError
 from xlmimo.experiments import TRUNCATION_MARKER, run_experiment
 from xlmimo.seeding import seed_stream
@@ -17,7 +17,7 @@ from xlmimo.seeding import seed_stream
 class TestDefaults:
     def test_empty_document_yields_reference_defaults(self):
         cfg = parse_config("")
-        assert cfg.geometry.N == 23.0610
+        assert cfg.geometry.M == 99
         assert cfg.geometry.carrier_hz == 2.6e9
         assert cfg.geometry.spacing_wavelengths == 2.0
         assert cfg.users.K == 32
@@ -26,9 +26,6 @@ class TestDefaults:
         assert cfg.channel.vr_mu_frac == 0.1 and cfg.channel.vr_sigma == 0.1
         assert cfg.power.sigma2_dbm == -50.0
         assert cfg.solver.T == 5
-
-    def test_aperture_resolves_to_99_antennas(self):
-        assert resolved_antenna_count(ExperimentConfig()) == 99
 
     def test_xi_snr_product(self):
         cfg = ExperimentConfig()
@@ -61,15 +58,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             parse_config("users:\n  K: many\n")
 
-    @pytest.mark.parametrize("item", ["run.trials=null", "power.snr_db=null"])
+    @pytest.mark.parametrize("item", ["run.trials=null", "power.snr_db=null",
+                                      "geometry.M=null"])
     def test_null_for_required_field_rejected(self, item):
         with pytest.raises(ConfigurationError, match="got None"):
             apply_overrides(ExperimentConfig(), [item])
-
-    def test_null_resets_optional_antenna_count(self):
-        cfg = ExperimentConfig()
-        apply_overrides(cfg, ["geometry.M=132", "geometry.M=null"])
-        assert cfg.geometry.M is None
 
     # Removed fields are unknown keys, even set to their old default.
     @pytest.mark.parametrize("form", ["yaml", "set"])
@@ -77,7 +70,8 @@ class TestValidation:
         ("solver", "pcg_variant", "textbook"),
         ("channel", "vr_interpretation", "linear-mean"),
         ("geometry", "S", 3), ("users", "L", 2),
-        ("channel", "gain_ref_m", 99), ("channel", "gain_exponent", 2.0)])
+        ("channel", "gain_ref_m", 99), ("channel", "gain_exponent", 2.0),
+        ("geometry", "N", 23.061)])
     def test_removed_keys_rejected(self, section, key, value, form):
         with pytest.raises(ConfigurationError,
                            match=f"unknown config key {section}.{key}"):
@@ -225,7 +219,9 @@ class TestCli:
         ("convergence", "power.snr_db=true"),
         ("convergence", "geometry.S=3"), ("se_vs_m", "users.L=2"),
         ("se_vs_m", "channel.gain_ref_m=99"),
-        ("se_vs_m", "channel.gain_exponent=2")])
+        ("se_vs_m", "channel.gain_exponent=2"),
+        ("convergence", "geometry.N=23"), ("convergence", "geometry.M=null"),
+        ("se_vs_m", "channel.vr_mu_frac=0")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"
@@ -233,6 +229,16 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_rejected_before_any_csv(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        rc = cli.main(["convergence", "--out", str(out), "--seed", "-1",
+                       "--set", "run.trials=2"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "run.seed" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_and_workers_flags(self, tmp_path):

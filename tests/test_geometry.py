@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from xlmimo.errors import ConfigurationError, GeometryInfeasibleError
-from xlmimo.geometry import (antennas_for_length, build_geometry, drop_users,
-                             sample_vr)
+from xlmimo.geometry import build_geometry, drop_users, sample_vr
 from xlmimo.seeding import seed_stream
 
 
@@ -50,19 +49,6 @@ class TestBuildGeometry:
             build_geometry(**kwargs)
 
 
-class TestAntennasForLength:
-    def test_reference_aperture_gives_99(self):
-        spacing = 2.0 * 3.0e8 / 2.6e9
-        assert antennas_for_length(23.0610, spacing) == 99
-
-    def test_result_is_multiple_of_s(self):
-        assert antennas_for_length(1.01, 0.1) == 9
-
-    def test_too_short_aperture_rejected(self):
-        with pytest.raises(ConfigurationError):
-            antennas_for_length(0.05, 0.1)
-
-
 class TestDropUsers:
     def setup_method(self):
         self.geo = build_geometry(99, 2.6e9, 2.0)
@@ -99,53 +85,56 @@ class TestSampleVr:
     def setup_method(self):
         self.geo = build_geometry(99, 2.6e9, 2.0)
 
+    def _any(self, n):
+        """`n` mask rows that each accept every antenna."""
+        return np.ones((n, self.geo.M), dtype=bool)
+
     def test_full_length_region_covers_array(self):
         # length ~ 10N with tiny spread: every antenna visible
         vr = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
-                       sigma_l=0.01)
+                       sigma_l=0.01, required=self._any(1))
         assert vr.visible.all()
 
     def test_mask_matches_bruteforce_interval(self):
-        rng = seed_stream(3, 0)
-        for _ in range(200):
-            vr = sample_vr(rng, self.geo, mu_l=0.1 * self.geo.N, sigma_l=0.1)
-            lo = max(0.0, vr.center - vr.length / 2.0)
-            hi = min(self.geo.N, vr.center + vr.length / 2.0)
+        vr = sample_vr(seed_stream(3, 0), self.geo, mu_l=0.1 * self.geo.N,
+                       sigma_l=0.1, required=self._any(200))
+        for center, length, visible in zip(vr.center, vr.length, vr.visible):
+            lo = max(0.0, center - length / 2.0)
+            hi = min(self.geo.N, center + length / 2.0)
             expected = (self.geo.positions >= lo) & (self.geo.positions <= hi)
-            np.testing.assert_array_equal(vr.visible, expected)
-            assert vr.visible.any()
+            np.testing.assert_array_equal(visible, expected)
+            assert visible.any()
 
     def test_linear_mean_interpretation(self):
-        rng = seed_stream(5, 0)
         mu = 0.1 * self.geo.N
-        lengths = [sample_vr(rng, self.geo, mu, 0.1).length
-                   for _ in range(5000)]
+        lengths = sample_vr(seed_stream(5, 0), self.geo, mu, 0.1,
+                            required=self._any(5000)).length
         assert np.mean(lengths) == pytest.approx(mu, rel=0.05)
 
     def test_required_mask_honored(self):
-        required = self.geo.subarray_of == 2
-        rng = seed_stream(9, 0)
-        for _ in range(100):
-            vr = sample_vr(rng, self.geo, mu_l=1.0, sigma_l=0.3,
-                           required=required)
-            assert (vr.visible & required).any()
+        required = np.tile(self.geo.subarray_of == 2, (100, 1))
+        vr = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0, sigma_l=0.3,
+                       required=required)
+        assert (vr.visible & required).any(axis=-1).all()
 
     def test_empty_required_mask_rejected(self):
+        required = self._any(2)
+        required[1] = False
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.1,
-                      required=np.zeros(self.geo.M, dtype=bool))
+            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.1, required=required)
 
     def test_same_seed_identical(self):
-        a = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1)
-        b = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1)
-        assert a.center == b.center and a.length == b.length
+        a = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
+        b = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
+        np.testing.assert_array_equal(a.center, b.center)
+        np.testing.assert_array_equal(a.length, b.length)
         np.testing.assert_array_equal(a.visible, b.visible)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.0)
+            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.0, self._any(1))
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1)
+            sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1, self._any(1))
 
 
 def _first_accepted_vr(rng, geo, mu_l, sigma_l, required, block=256):
@@ -216,12 +205,6 @@ class TestVectorizedSampling:
         hi = np.minimum(self.geo.N, vr.center + vr.length / 2)[..., None]
         pos = self.geo.positions
         np.testing.assert_array_equal(vr.visible, (pos >= lo) & (pos <= hi))
-
-    def test_single_mask_gives_one_region(self):
-        vr = sample_vr(seed_stream(26, 0), self.geo, 0.5, 0.1,
-                       required=self.geo.subarray_of == 1)
-        assert isinstance(vr.center, float) and isinstance(vr.length, float)
-        assert vr.visible.shape == (self.geo.M,)
 
     def test_vr_retries_exhausted_names_the_user(self):
         # Regions about one antenna spacing long: a row that may use any

@@ -111,8 +111,9 @@ class TestQpsk:
 
 class TestBer:
     def test_smoke_and_report_fields(self):
-        cfg = small_config()
-        report = ber_montecarlo(cfg, ["direct", "cg"], snr_grid_db=[10.0])
+        cfg = small_config(**{"run.methods": "[direct, cg]",
+                              "run.snr_grid_db": "[10.0]"})
+        report = ber_montecarlo(cfg)
         assert set(report.ber) == {"direct", "cg"}
         assert report.bits_simulated >= cfg.run.bits_per_point
         for m in report.ber:
@@ -122,13 +123,16 @@ class TestBer:
     def test_noiseless_limit_direct(self):
         # one user per group so every block can be zero-forced; at 60 dB the
         # residual noise and interference leave essentially no bit errors
-        cfg = small_config(**{"users.K": 2})
-        report = ber_montecarlo(cfg, "direct", snr_grid_db=[60.0])
+        cfg = small_config(**{"users.K": 2, "run.methods": "[direct]",
+                              "run.snr_grid_db": "[60.0]"})
+        report = ber_montecarlo(cfg)
         assert report.ber["direct"][0] < 1e-4
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ber_montecarlo(small_config(), "direct", snr_grid_db=[])
+        cfg = small_config()
+        cfg.run.snr_grid_db = []  # past validation, which rejects it too
+        with pytest.raises(ConfigurationError, match="SNR grid"):
+            ber_montecarlo(cfg)
 
     def test_channel_scale_invariance(self):
         """Scaling H by c with sigma^2 by c^2 at fixed P leaves decisions unchanged."""
@@ -157,8 +161,8 @@ class TestBer:
 
 class TestConvergenceTrace:
     def test_shared_start_and_shapes(self):
-        cfg = small_config()
-        traces = convergence_trace(cfg, T_max=4, trials=5)
+        cfg = small_config(**{"run.t_max": 4, "run.trials": 5})
+        traces = convergence_trace(cfg)
         assert set(traces) == {"gs", "jor", "cg", "jacpcg"}
         for trace in traces.values():
             assert trace.shape == (5,)
@@ -166,35 +170,41 @@ class TestConvergenceTrace:
             assert trace[0] == pytest.approx(1.0)
 
     def test_tmax_validation(self):
-        with pytest.raises(ConfigurationError):
-            convergence_trace(small_config(), T_max=0)
+        cfg = small_config()
+        cfg.run.t_max = 0  # past validation, which rejects it too
+        with pytest.raises(ConfigurationError, match="T_max"):
+            convergence_trace(cfg)
 
     def test_needs_iterative_method(self):
         with pytest.raises(ConfigurationError):
-            convergence_trace(small_config(), methods=["direct"])
+            convergence_trace(small_config(**{"run.methods": "[direct]"}))
 
 
 class TestSeTrial:
     def test_paired_draw_and_direct_dominance_tendency(self):
         cfg = ExperimentConfig()
-        apply_overrides(cfg, ["power.snr_db=25.0"])
+        apply_overrides(cfg, ["power.snr_db=25.0",
+                              "run.methods=[direct, cg, jor]"])
         scenario = build_scenario(cfg)
-        out = se_trial(cfg, scenario, 0, ["direct", "cg", "jor"])
+        out = se_trial(cfg, scenario, range(1))
         assert set(out) == {"direct", "cg", "jor"}
-        assert all(v > 0 for v in out.values())
+        assert all(v.shape == (1,) and v[0] > 0 for v in out.values())
 
     def test_batch_equals_single_trials(self):
-        cfg = small_config()
-        scenario = build_scenario(cfg)
         methods = ["direct", "gs", "jacpcg"]
-        batch = se_trial(cfg, scenario, range(2, 6), methods)
+        cfg = small_config(**{"run.methods": f"[{', '.join(methods)}]"})
+        scenario = build_scenario(cfg)
+        batch = se_trial(cfg, scenario, range(2, 6))
         for i, trial in enumerate(range(2, 6)):
-            one = se_trial(cfg, scenario, trial, methods)
-            assert {m: batch[m][i] for m in methods} == one
+            one = se_trial(cfg, scenario, range(trial, trial + 1))
+            assert {m: batch[m][i] for m in methods} == {
+                m: one[m][0] for m in methods}
 
     def test_deterministic(self):
-        cfg = small_config()
+        cfg = small_config(**{"run.methods": "[direct, cg]"})
         scenario = build_scenario(cfg)
-        a = se_trial(cfg, scenario, 3, ["direct", "cg"])
-        b = se_trial(cfg, scenario, 3, ["direct", "cg"])
-        assert a == b
+        a = se_trial(cfg, scenario, range(3, 4))
+        b = se_trial(cfg, scenario, range(3, 4))
+        assert set(a) == {"direct", "cg"}
+        for m in a:
+            np.testing.assert_array_equal(a[m], b[m])

@@ -6,6 +6,7 @@ import pytest
 from helpers import small_config
 from xlmimo.channel import build_correlation, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
+from xlmimo.geometry import drop_users
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
 
@@ -119,13 +120,17 @@ class TestDrawTrial:
         # on the served antennas is CN(0, blockdiag(R_s, R_s)).
         cfg = small_config(**{"channel.normalize_gain": "false"})
         scenario = build_scenario(cfg)
-        geo = scenario.geometry
+        geo, users = scenario.geometry, scenario.users
         target = np.kron(np.eye(2), build_correlation(geo.M_s, cfg.channel.rho))
         acc = np.zeros_like(target, dtype=complex)
         n = 0
         for trial in range(5000):
             draw = draw_trial(scenario, seed_stream(2, trial))
-            W = path_loss(draw.layout.distances, scenario.channel.omega,
+            # The user drop is the draw's first use of its stream, so
+            # replaying it on a fresh copy gives the draw's distances.
+            layout = drop_users(seed_stream(2, trial), scenario.K,
+                                users.cell_side, users.min_dist, geo)
+            W = path_loss(layout.distances, scenario.channel.omega,
                           scenario.channel.nu)
             H = draw.realization.H
             for k in range(scenario.K):
