@@ -10,6 +10,7 @@ from xlmimo import cli, experiments, metrics
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
                            parse_config)
 from xlmimo.errors import ConfigurationError
+from xlmimo.geometry import build_geometry
 from xlmimo.experiments import TRUNCATION_MARKER, run_experiment
 from xlmimo.seeding import seed_stream
 
@@ -26,6 +27,12 @@ class TestDefaults:
         assert cfg.channel.vr_mu_frac == 0.1 and cfg.channel.vr_sigma == 0.1
         assert cfg.power.sigma2_dbm == -50.0
         assert cfg.solver.T == 5
+
+    def test_aperture_resolves_to_99_antennas(self):
+        g = ExperimentConfig().geometry
+        array = build_geometry(g.M, g.carrier_hz, g.spacing_wavelengths)
+        assert array.M == 99 and array.M_s == 33
+        assert array.N == pytest.approx(22.8, abs=0.1)
 
     def test_xi_snr_product(self):
         cfg = ExperimentConfig()
