@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AssemblyError, ConfigurationError, ModelError
 from .geometry import SUBARRAYS
@@ -36,7 +35,8 @@ def build_correlation(M: int, rho: float) -> np.ndarray:
     """Exponential M x M correlation matrix R[i, j] = rho^|i-j| (Hermitian Toeplitz)."""
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
-    return scipy.linalg.toeplitz(rho ** np.arange(M)).astype(float)
+    idx = np.arange(M)
+    return rho ** np.abs(idx[:, None] - idx).astype(float)
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ L = 2 are model constants (`geometry`): M must divide by 3, K by 2.
 """
 
 import dataclasses
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -101,6 +102,24 @@ class ExperimentConfig:
 _SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads `3e9` and `1e-9` as strings; this loader reads a number
+    with an exponent, with or without a dot, as a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _load_yaml(text: str, what: str):
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
+
+
 def _coerce(value, target, path):
     if target in (int, float) and isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected number, got {value!r}")
@@ -150,11 +169,7 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a YAML config document; empty text yields the full default config."""
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"malformed YAML: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(_load_yaml(text, "malformed YAML"))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -175,10 +190,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         section, key = parts
         if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section {section!r}")
-        try:
-            value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"{path}: cannot parse {raw!r}: {exc}") from exc
+        value = _load_yaml(raw, f"{path}: cannot parse {raw!r}")
         _fill_section(getattr(cfg, section), {key: value}, section)
     validate(cfg)
     return cfg

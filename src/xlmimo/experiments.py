@@ -2,7 +2,7 @@
 
 Each scenario writes one UTF-8 CSV with a fixed header and a JSON manifest
 sidecar recording config, seed, code version and the numerical environment
-(library versions, the BLAS builds numpy and scipy link, BLAS thread
+(Python and numpy versions, the BLAS build numpy links, BLAS thread
 variables, CPU count).  (config, seed) determines every output byte except
 the manifest timestamp, timing and environment entries; so does neither the
 worker count nor how trials are batched.
@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 import numpy as np
-import scipy
 
 from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
@@ -122,13 +121,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> str:
     return out_path
 
 
-def _blas_build(lib) -> dict:
-    """Name and version of the BLAS that numpy or scipy was built against.
+def _blas_build() -> dict:
+    """Name and version of the BLAS that numpy was built against.
 
-    numpy and scipy may each bundle their own OpenBLAS, so rounding that
-    both touch is checked per library.
+    Every solve and product rounds in that BLAS (and its LAPACK), so the
+    manifest records it next to numpy's version.
     """
-    deps = lib.show_config(mode="dicts").get("Build Dependencies", {})
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     blas = deps.get("blas", {})
     return {"name": blas.get("name"), "version": blas.get("version")}
 
@@ -143,9 +142,7 @@ def _write_manifest(cfg: ExperimentConfig, out_path: str, elapsed: float) -> Non
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "blas_builds": {"numpy": _blas_build(np),
-                            "scipy": _blas_build(scipy)},
+            "blas_builds": {"numpy": _blas_build()},
             "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "cpu_count": os.cpu_count(),
         },

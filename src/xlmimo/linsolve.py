@@ -10,17 +10,17 @@ same leading dimensions and is one vector per system, (..., n), or several,
 ||P w^(t) - s||_F^2 / ||s||_F^2 per system.  The iterative schemes are step
 generators run by one driver, `_iterate`.
 
-Element-wise steps and stacked matrix products round every system exactly as
-a solve of that system alone.  The reductions whose rounding differs between
-one call per system and one call per stack (the `np.vdot` norms, and the
-LAPACK Cholesky and triangular solves) run system by system.
+Element-wise steps, stacked matrix products and numpy's stacked
+`cholesky`/`inv` (one LAPACK call per system) round every system exactly as
+a solve of that system alone.  The `np.vdot` norms, whose rounding would
+differ between one call per system and one call per stack, run system by
+system.
 """
 
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConfigurationError, NonFiniteError, NotHpdError,
                      SplittingError)
@@ -37,7 +37,7 @@ DEFAULT_OMEGA = 1.0                # JOR relaxation (1 = classical Jacobi)
 
 @dataclass(frozen=True)
 class HpdSystem:
-    """Hermitian positive-definite matrices (..., n, n) with right-hand sides."""
+    """Hermitian positive-definite matrices (..., n, n) with finite right-hand sides."""
 
     P: np.ndarray
     rhs: np.ndarray
@@ -57,6 +57,8 @@ class HpdSystem:
         asym = np.abs(P - herm(P)).max(axis=(-2, -1))
         if not np.all(asym <= HERMITIAN_RTOL * scale):
             raise NotHpdError("P is not Hermitian to machine precision")
+        if not np.isfinite(rhs).all():
+            raise NonFiniteError("right-hand side holds an inf or NaN")
 
     @property
     def n(self) -> int:
@@ -84,17 +86,6 @@ class SolverOutcome:
 def herm(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return np.swapaxes(A.conj(), -1, -2)
-
-
-def _per_system(fn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """fn(A_i, B_i) for each system i of the stacks A (..., n, n), B (..., n, m).
-
-    scipy's LAPACK wrappers take one system per call; looping here keeps each
-    system's rounding that of a call on it alone.
-    """
-    out = [fn(a, b) for a, b in zip(A.reshape(-1, *A.shape[-2:]),
-                                    B.reshape(-1, *B.shape[-2:]))]
-    return np.stack(out).reshape(B.shape)
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
@@ -129,18 +120,19 @@ def _finish(w, is_vec, iterations, errors, converged, iterates):
 
 
 def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
-    """Exact solve via Cholesky P = M M^H; reference oracle for the iterative paths."""
+    """Exact solve via Cholesky P = L L^H; reference oracle for the iterative paths.
+
+    Computes what `flops.flops_direct` charges: the Cholesky factor, the
+    triangular inverse L^{-1}, and w = L^{-H} (L^{-1} s).
+    """
     P = np.asarray(sys.P, dtype=complex)
     s2, is_vec = _prepare(sys)
-
-    def one(p, s):
-        try:
-            factor = scipy.linalg.cho_factor(p, lower=True)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
-        return scipy.linalg.cho_solve(factor, s)
-
-    w = _per_system(one, P, s2)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError as exc:
+        raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
+    Linv = np.linalg.inv(L)
+    w = herm(Linv) @ (Linv @ s2)
     errors = [_ls_error(P, w, s2, _rhs_norms(s2))] if trace else None
     converged = np.ones(P.shape[:-2], dtype=bool) if trace else None
     return _finish(w, is_vec, 0, errors, converged, [])
@@ -189,27 +181,16 @@ def _diag(P) -> np.ndarray:
 
 def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
              trace: bool = True) -> SolverOutcome:
-    """Gauss-Seidel sweeps, realized as forward substitution with (D + Lo).
+    """Gauss-Seidel sweeps w <- (D + Lo)^{-1} (s - Up w), P = Lo + D + Up.
 
-    Each sweep calls LAPACK `trtrs` on the Fortran-ordered view DL^T with
-    trans=1, as scipy's `solve_triangular` does, without its per-call
-    checks: P and s are checked for inf and NaN once, before the sweeps.
+    Computes what `flops.flops_gs` charges: (D + Lo)^{-1} formed once, then
+    one dense matrix product per sweep.
     """
     def steps(P, s, w):
         _check_diag(_diag(P))
-        if not (np.isfinite(P).all() and np.isfinite(s).all()):
-            raise NonFiniteError("Gauss-Seidel input holds an inf or NaN")
-        DL, Up = np.tril(P), np.triu(P, 1)
-        trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (DL, s))
-
-        def sweep(dl, b):
-            x, info = trtrs(dl.T, b, lower=0, trans=1)
-            if info != 0:
-                raise SplittingError(f"LAPACK trtrs failed with info={info}")
-            return x
-
+        DLinv, Up = np.linalg.inv(np.tril(P)), np.triu(P, 1)
         while True:
-            w = _per_system(sweep, DL, s - Up @ w)
+            w = DLinv @ (s - Up @ w)
             yield w
 
     return _iterate(sys, T, keep_iterates, trace, steps)

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy
 
 from xlmimo import cli, experiments, metrics
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
@@ -38,6 +37,13 @@ class TestDefaults:
         cfg = ExperimentConfig()
         assert cfg.power.xi * cfg.power.snr_linear == pytest.approx(1.0)
         assert cfg.power.sigma2_watts == pytest.approx(1e-8)
+
+
+def _config_with(section, key, raw, form):
+    """The default config with one value set from a YAML file or by --set."""
+    if form == "yaml":
+        return parse_config(f"{section}:\n  {key}: {raw}\n")
+    return apply_overrides(ExperimentConfig(), [f"{section}.{key}={raw}"])
 
 
 class TestValidation:
@@ -104,6 +110,30 @@ class TestValidation:
     def test_bool_for_number_rejected(self, item):
         with pytest.raises(ConfigurationError, match="expected number"):
             apply_overrides(ExperimentConfig(), [item])
+
+    # YAML 1.1 reads a number with an exponent but no dot (or no exponent
+    # sign) as a string; float fields take it in a file and in --set alike.
+    @pytest.mark.parametrize("form", ["yaml", "set"])
+    @pytest.mark.parametrize("section, key, raw, value", [
+        ("geometry", "carrier_hz", "3e9", 3e9),
+        ("geometry", "carrier_hz", "1e15", 1e15),
+        ("channel", "vr_mu_frac", "1e-9", 1e-9),
+        ("power", "snr_db", "-2.5E1", -25.0),
+        ("power", "sigma2_dbm", "1.0e1", 10.0)])
+    def test_float_with_exponent_accepted(self, section, key, raw, value, form):
+        cfg = _config_with(section, key, raw, form)
+        assert getattr(getattr(cfg, section), key) == value
+
+    @pytest.mark.parametrize("form", ["yaml", "set"])
+    @pytest.mark.parametrize("section, key, raw", [
+        ("run", "trials", "1e3"),            # a float for an int field
+        ("geometry", "carrier_hz", "3e"),    # no exponent digits
+        ("geometry", "carrier_hz", "e9"),    # no mantissa
+        ("geometry", "carrier_hz", "null"),
+        ("geometry", "carrier_hz", "yes")])
+    def test_bad_number_forms_rejected(self, section, key, raw, form):
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            _config_with(section, key, raw, form)
 
 
 class TestOverrides:
@@ -177,13 +207,12 @@ class TestRunExperiment:
         assert manifest["config"]["run"]["experiment"] == experiment
         assert "version" in manifest and "timestamp" in manifest
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas_builds",
+        assert set(env) == {"python", "numpy", "blas_builds",
                             "blas_threads", "cpu_count"}
         assert env["numpy"] == np.__version__
-        for lib in (np, scipy):
-            blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
-            assert env["blas_builds"][lib.__name__] == {
-                "name": blas["name"], "version": blas["version"]}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas_builds"] == {
+            "numpy": {"name": blas["name"], "version": blas["version"]}}
         assert set(env["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 

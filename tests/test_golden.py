@@ -19,7 +19,7 @@ SMALL = ["geometry.M=9", "users.K=4", "run.trials=5", "run.m_grid=[9, 12]",
 
 GOLDEN = {
     "flops": "861ee8cd45364d93a832e1200a76df8c93c6b9416cb6e8ae013dbd3ca8615b0a",
-    "convergence": "c7a9f12260035067c808e919aff032e43d5f37f90cf3efe4927bb1d04f147aaf",
+    "convergence": "aea629f02c237bda8c7a3d6b03e383f430ec507fd8f83cd3990725f15f37b20b",
     "se_vs_m": "0ac3a8eb5092cbeb0f85753bece4b8c2ef196e46043b0e1beecd9711e4eddad8",
     "ber": "8dddc70441023304c3556fbfad1dff8fa55543323e9d727b4d60ec6741e3af72",
 }
@@ -35,7 +35,7 @@ BENCHMARK_CONFIGS = {
 BENCHMARK_GOLDEN = {
     "se-sweep": "55974e0370028a74a407aeeb07576bee133b3db983a8264a38ef1d57d1bea94f",
     "ber-qpsk": "45fcccfa3521e1006d874c13dcc70ac4a7a4a99442c2d66064c124062855682e",
-    "conv-trace": "61f1b2121f3c00dcbbfe84fef7ea0fb4403055e6a95ac8b812c11b8acf9480dc",
+    "conv-trace": "243f56c820be7db5809d40d1e2077684fd624df1606361940c30a64e3fbfbb54",
 }
 
 

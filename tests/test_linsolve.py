@@ -95,14 +95,6 @@ class TestGaussSeidel:
         with pytest.raises(SplittingError):
             gs_solve(_sys([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), T=1)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_rhs_rejected(self, bad):
-        P = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
-        s = np.ones((2, 2))
-        s[1, 0] = bad
-        with pytest.raises(NonFiniteError):
-            gs_solve(_sys(P, s), T=1)
-
     def test_trace_length_and_t_validation(self):
         out = gs_solve(_sys(np.eye(2), [1.0, 1.0]), T=4)
         assert len(out.residual_trace) == out.iterations + 1
@@ -320,6 +312,15 @@ class TestStacks:
             P[1, 2, 2] = bad
         with pytest.raises(NotHpdError):
             solve(HpdSystem(P=P, rhs=np.ones((3, 3))), method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rhs_rejected(self, method, bad):
+        P = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
+        s = np.ones((2, 2))
+        s[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            solve(_sys(P, s), method, T=1)
 
     @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
     def test_zero_diagonal_system_rejects_the_stack(self, method):

@@ -1,4 +1,5 @@
-"""The program pins BLAS to one thread by itself, and an explicit setting wins.
+"""The program pins BLAS to one thread by itself, and an explicit setting wins;
+it runs on numpy alone.
 
 Each case runs the CLI in a fresh interpreter whose environment carries no
 BLAS thread variable (or only the one the case sets), so the result does not
@@ -22,18 +23,27 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS")
 
 
-def _run_cli(tmp_path, extra_env):
+def _run(tmp_path, extra_env, args):
     env = {k: v for k, v in os.environ.items()
            if k not in BLAS_VARS and not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
     env.update(extra_env)
-    out = tmp_path / "se.csv"
-    args = [sys.executable, "-m", "xlmimo.cli", "se_vs_m", "--out", str(out)]
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cli_args(out):
+    args = ["se_vs_m", "--out", str(out)]
     for item in SMALL:
         args += ["--set", item]
-    proc = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    return args
+
+
+def _run_cli(tmp_path, extra_env):
+    out = tmp_path / "se.csv"
+    _run(tmp_path, extra_env, ["-m", "xlmimo.cli", *_cli_args(out)])
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     return manifest["environment"]["blas_threads"], out.read_bytes()
 
@@ -47,3 +57,15 @@ def test_cli_blas_threads_and_bytes(tmp_path, extra_env, threads):
     assert seen["OPENBLAS_NUM_THREADS"] == threads
     assert seen["OMP_NUM_THREADS"] == seen["MKL_NUM_THREADS"] == "1"
     assert hashlib.sha256(csv).hexdigest() == GOLDEN["se_vs_m"]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # The package needs numpy alone; an import of scipy.linalg would make up
+    # most of every launch's set-up time.
+    script = ("import sys\n"
+              "from xlmimo import cli\n"
+              f"code = cli.main({_cli_args(tmp_path / 'se.csv')!r})\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "raise SystemExit(code)")
+    stdout = _run(tmp_path, {}, ["-c", script])
+    assert stdout.splitlines()[-1] == "[]"
