@@ -3,9 +3,9 @@
 Importing the package pins BLAS to one thread, before numpy loads: the
 simulator solves thousands of 16x16 and 32x32 systems, where BLAS threads
 cost far more in synchronization than they gain.  Parallelism comes from
-trial processes (``run.workers``, se_vs_m only), which inherit the
-setting.  An explicit setting in the environment wins; a caller that
-imports numpy before this package must pin its own BLAS.
+trial processes (``run.workers``, every Monte-Carlo scenario), which
+inherit the setting.  An explicit setting in the environment wins; a caller
+that imports numpy before this package must pin its own BLAS.
 """
 
 import os
@@ -27,8 +27,7 @@ from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
 from .experiments import run_experiment
 from .flops import (FlopModel, flop_model, flops_cg, flops_direct, flops_gs,
                     flops_jacpcg, flops_jor)
-from .geometry import (ArrayGeometry, UserLayout, VisibilityRegion,
-                       build_geometry, drop_users, sample_vr)
+from .geometry import ArrayGeometry, build_geometry, drop_users, sample_vr
 from .linsolve import (HpdSystem, SolverOutcome, cg_solve, direct_solve,
                        gs_solve, jacpcg_solve, jor_solve, solve)
 from .metrics import (BerReport, LinkReport, ber_montecarlo, convergence_trace,

@@ -115,10 +115,6 @@ class ChannelRealization:
     def blocks(self):
         return self.H1, self.Hc, self.H2
 
-    def scaled(self, factor: float) -> "ChannelRealization":
-        return assemble_blocks(self.H1 * factor, self.Hc * factor,
-                               self.H2 * factor)
-
 
 def stack_realizations(realizations) -> ChannelRealization:
     """One realization whose blocks carry a leading axis over `realizations`."""

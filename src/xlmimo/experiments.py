@@ -3,9 +3,11 @@
 Each scenario writes one UTF-8 CSV with a fixed header and a JSON manifest
 sidecar recording config, seed, code version and the numerical environment
 (Python and numpy versions, the BLAS build numpy links, BLAS thread
-variables, CPU count).  (config, seed) determines every output byte except
-the manifest timestamp, timing and environment entries; so does neither the
-worker count nor how trials are batched.
+variables, CPU count).  The Monte-Carlo scenarios run on the batch driver
+`metrics.monte_carlo`, trial t drawn from the stream (SE_VS_M, M, t),
+(BER, SNR-grid index, t) or (CONVERGENCE, t) of the seed.  (config, seed)
+determines every output byte except the manifest's timestamp, timing and
+environment entries, whatever the worker count or batching.
 """
 
 import csv
@@ -13,7 +15,6 @@ import datetime
 import json
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 import numpy as np
@@ -22,9 +23,8 @@ from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigurationError
 from .flops import flop_model
-from .metrics import (ber_montecarlo, convergence_trace, precoding_bytes,
-                      se_trial, sum_se, trial_batches)
-from .scenario import build_scenario
+from .metrics import (ber_montecarlo, convergence_trace, se_montecarlo,
+                      sum_se)
 
 CSV_COLUMNS = {
     "flops": ["method", "K", "T", "init_flops", "per_iter_flops", "total_flops"],
@@ -58,27 +58,11 @@ def rows_convergence(cfg: ExperimentConfig):
             yield [method, t, err, cfg.run.trials]
 
 
-def _se_batch(args):
-    return se_trial(*args)
-
-
-def _map_batches(fn, args_list, workers: int):
-    if workers <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
 def rows_se_vs_m(cfg: ExperimentConfig):
-    trials = cfg.run.trials
-    for M in cfg.run.m_grid:
-        scenario = build_scenario(cfg, M=M)
-        args = [(cfg, scenario, batch)
-                for batch in trial_batches(trials, precoding_bytes(scenario))]
-        results = _map_batches(_se_batch, args, cfg.run.workers)
+    for M, sums in se_montecarlo(cfg):
         for method in cfg.run.methods:
-            mean, sem = sum_se(np.concatenate([r[method] for r in results]))
-            yield [M, method, mean, sem, trials]
+            mean, sem = sum_se(sums[method])
+            yield [M, method, mean, sem, cfg.run.trials]
 
 
 def rows_ber(cfg: ExperimentConfig):

@@ -37,26 +37,6 @@ class ArrayGeometry:
         return self.M // SUBARRAYS
 
 
-@dataclass(frozen=True)
-class UserLayout:
-    """Planar user positions and user-antenna distances (groups: `Scenario`)."""
-
-    K: int
-    positions_2d: np.ndarray  # (K, 2) [m]
-    distances: np.ndarray    # (K, M) Euclidean user-antenna distances [m]
-
-
-@dataclass(frozen=True)
-class VisibilityRegion:
-    """Intervals of the array over which users' channels are nonzero, one
-    per row of the `required` mask, stacked with its leading dimensions (...).
-    """
-
-    center: np.ndarray  # (...) [m]
-    length: np.ndarray  # (...) [m]
-    visible: np.ndarray  # (..., M) boolean mask, diagonal of the indicator matrix
-
-
 def build_geometry(M: int, carrier_hz: float,
                    spacing_wavelengths: float = 2.0) -> ArrayGeometry:
     """Build the ULA with wavelength-derived spacing and a contiguous partition."""
@@ -80,8 +60,9 @@ def build_geometry(M: int, carrier_hz: float,
 
 def drop_users(rng: np.random.Generator, K: int, cell_side: float,
                min_dist: float, geometry: ArrayGeometry,
-               max_retries: int = DEFAULT_MAX_RETRIES) -> UserLayout:
-    """Place K users uniformly in the cell, at least min_dist from every antenna.
+               max_retries: int = DEFAULT_MAX_RETRIES) -> np.ndarray:
+    """Place K users uniformly in the cell, at least min_dist from every
+    antenna; returns the (K, M) user-antenna distances [m].
 
     Rejection sampling over all users at once: each round draws one candidate
     (uniform((n, 2))) for each of the n users still unplaced, and a user keeps
@@ -97,7 +78,6 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
         raise ConfigurationError(
             f"min_dist={min_dist} m exceeds the cell diagonal {diagonal:.3f} m")
 
-    positions = np.empty((K, 2))
     distances = np.empty((K, geometry.M))
     ax = geometry.positions
     pending = np.arange(K)
@@ -105,11 +85,10 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
         p = rng.uniform(0.0, cell_side, size=(pending.size, 2))
         d = np.hypot(p[:, :1] - ax, p[:, 1:])
         ok = d.min(axis=1) >= min_dist
-        positions[pending[ok]] = p[ok]
         distances[pending[ok]] = d[ok]
         pending = pending[~ok]
         if not pending.size:
-            return UserLayout(K=K, positions_2d=positions, distances=distances)
+            return distances
     raise GeometryInfeasibleError(
         f"could not place user {pending[0]} at min_dist={min_dist} m "
         f"after {max_retries} attempts")
@@ -118,8 +97,9 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
               mu_l: float, sigma_l: float,
               required: np.ndarray,
-              max_retries: int = DEFAULT_MAX_RETRIES) -> VisibilityRegion:
-    """Sample visibility regions: center uniform on [0, N], log-normal length.
+              max_retries: int = DEFAULT_MAX_RETRIES) -> np.ndarray:
+    """Sample visibility regions, center uniform on [0, N] and log-normal
+    length; returns the (..., M) boolean masks of the antennas each covers.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
     log(mu_l) - sigma_l^2 / 2.  `required` (..., M) asks for one region per
@@ -143,7 +123,6 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
     if not needed.any(axis=-1).all():
         raise ConfigurationError("required mask excludes every antenna")
     rows = needed.reshape(-1, geometry.M)
-    center, length = np.empty(len(rows)), np.empty(len(rows))
     visible = np.empty(rows.shape, dtype=bool)
     pending = np.arange(len(rows))
     for _ in range(max_retries):
@@ -155,14 +134,10 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
         # An all-invisible draw would zero the user's effective channel row;
         # resample until the region reaches an antenna that can serve them.
         ok = (vis & rows[pending]).any(axis=1)
-        done = pending[ok]
-        center[done], length[done], visible[done] = c[ok], ln[ok], vis[ok]
+        visible[pending[ok]] = vis[ok]
         pending = pending[~ok]
         if not pending.size:
-            shape = needed.shape[:-1]
-            return VisibilityRegion(center=center.reshape(shape),
-                                    length=length.reshape(shape),
-                                    visible=visible.reshape(needed.shape))
+            return visible.reshape(needed.shape)
     raise GeometryInfeasibleError(
         f"no visible antenna for user {pending[0]} (row of `required`) "
         f"after {max_retries} VR draws")

@@ -4,12 +4,16 @@ The SINR of user k in group i combines the own-subarray and central-subarray
 signal terms, intra-group interference through both, cross-group interference
 through the central subarray only, and the noise floor.
 
-The Monte-Carlo pipelines draw each trial from its own stream, one at a
-time, then stack a batch of trials and make one precoder, solver and SINR
-call per batch.  A batch holds as many trials as `BATCH_BYTES` holds of
-their working set, so memory stays bounded as M and K grow.
+The three Monte-Carlo pipelines run on one batch driver, `monte_carlo`.
+Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
+(SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A pipeline's kernel
+gets a stacked batch of draws and makes one precoder, solver and SINR call
+per batch.  A batch holds what `BATCH_BYTES` holds of the trials' working
+set, so memory stays bounded as M and K grow.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +50,41 @@ def precoding_bytes(scenario) -> int:
     solver arrays."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
+
+
+def monte_carlo(cfg, kernel, points, trials: int):
+    """Yield, per grid point in order, `kernel`'s outputs on trials
+    0..trials-1 of the point, concatenated in trial order.
+
+    A point is (scenario, key, arg, trial_bytes); its trials split into
+    `trial_batches(trials, trial_bytes)`.  Per batch, `kernel(cfg, real,
+    rngs, arg)` gets the stacked draws and each trial's stream, past its
+    draw, and returns a dict of arrays over the batch.  Batches run serially
+    or on one pool of at most `run.workers` processes, with the same bytes.
+    The pool pickles the kernel by name: a module-level function that no
+    tracer swaps."""
+    per_point = [trial_batches(trials, trial_bytes)
+                 for *_, trial_bytes in points]
+    jobs = [(kernel, cfg, scenario, key, batch, arg)
+            for (scenario, key, arg, _), batches in zip(points, per_point)
+            for batch in batches]
+    workers = min(cfg.run.workers, len(jobs))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        outputs = (pool.map if pool else map)(_run_batch, jobs)
+        for batches in per_point:
+            outs = [next(outputs) for _ in batches]
+            yield {name: np.concatenate([o[name] for o in outs])
+                   for name in outs[0]}
+
+
+def _run_batch(job):
+    """Draw one batch of trials and apply the kernel to it."""
+    kernel, cfg, scenario, key, trials, arg = job
+    rngs = [seed_stream(cfg.run.seed, *key, t) for t in trials]
+    real = stack_realizations(draw_trial(scenario, rng).realization
+                              for rng in rngs)
+    return kernel(cfg, real, rngs, arg)
 
 
 @dataclass(frozen=True)
@@ -117,52 +156,50 @@ def ber_montecarlo(cfg) -> BerReport:
     scaling by the effective gain at the receiver, hard detection.  Bits,
     channels, and noise are shared across methods so comparisons are paired.
     """
-    methods, seed = cfg.run.methods, cfg.run.seed
     grid = np.asarray(cfg.run.snr_grid_db, dtype=float)
     if grid.size == 0:
         raise ConfigurationError("SNR grid must be non-empty")
     bits_min = cfg.run.bits_per_point
     if bits_min < 1:
         raise ConfigurationError("bits per point must be >= 1")
-    nsym = cfg.run.symbols_per_channel
     scenario = build_scenario(cfg)
-    sigma2 = cfg.power.sigma2_watts
-    K = scenario.K
-    sol = cfg.solver
-    bits_per_draw = 2 * K * nsym
+    bits_per_draw = 2 * scenario.K * cfg.run.symbols_per_channel
     draws = -(-bits_min // bits_per_draw)  # ceil: at least bits_min bits
-    batches = trial_batches(draws, precoding_bytes(scenario))
-
-    errors = {m: np.zeros(grid.size, dtype=np.int64) for m in methods}
-    for ig, snr_db in enumerate(grid):
-        snr = 10.0 ** (snr_db / 10.0)
-        xi = 1.0 / snr
-        power = sigma2 * snr
-        for batch in batches:
-            rngs = [seed_stream(seed, BER, ig, trial) for trial in batch]
-            real = stack_realizations(draw_trial(scenario, rng).realization
-                                      for rng in rngs)
-            couplings = {m: coupling_matrix(real, build_precoder(
-                real, xi, power, m, sol.T, sol.omega))
-                for m in methods}
-            # Each trial's bits and noise follow its channel on its own stream.
-            for i, rng in enumerate(rngs):
-                bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
-                symbols = qpsk_modulate(bits)
-                noise = np.sqrt(sigma2 / 2.0) * (
-                    rng.standard_normal((K, nsym))
-                    + 1j * rng.standard_normal((K, nsym)))
-                for m in methods:
-                    B = couplings[m][i]
-                    gain = np.diag(B).copy()
-                    gain[gain == 0] = 1.0  # dead user: decisions become coin flips
-                    Y = B @ symbols + noise
-                    detected = qpsk_detect(Y / gain[:, None])
-                    errors[m][ig] += int(np.count_nonzero(detected != bits))
+    points = [(scenario, (BER, ig), snr_db, precoding_bytes(scenario))
+              for ig, snr_db in enumerate(grid)]
+    counts = list(monte_carlo(cfg, _ber_kernel, points, draws))
+    errors = {m: np.array([c[m].sum() for c in counts], dtype=np.int64)
+              for m in cfg.run.methods}
     bits_simulated = draws * bits_per_draw
-    ber = {m: errors[m] / float(bits_simulated) for m in methods}
+    ber = {m: errors[m] / float(bits_simulated) for m in cfg.run.methods}
     return BerReport(snr_grid_db=grid, ber=ber, bit_errors=errors,
                      bits_simulated=bits_simulated)
+
+
+def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
+    """Bit errors of each trial of the batch, per method, at `snr_db`."""
+    snr = 10.0 ** (snr_db / 10.0)
+    sigma2, sol = cfg.power.sigma2_watts, cfg.solver
+    K, nsym = real.K, cfg.run.symbols_per_channel
+    couplings = {m: coupling_matrix(real, build_precoder(
+        real, 1.0 / snr, sigma2 * snr, m, sol.T, sol.omega))
+        for m in cfg.run.methods}
+    errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
+    # Bits and noise follow each trial's channel on its stream, trial by
+    # trial: stacked over the batch, the chain adds memory and saves no time.
+    for i, rng in enumerate(rngs):
+        bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
+        symbols = qpsk_modulate(bits)
+        noise = np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal((K, nsym))
+            + 1j * rng.standard_normal((K, nsym)))
+        for m, B in couplings.items():
+            gain = np.diag(B[i]).copy()
+            gain[gain == 0] = 1.0  # dead user: decisions become coin flips
+            Y = B[i] @ symbols + noise
+            detected = qpsk_detect(Y / gain[:, None])
+            errors[m][i] = np.count_nonzero(detected != bits)
+    return errors
 
 
 def convergence_trace(cfg) -> dict:
@@ -175,52 +212,58 @@ def convergence_trace(cfg) -> dict:
     methods = [m for m in cfg.run.methods if m != "direct"]
     if not methods:
         raise ConfigurationError("convergence trace needs at least one iterative method")
-    T_max, trials, seed = cfg.run.t_max, cfg.run.trials, cfg.run.seed
-    if T_max < 1:
-        raise ConfigurationError(f"T_max must be >= 1, got {T_max}")
+    if cfg.run.t_max < 1:
+        raise ConfigurationError(f"T_max must be >= 1, got {cfg.run.t_max}")
     scenario = build_scenario(cfg)
-    xi = cfg.power.xi
     K = scenario.K
     # One trial's working set: its central block and a copy of it in the
     # Gram product, P and about five K x K temporaries of P's checks.
     trial_bytes = 16 * (2 * scenario.geometry.M_s * K + 6 * K * K)
-
-    traces = {m: np.empty((trials, T_max + 1)) for m in methods}
-    for batch in trial_batches(trials, trial_bytes):
-        Hc, bits = [], []
-        for trial in batch:
-            rng = seed_stream(seed, CONVERGENCE, trial)
-            Hc.append(draw_trial(scenario, rng).realization.Hc)
-            bits.append(rng.integers(0, 2, size=(K, 2), dtype=np.int8))
-        sys = HpdSystem(P=gram_regularized(np.stack(Hc), xi),
-                        rhs=qpsk_modulate(np.stack(bits)))
-        for m in methods:
-            out = solve(sys, m, T_max, cfg.solver.omega)
-            # Krylov methods stop once every residual has vanished; hold
-            # the final error so every trace spans t = 0..T_max.
-            tr = out.residual_trace
-            rows = traces[m][batch.start:batch.stop]
-            rows[:, :tr.shape[-1]] = tr
-            rows[:, tr.shape[-1]:] = tr[:, -1:]
+    point = (scenario, (CONVERGENCE,), methods, trial_bytes)
+    traces, = monte_carlo(cfg, _ls_error_kernel, [point], cfg.run.trials)
     return {m: np.median(traces[m], axis=0) for m in methods}
+
+
+def _ls_error_kernel(cfg, real, rngs, methods) -> dict:
+    """Per method, the (trials, t_max + 1) LS-error traces of the batch."""
+    T_max = cfg.run.t_max
+    bits = np.stack([rng.integers(0, 2, size=(real.K, 2), dtype=np.int8)
+                     for rng in rngs])
+    sys = HpdSystem(P=gram_regularized(real.Hc, cfg.power.xi),
+                    rhs=qpsk_modulate(bits))
+    traces = {}
+    for m in methods:
+        tr = solve(sys, m, T_max, cfg.solver.omega).residual_trace
+        # Krylov methods stop once every residual has vanished; hold the
+        # final error so every trace spans t = 0..T_max.
+        traces[m] = np.pad(tr, ((0, 0), (0, T_max + 1 - tr.shape[-1])),
+                           mode="edge")
+    return traces
+
+
+def se_montecarlo(cfg):
+    """Per M of `run.m_grid`, in order: (M, {method: sum SE of each of the
+    `run.trials` trials}) for every method of `run.methods`."""
+    scenarios = [build_scenario(cfg, M=M) for M in cfg.run.m_grid]
+    points = [(s, (SE_VS_M, s.geometry.M), None, precoding_bytes(s))
+              for s in scenarios]
+    return zip(cfg.run.m_grid, monte_carlo(cfg, _sum_se_kernel, points,
+                                           cfg.run.trials))
 
 
 def se_trial(cfg, scenario, trials) -> dict:
     """Sum SE of every method of `run.methods` on paired draws (the same
-    channels for all), as an array over the sequence `trials` per method.
+    channels for all), as an array over the sequence `trials` per method;
+    the trials run as one batch of the se_vs_m pipeline."""
+    return _run_batch((_sum_se_kernel, cfg, scenario,
+                       (SE_VS_M, scenario.geometry.M), trials, None))
 
-    The trials run as one stack; trial t draws from the stream
-    (SE_VS_M, M, t) of `run.seed`.
-    """
-    M = scenario.geometry.M
-    real = stack_realizations(
-        draw_trial(scenario, seed_stream(cfg.run.seed, SE_VS_M, M, t)).realization
-        for t in trials)
-    xi = cfg.power.xi
-    power = cfg.power.tx_power_watts
-    sigma2 = cfg.power.sigma2_watts
+
+def _sum_se_kernel(cfg, real, rngs, arg) -> dict:
+    """Per method, the sum SE of each trial of the batch."""
+    xi, power = cfg.power.xi, cfg.power.tx_power_watts
     sol = cfg.solver
     return {m: sinr_eq9(real, build_precoder(real, xi, power, m, sol.T,
                                              sol.omega),
-                        sigma2).sum_se
+                        cfg.power.sigma2_watts).sum_se
             for m in cfg.run.methods}

@@ -69,11 +69,11 @@ GAIN_EXPONENT = 2.0
 def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
     geo, users, ch = scenario.geometry, scenario.users, scenario.channel
     K, M, Ms = users.K, geo.M, geo.M_s
-    layout = drop_users(rng, K, users.cell_side, users.min_dist, geo)
+    distances = drop_users(rng, K, users.cell_side, users.min_dist, geo)
     # Each user's VR must reach at least one antenna serving its group.
     masks = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
-                      required=scenario.serving).visible
-    W = path_loss(layout.distances, ch.omega, ch.nu)
+                      required=scenario.serving)
+    W = path_loss(distances, ch.omega, ch.nu)
 
     # White CN(0, I) fading z per user and subarray, coloured as z @ R_s^{1/2}.T;
     # R_s^{1/2} is real, so one real product colours both parts of z.
@@ -84,5 +84,7 @@ def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
     if ch.normalize_gain:
         target = K * (M / GAIN_REF_M) ** GAIN_EXPONENT
         fro2 = sum(float(np.vdot(B, B).real) for B in realization.blocks())
-        realization = realization.scaled(float(np.sqrt(target / fro2)))
+        scale = float(np.sqrt(target / fro2))
+        for B in realization.blocks():
+            B *= scale
     return TrialDraw(vr_masks=masks, realization=realization)

@@ -6,9 +6,9 @@ The channel law itself is tested on the live sampler in test_scenario.py.
 import numpy as np
 import pytest
 
-from xlmimo.channel import (ChannelRealization, assemble_blocks,
-                            assemble_from_user_channels, build_correlation,
-                            path_loss, psd_sqrt, stack_realizations)
+from xlmimo.channel import (assemble_blocks, assemble_from_user_channels,
+                            build_correlation, path_loss, psd_sqrt,
+                            stack_realizations)
 from xlmimo.errors import AssemblyError, ConfigurationError, ModelError
 from xlmimo.seeding import seed_stream
 
@@ -96,12 +96,6 @@ class TestBlockAssembly:
                                np.zeros((33, 16)))
         assert real.H.shape == (99, 32)
         assert (real.K1, real.K2, real.K) == (16, 16, 32)
-
-    def test_scaled(self):
-        real = assemble_blocks(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 1)))
-        doubled = real.scaled(2.0)
-        np.testing.assert_array_equal(doubled.H, 2.0 * real.H)
-        assert isinstance(doubled, ChannelRealization)
 
     def test_stack_of_realizations(self):
         rng = np.random.default_rng(1)

@@ -11,8 +11,7 @@ import pytest
 
 from helpers import small_config
 from test_golden import GOLDEN, SMALL
-from xlmimo import (channel, experiments, geometry, linsolve, metrics,
-                    precoder, scenario)
+from xlmimo import channel, geometry, linsolve, metrics, precoder, scenario
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.experiments import run_experiment
 from xlmimo.scenario import build_scenario
@@ -54,7 +53,7 @@ def _count_calls(monkeypatch, counts, name, original):
 def test_se_vs_m_builds_one_scenario_per_m(tmp_path, monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, "build_scenario",
-                 experiments.build_scenario)
+                 scenario.build_scenario)
     run_experiment(_small("se_vs_m"), str(tmp_path / "se.csv"))
     assert counts["build_scenario"] == len(M_GRID)
 
@@ -135,11 +134,61 @@ def test_bytes_do_not_depend_on_batching(tmp_path, monkeypatch, experiment,
     assert max(sizes) == min(per_batch, 5 if experiment != "ber" else 4)
 
 
-def test_workers_split_batches_and_keep_bytes(tmp_path, monkeypatch):
-    # Three batches per M point, mapped one per task onto two workers.
+PIPELINES = ["se_vs_m", "ber", "convergence"]
+# Batch sizes at two trials per batch: 5 trials per M point, 4 BER draws per
+# SNR point, both grids of two points, and 5 convergence trials.
+TWO_PER_BATCH = {"se_vs_m": [1, 2, 2] * 2, "ber": [2, 2] * 2,
+                 "convergence": [1, 2, 2]}
+
+
+@pytest.mark.parametrize("experiment", PIPELINES)
+def test_workers_split_batches_and_keep_bytes(tmp_path, monkeypatch,
+                                              experiment):
+    # Every batch of the run is one task of one pool of two workers.
     sizes = _fix_batch_size(monkeypatch, 2)
-    assert _golden_sha256(tmp_path, "se_vs_m", "run.workers=2") == GOLDEN["se_vs_m"]
-    assert sizes == [1, 2, 2] * 2
+    assert (_golden_sha256(tmp_path, experiment, "run.workers=2")
+            == GOLDEN[experiment])
+    assert sizes == TWO_PER_BATCH[experiment]
+
+
+@pytest.mark.parametrize("experiment", PIPELINES)
+def test_one_pool_no_larger_than_the_batch_count(tmp_path, monkeypatch,
+                                                 experiment):
+    # A pool starts all its workers on the first task, however few tasks
+    # there are: its size must be capped by the run's batch count.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", SerialPool)
+    sizes = _fix_batch_size(monkeypatch, 2)
+    assert (_golden_sha256(tmp_path, experiment, "run.workers=64")
+            == GOLDEN[experiment])
+    assert pools == [len(sizes)]
+
+
+@pytest.mark.parametrize("experiment", PIPELINES)
+def test_workers_run_with_traced_names_swapped(tmp_path, monkeypatch,
+                                               experiment):
+    # The tracer swaps public functions for closures, which cannot be
+    # pickled; the pool must be sent only module-level kernels.
+    counts = Counter()
+    _count_calls(monkeypatch, counts, "se_trial", metrics.se_trial)
+    _count_calls(monkeypatch, counts, "draw", scenario.draw_trial)
+    _fix_batch_size(monkeypatch, 2)
+    assert (_golden_sha256(tmp_path, experiment, "run.workers=2")
+            == GOLDEN[experiment])
 
 
 def _stream_starts(monkeypatch):

@@ -49,22 +49,49 @@ class TestBuildGeometry:
             build_geometry(**kwargs)
 
 
+def _positions(geo, distances):
+    """(K, 2) user positions recovered from the distances to the first and
+    the last antenna, both on the x axis."""
+    a = geo.positions[-1]
+    d0, d1 = distances[:, 0], distances[:, -1]
+    x = (d0 ** 2 - d1 ** 2 + a ** 2) / (2.0 * a)
+    return np.stack([x, np.sqrt(np.maximum(d0 ** 2 - x ** 2, 0.0))], axis=1)
+
+
+def _interval_masks(geo, center, length):
+    """The antennas within each region [center -+ length / 2], clipped to
+    the array."""
+    lo = np.maximum(0.0, center - length / 2.0)[..., None]
+    hi = np.minimum(geo.N, center + length / 2.0)[..., None]
+    return (geo.positions >= lo) & (geo.positions <= hi)
+
+
+def _is_interval(masks):
+    """Whether each mask covers one nonempty run of adjacent antennas."""
+    M = masks.shape[-1]
+    first = masks.argmax(axis=-1)
+    last = M - 1 - masks[..., ::-1].argmax(axis=-1)
+    return masks.any(axis=-1) & (last - first + 1 == masks.sum(axis=-1))
+
+
 class TestDropUsers:
     def setup_method(self):
         self.geo = build_geometry(99, 2.6e9, 2.0)
 
     def test_min_distance_respected(self):
-        layout = drop_users(seed_stream(1, 0), 8, 100.0, 30.0, self.geo)
-        assert layout.distances.min() >= 30.0
-        # distances recompute from positions
-        d = np.hypot(layout.positions_2d[:, 0][:, None] - self.geo.positions,
-                     layout.positions_2d[:, 1][:, None])
-        np.testing.assert_allclose(layout.distances, d, rtol=1e-12)
+        distances = drop_users(seed_stream(1, 0), 8, 100.0, 30.0, self.geo)
+        assert distances.shape == (8, self.geo.M)
+        assert distances.min() >= 30.0
+        # Each row is the distances of one point of the cell to every antenna.
+        p = _positions(self.geo, distances)
+        assert ((p >= 0.0) & (p <= 100.0)).all()
+        d = np.hypot(p[:, :1] - self.geo.positions, p[:, 1:])
+        np.testing.assert_allclose(distances, d, rtol=1e-9)
 
     def test_same_seed_identical(self):
         a = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
         b = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
-        np.testing.assert_array_equal(a.positions_2d, b.positions_2d)
+        np.testing.assert_array_equal(a, b)
 
     def test_infeasible_cell_raises(self):
         # every point of a 10 m cell is within 12 m of some antenna
@@ -91,31 +118,42 @@ class TestSampleVr:
 
     def test_full_length_region_covers_array(self):
         # length ~ 10N with tiny spread: every antenna visible
-        vr = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
-                       sigma_l=0.01, required=self._any(1))
-        assert vr.visible.all()
+        masks = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
+                          sigma_l=0.01, required=self._any(1))
+        assert masks.all()
+
+    def _replayed_lengths(self, seed, n, mu_l):
+        """Sample n regions and check them against a replay of their stream;
+        returns the replayed lengths.
+
+        Regions about ten spacings long always reach an antenna, so every
+        row keeps its first draw: uniform centers, then log-normal lengths
+        with log-mean log(mu_l) - sigma^2 / 2."""
+        sigma_l = 0.1
+        masks = sample_vr(seed_stream(seed, 0), self.geo, mu_l, sigma_l,
+                          required=self._any(n))
+        rng = seed_stream(seed, 0)
+        center = rng.uniform(0.0, self.geo.N, size=n)
+        length = rng.lognormal(np.log(mu_l) - 0.5 * sigma_l ** 2, sigma_l,
+                               size=n)
+        np.testing.assert_array_equal(
+            masks, _interval_masks(self.geo, center, length))
+        assert _is_interval(masks).all()
+        return length
 
     def test_mask_matches_bruteforce_interval(self):
-        vr = sample_vr(seed_stream(3, 0), self.geo, mu_l=0.1 * self.geo.N,
-                       sigma_l=0.1, required=self._any(200))
-        for center, length, visible in zip(vr.center, vr.length, vr.visible):
-            lo = max(0.0, center - length / 2.0)
-            hi = min(self.geo.N, center + length / 2.0)
-            expected = (self.geo.positions >= lo) & (self.geo.positions <= hi)
-            np.testing.assert_array_equal(visible, expected)
-            assert visible.any()
+        self._replayed_lengths(3, 200, 0.1 * self.geo.N)
 
     def test_linear_mean_interpretation(self):
         mu = 0.1 * self.geo.N
-        lengths = sample_vr(seed_stream(5, 0), self.geo, mu, 0.1,
-                            required=self._any(5000)).length
+        lengths = self._replayed_lengths(5, 5000, mu)
         assert np.mean(lengths) == pytest.approx(mu, rel=0.05)
 
     def test_required_mask_honored(self):
         required = np.tile(self.geo.subarray_of == 2, (100, 1))
-        vr = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0, sigma_l=0.3,
-                       required=required)
-        assert (vr.visible & required).any(axis=-1).all()
+        masks = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0, sigma_l=0.3,
+                          required=required)
+        assert (masks & required).any(axis=-1).all()
 
     def test_empty_required_mask_rejected(self):
         required = self._any(2)
@@ -126,9 +164,7 @@ class TestSampleVr:
     def test_same_seed_identical(self):
         a = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
         b = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
-        np.testing.assert_array_equal(a.center, b.center)
-        np.testing.assert_array_equal(a.length, b.length)
-        np.testing.assert_array_equal(a.visible, b.visible)
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -143,8 +179,7 @@ def _first_accepted_vr(rng, geo, mu_l, sigma_l, required, block=256):
     while True:
         c = rng.uniform(0.0, geo.N, size=block)
         ln = rng.lognormal(mu, sigma_l, size=block)
-        lo, hi = np.maximum(0.0, c - ln / 2), np.minimum(geo.N, c + ln / 2)
-        vis = (geo.positions >= lo[:, None]) & (geo.positions <= hi[:, None])
+        vis = _interval_masks(geo, c, ln)
         ok = np.flatnonzero((vis & required).any(axis=1))
         if ok.size:
             return c[ok[0]], ln[ok[0]]
@@ -169,21 +204,26 @@ class TestVectorizedSampling:
         required = np.zeros(self.geo.M, dtype=bool)
         required[-3:] = True
         n, mu_l = 3000, 0.1 * self.geo.N
-        vr = sample_vr(seed_stream(21, 0), self.geo, mu_l, 0.5,
-                       required=np.tile(required, (n, 1)))
+        masks = sample_vr(seed_stream(21, 0), self.geo, mu_l, 0.5,
+                          required=np.tile(required, (n, 1)))
         rng = seed_stream(22, 0)
         ref = np.array([_first_accepted_vr(rng, self.geo, mu_l, 0.5, required)
                         for _ in range(n)])
-        assert vr.length.shape == vr.center.shape == (n,)
-        assert np.mean(vr.length) > 1.1 * mu_l  # long regions are favoured
-        assert _within_4se(vr.length, ref[:, 1])
-        assert _within_4se(vr.center, ref[:, 0])
+        ref_masks = _interval_masks(self.geo, ref[:, 0], ref[:, 1])
+        assert masks.shape == (n, self.geo.M)
+        # Per-antenna coverage and covered count follow the first-accepted
+        # law, which favours long regions; redrawing only the center would
+        # cover about 8 antennas against 9.4.
+        for j in range(self.geo.M):
+            assert _within_4se(masks[:, j], ref_masks[:, j]), j
+        assert _within_4se(masks.sum(axis=1), ref_masks.sum(axis=1))
 
     def test_drop_law_matches_scalar_first_accepted(self):
         # min_dist rejects about half of the cell's points.
         cell, min_dist, K = 100.0, 60.0, 2000
-        layout = drop_users(seed_stream(23, 0), K, cell, min_dist, self.geo)
-        assert layout.distances.min() >= min_dist
+        distances = drop_users(seed_stream(23, 0), K, cell, min_dist, self.geo)
+        assert distances.min() >= min_dist
+        positions = _positions(self.geo, distances)
         rng, ref = seed_stream(24, 0), []
         while len(ref) < K:
             p = rng.uniform(0.0, cell, size=2)
@@ -191,20 +231,16 @@ class TestVectorizedSampling:
                 ref.append(p)
         ref = np.array(ref)
         for axis in (0, 1):
-            assert _within_4se(layout.positions_2d[:, axis], ref[:, axis])
+            assert _within_4se(positions[:, axis], ref[:, axis])
 
     def test_required_honoured_for_each_row(self):
         # Each row asks for one subarray only; a short region must reach it.
         rows = np.stack([self.geo.subarray_of == s for s in (0, 1, 2)] * 20)
-        vr = sample_vr(seed_stream(25, 0), self.geo, 0.05 * self.geo.N, 0.3,
-                       required=rows.reshape(3, 20, self.geo.M))
-        assert vr.visible.shape == (3, 20, self.geo.M)
-        assert vr.center.shape == vr.length.shape == (3, 20)
-        assert (vr.visible & rows.reshape(3, 20, -1)).any(axis=-1).all()
-        lo = np.maximum(0.0, vr.center - vr.length / 2)[..., None]
-        hi = np.minimum(self.geo.N, vr.center + vr.length / 2)[..., None]
-        pos = self.geo.positions
-        np.testing.assert_array_equal(vr.visible, (pos >= lo) & (pos <= hi))
+        masks = sample_vr(seed_stream(25, 0), self.geo, 0.05 * self.geo.N,
+                          0.3, required=rows.reshape(3, 20, self.geo.M))
+        assert masks.shape == (3, 20, self.geo.M)
+        assert (masks & rows.reshape(3, 20, -1)).any(axis=-1).all()
+        assert _is_interval(masks).all()
 
     def test_vr_retries_exhausted_names_the_user(self):
         # Regions about one antenna spacing long: a row that may use any

@@ -64,7 +64,10 @@ def test_benchmark_config_sha256(tmp_path, workload):
     assert hashlib.sha256(csv).hexdigest() == BENCHMARK_GOLDEN[workload]
 
 
-def test_workers_give_identical_bytes(tmp_path):
-    serial = _csv_bytes(tmp_path / "serial.csv", "se_vs_m", "run.workers=1")
-    pooled = _csv_bytes(tmp_path / "pooled.csv", "se_vs_m", "run.workers=2")
-    assert serial == pooled
+@pytest.mark.parametrize("experiment", ["se_vs_m", "ber", "convergence"])
+def test_workers_give_identical_bytes(tmp_path, experiment):
+    serial = _csv_bytes(tmp_path / "serial.csv", experiment, "run.workers=1")
+    for workers in (2, 3):
+        pooled = _csv_bytes(tmp_path / "pooled.csv", experiment,
+                            f"run.workers={workers}")
+        assert serial == pooled, workers

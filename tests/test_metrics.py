@@ -155,7 +155,8 @@ class TestBer:
             return qpsk_detect(Y / gain[:, None])
 
         base = decisions(real, sigma2, xi)
-        scaled = decisions(real.scaled(c), sigma2 * c ** 2, xi * c ** 2)
+        scaled = decisions(assemble_blocks(*(B * c for B in real.blocks())),
+                           sigma2 * c ** 2, xi * c ** 2)
         np.testing.assert_array_equal(base, scaled)
 
 

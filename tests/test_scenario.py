@@ -128,9 +128,9 @@ class TestDrawTrial:
             draw = draw_trial(scenario, seed_stream(2, trial))
             # The user drop is the draw's first use of its stream, so
             # replaying it on a fresh copy gives the draw's distances.
-            layout = drop_users(seed_stream(2, trial), scenario.K,
-                                users.cell_side, users.min_dist, geo)
-            W = path_loss(layout.distances, scenario.channel.omega,
+            distances = drop_users(seed_stream(2, trial), scenario.K,
+                                   users.cell_side, users.min_dist, geo)
+            W = path_loss(distances, scenario.channel.omega,
                           scenario.channel.nu)
             H = draw.realization.H
             for k in range(scenario.K):
