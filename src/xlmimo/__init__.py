@@ -17,16 +17,14 @@ for _var in BLAS_THREAD_VARS:
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, assemble_blocks, build_correlation,
-                      path_loss)
+from .channel import ChannelRealization, build_correlation, path_loss
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_config)
 from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
                      GeometryInfeasibleError, ModelError, NotHpdError,
                      SplittingError, XlMimoError)
 from .experiments import run_experiment
-from .flops import (FlopModel, flop_model, flops_cg, flops_direct, flops_gs,
-                    flops_jacpcg, flops_jor)
+from .flops import FlopModel, flop_model, flops_direct, flops_jacpcg
 from .geometry import ArrayGeometry, build_geometry, drop_users, sample_vr
 from .linsolve import (HpdSystem, SolverOutcome, cg_solve, direct_solve,
                        gs_solve, jacpcg_solve, jor_solve, solve)

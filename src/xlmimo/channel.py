@@ -27,7 +27,7 @@ def path_loss(d, omega: float, nu: float) -> np.ndarray:
         raise ConfigurationError(f"nu must be nonnegative, got {nu}")
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
-        raise ValueError("all distances must be positive")
+        raise ConfigurationError("all distances must be positive")
     return omega * d ** (-nu)
 
 
@@ -105,10 +105,6 @@ class ChannelRealization:
         return self.H1.shape[-1]
 
     @property
-    def K2(self) -> int:
-        return self.H2.shape[-1]
-
-    @property
     def K(self) -> int:
         return self.Hc.shape[-1]
 
@@ -122,14 +118,6 @@ def stack_realizations(realizations) -> ChannelRealization:
                                 zip(*(r.blocks() for r in realizations))))
 
 
-def assemble_blocks(H1: np.ndarray, Hc: np.ndarray,
-                    H2: np.ndarray) -> ChannelRealization:
-    """Realization from its three blocks; the stacked matrix is `.H`."""
-    return ChannelRealization(H1=np.asarray(H1, dtype=complex),
-                              Hc=np.asarray(Hc, dtype=complex),
-                              H2=np.asarray(H2, dtype=complex))
-
-
 def assemble_from_user_channels(h_users: np.ndarray,
                                 K1: int) -> ChannelRealization:
     """Assemble (K, M) per-user full-array channel rows into the block layout.
@@ -139,5 +127,5 @@ def assemble_from_user_channels(h_users: np.ndarray,
     leaves the exact zero blocks.
     """
     Ms = h_users.shape[1] // SUBARRAYS
-    return assemble_blocks(h_users[:K1, :Ms].T, h_users[:, Ms:2 * Ms].T,
-                           h_users[K1:, 2 * Ms:].T)
+    return ChannelRealization(h_users[:K1, :Ms].T, h_users[:, Ms:2 * Ms].T,
+                              h_users[K1:, 2 * Ms:].T)

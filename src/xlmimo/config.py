@@ -199,9 +199,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 def validate(cfg: ExperimentConfig) -> None:
     g, u, ch, p, s, r = (cfg.geometry, cfg.users, cfg.channel, cfg.power,
                          cfg.solver, cfg.run)
-    if g.M <= 0 or g.M % SUBARRAYS != 0:
-        raise ConfigurationError(
-            f"geometry.M={g.M} must be a positive multiple of S={SUBARRAYS}")
     if g.carrier_hz <= 0 or g.spacing_wavelengths <= 0:
         raise ConfigurationError("geometry.carrier_hz and spacing must be positive")
     if u.K <= 0 or u.K % GROUPS != 0:
@@ -243,10 +240,14 @@ def validate(cfg: ExperimentConfig) -> None:
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")
-    for M in r.m_grid:
+    if r.experiment == "convergence" and set(r.methods) == {"direct"}:
+        raise ConfigurationError("run.experiment=convergence needs an "
+                                 "iterative method in run.methods")
+    for name, M in [("geometry.M", g.M), *(("run.m_grid entry", M)
+                                           for M in r.m_grid)]:
         if M <= 0 or M % SUBARRAYS != 0:
             raise ConfigurationError(
-                f"run.m_grid entry {M} must be a positive multiple of S={SUBARRAYS}")
+                f"{name} {M} must be a positive multiple of S={SUBARRAYS}")
     if min(r.k_grid) < 1:
         raise ConfigurationError("run.k_grid entries must be >= 1")
 

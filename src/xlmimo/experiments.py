@@ -26,13 +26,6 @@ from .flops import flop_model
 from .metrics import (ber_montecarlo, convergence_trace, se_montecarlo,
                       sum_se)
 
-CSV_COLUMNS = {
-    "flops": ["method", "K", "T", "init_flops", "per_iter_flops", "total_flops"],
-    "convergence": ["method", "t", "median_ls_error", "trials"],
-    "se_vs_m": ["M", "method", "mean_sum_se", "sem", "trials"],
-    "ber": ["snr_db", "method", "ber", "bit_errors", "bits"],
-}
-
 TRUNCATION_MARKER = "__truncated__"
 
 
@@ -73,26 +66,29 @@ def rows_ber(cfg: ExperimentConfig):
                    int(report.bit_errors[method][ig]), report.bits_simulated]
 
 
-ROW_GENERATORS = {
-    "flops": rows_flops,
-    "convergence": rows_convergence,
-    "se_vs_m": rows_se_vs_m,
-    "ber": rows_ber,
+# experiment -> (CSV header, row generator)
+TABLES = {
+    "flops": (["method", "K", "T", "init_flops", "per_iter_flops",
+               "total_flops"], rows_flops),
+    "convergence": (["method", "t", "median_ls_error", "trials"],
+                    rows_convergence),
+    "se_vs_m": (["M", "method", "mean_sum_se", "sem", "trials"], rows_se_vs_m),
+    "ber": (["snr_db", "method", "ber", "bit_errors", "bits"], rows_ber),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str) -> str:
     """Run the configured scenario, write CSV + manifest, return the CSV path."""
     experiment = cfg.run.experiment
-    if experiment not in ROW_GENERATORS:
+    if experiment not in TABLES:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    columns = CSV_COLUMNS[experiment]
+    columns, rows = TABLES[experiment]
     started = perf_counter()
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         try:
-            for row in ROW_GENERATORS[experiment](cfg):
+            for row in rows(cfg):
                 writer.writerow([_fmt(v) for v in row])
         except Exception as exc:
             # Flush what we have with an explicit truncation marker row.

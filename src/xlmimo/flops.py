@@ -33,8 +33,10 @@ def _cg_iteration_flops(K: int) -> int:
     return 8 * K ** 2 + 46 * K - 6
 
 
-# method -> K -> (init flops, per-iteration flops) of one K x K solve; the
-# flops_* functions below document each formula.
+# method -> K -> (init flops, per-iteration flops) of one K x K solve.
+# flops_direct and flops_jacpcg below document theirs; gs is a
+# forward-substitution initialization plus T sweeps, jor a diagonal-scaling
+# initialization plus T sweeps, and cg T iterations at 8K^2 + 46K - 6 flops.
 _FLOPS = {
     "direct": lambda K: (4 * K ** 3 + K - 1, 0),
     "gs": lambda K: (4 * K ** 3 - 3 * K ** 2 + K, _sweep_flops(K)),
@@ -60,21 +62,6 @@ def flop_model(method: str, K: int, T: int = 1) -> FlopModel:
 def flops_direct(K: int) -> int:
     """Cholesky factor + triangular inverse + product: 4K^3 + K - 1."""
     return flop_model("direct", K).total_flops
-
-
-def flops_gs(K: int, T: int) -> int:
-    """Forward-substitution initialization plus T sweeps."""
-    return flop_model("gs", K, T).total_flops
-
-
-def flops_jor(K: int, T: int) -> int:
-    """Diagonal-scaling initialization plus T sweeps."""
-    return flop_model("jor", K, T).total_flops
-
-
-def flops_cg(K: int, T: int) -> int:
-    """T CG iterations at 8K^2 + 46K - 6 flops each."""
-    return flop_model("cg", K, T).total_flops
 
 
 def flops_jacpcg(K: int, T: int) -> int:

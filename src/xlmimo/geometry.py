@@ -16,7 +16,7 @@ from .errors import ConfigurationError, GeometryInfeasibleError
 # from it.
 C_LIGHT = 3.0e8
 
-DEFAULT_MAX_RETRIES = 10_000
+MAX_RETRIES = 10_000  # rejection rounds per sampler call before it gives up
 
 SUBARRAYS = 3  # S: side subarray, central subarray, side subarray
 GROUPS = 2     # L: user groups, each served by one side plus the central one
@@ -38,7 +38,7 @@ class ArrayGeometry:
 
 
 def build_geometry(M: int, carrier_hz: float,
-                   spacing_wavelengths: float = 2.0) -> ArrayGeometry:
+                   spacing_wavelengths: float) -> ArrayGeometry:
     """Build the ULA with wavelength-derived spacing and a contiguous partition."""
     if M <= 0:
         raise ConfigurationError(f"M must be positive, got M={M}")
@@ -59,8 +59,7 @@ def build_geometry(M: int, carrier_hz: float,
 
 
 def drop_users(rng: np.random.Generator, K: int, cell_side: float,
-               min_dist: float, geometry: ArrayGeometry,
-               max_retries: int = DEFAULT_MAX_RETRIES) -> np.ndarray:
+               min_dist: float, geometry: ArrayGeometry) -> np.ndarray:
     """Place K users uniformly in the cell, at least min_dist from every
     antenna; returns the (K, M) user-antenna distances [m].
 
@@ -81,7 +80,7 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
     distances = np.empty((K, geometry.M))
     ax = geometry.positions
     pending = np.arange(K)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         p = rng.uniform(0.0, cell_side, size=(pending.size, 2))
         d = np.hypot(p[:, :1] - ax, p[:, 1:])
         ok = d.min(axis=1) >= min_dist
@@ -91,13 +90,12 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
             return distances
     raise GeometryInfeasibleError(
         f"could not place user {pending[0]} at min_dist={min_dist} m "
-        f"after {max_retries} attempts")
+        f"after {MAX_RETRIES} attempts")
 
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
               mu_l: float, sigma_l: float,
-              required: np.ndarray,
-              max_retries: int = DEFAULT_MAX_RETRIES) -> np.ndarray:
+              required: np.ndarray) -> np.ndarray:
     """Sample visibility regions, center uniform on [0, N] and log-normal
     length; returns the (..., M) boolean masks of the antennas each covers.
 
@@ -125,7 +123,7 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
     rows = needed.reshape(-1, geometry.M)
     visible = np.empty(rows.shape, dtype=bool)
     pending = np.arange(len(rows))
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         c = rng.uniform(0.0, N, size=pending.size)
         ln = rng.lognormal(mean=mu, sigma=sigma_l, size=pending.size)
         lo = np.maximum(0.0, c - ln / 2.0)
@@ -140,4 +138,4 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
             return visible.reshape(needed.shape)
     raise GeometryInfeasibleError(
         f"no visible antenna for user {pending[0]} (row of `required`) "
-        f"after {max_retries} VR draws")
+        f"after {MAX_RETRIES} VR draws")

@@ -60,10 +60,6 @@ class HpdSystem:
         if not np.isfinite(rhs).all():
             raise NonFiniteError("right-hand side holds an inf or NaN")
 
-    @property
-    def n(self) -> int:
-        return self.P.shape[-1]
-
 
 @dataclass
 class SolverOutcome:
@@ -183,8 +179,8 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
              trace: bool = True) -> SolverOutcome:
     """Gauss-Seidel sweeps w <- (D + Lo)^{-1} (s - Up w), P = Lo + D + Up.
 
-    Computes what `flops.flops_gs` charges: (D + Lo)^{-1} formed once, then
-    one dense matrix product per sweep.
+    Computes what `flops.flop_model("gs", K, T)` charges: (D + Lo)^{-1}
+    formed once, then one dense matrix product per sweep.
     """
     def steps(P, s, w):
         _check_diag(_diag(P))

@@ -90,8 +90,7 @@ def _run_batch(job):
 @dataclass(frozen=True)
 class LinkReport:
     gamma: np.ndarray        # (..., K) per-user SINR
-    se_per_user: np.ndarray  # (..., K) log2(1 + gamma)
-    sum_se: np.ndarray       # (...) per trial
+    sum_se: np.ndarray       # (...) per trial, the sum of log2(1 + gamma)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,7 @@ def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
     signal = np.abs(np.diagonal(B, axis1=-2, axis2=-1)) ** 2
     interference = np.sum(np.abs(B) ** 2, axis=-1) - signal
     gamma = signal / (interference + sigma2)
-    se = np.log2(1.0 + gamma)
-    return LinkReport(gamma=gamma, se_per_user=se, sum_se=se.sum(axis=-1))
+    return LinkReport(gamma=gamma, sum_se=np.log2(1.0 + gamma).sum(axis=-1))
 
 
 def sum_se(per_trial_sums) -> tuple[float, float]:

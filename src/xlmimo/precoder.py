@@ -22,16 +22,12 @@ from .linsolve import DEFAULT_OMEGA, DEFAULT_T, HpdSystem, herm, solve, sq_norms
 class BlockPrecoder:
     """Stacked precoder for the S=3, L=2 topology with per-block power control.
 
-    Blocks are (..., M_i, K_i) and the power scalings beta_i have the leading
-    trial shape (...).
+    Blocks are (..., M_i, K_i), each already scaled by its beta_i.
     """
 
     G1: np.ndarray
     Gc: np.ndarray
     G2: np.ndarray
-    beta_1: np.ndarray
-    beta_c: np.ndarray
-    beta_2: np.ndarray
 
     def __post_init__(self):
         check_blocks(self.G1, self.Gc, self.G2)
@@ -52,11 +48,11 @@ def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
 
 
 def _rzf_block(H, xi, power, method, T, omega):
-    """One block's (G, beta, live): F = H P^{-1}, beta = sqrt(power / tr(F^H F)).
+    """One block's (G, live): G = beta F with F = H P^{-1} and
+    beta = sqrt(power / tr(F^H F)).
 
     A block with no energy in a trial (tr(F^H F) = 0: every user it serves
-    sees none of its antennas) gets G = 0 and beta = 0; `live` (...) is
-    false there.
+    sees none of its antennas) gets G = 0; `live` (...) is false there.
     """
     H = np.asarray(H, dtype=complex)
     P = gram_regularized(H, xi)
@@ -66,7 +62,7 @@ def _rzf_block(H, xi, power, method, T, omega):
     tr = sq_norms(F)
     live = tr > 0
     beta = np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
-    return beta[..., None, None] * F, beta, live
+    return beta[..., None, None] * F, live
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
@@ -77,11 +73,10 @@ def build_precoder(realization, xi: float, power: float, method: str,
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
     """
-    (G1, beta_1, live_1), (Gc, beta_c, live_c), (G2, beta_2, live_2) = (
+    (G1, live_1), (Gc, live_c), (G2, live_2) = (
         _rzf_block(H, xi, power, method, T, omega)
         for H in realization.blocks())
     if not np.all(live_1 | live_c | live_2):
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
-    return BlockPrecoder(G1=G1, Gc=Gc, G2=G2, beta_1=beta_1, beta_c=beta_c,
-                         beta_2=beta_2)
+    return BlockPrecoder(G1, Gc, G2)

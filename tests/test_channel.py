@@ -6,7 +6,7 @@ The channel law itself is tested on the live sampler in test_scenario.py.
 import numpy as np
 import pytest
 
-from xlmimo.channel import (assemble_blocks, assemble_from_user_channels,
+from xlmimo.channel import (ChannelRealization, assemble_from_user_channels,
                             build_correlation, path_loss, psd_sqrt,
                             stack_realizations)
 from xlmimo.errors import AssemblyError, ConfigurationError, ModelError
@@ -27,7 +27,7 @@ class TestPathLoss:
                                       [1.0, 1.0])
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             path_loss(np.array([0.0, 1.0]), 4.0, 3.0)
         with pytest.raises(ConfigurationError):
             path_loss(np.array([1.0]), 0.0, 3.0)
@@ -79,7 +79,7 @@ class TestBlockAssembly:
         H1 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         Hc = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         H2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        real = assemble_blocks(H1, Hc, H2)
+        real = ChannelRealization(H1, Hc, H2)
         assert real.H.shape == (9, 4)
         np.testing.assert_array_equal(real.H[:3, 2:], 0.0)
         np.testing.assert_array_equal(real.H[6:, :2], 0.0)
@@ -89,29 +89,30 @@ class TestBlockAssembly:
 
     def test_column_count_mismatch(self):
         with pytest.raises(AssemblyError):
-            assemble_blocks(np.zeros((3, 2)), np.zeros((3, 5)), np.zeros((3, 2)))
+            ChannelRealization(np.zeros((3, 2)), np.zeros((3, 5)),
+                               np.zeros((3, 2)))
 
     def test_reference_shapes(self):
-        real = assemble_blocks(np.zeros((33, 16)), np.zeros((33, 32)),
-                               np.zeros((33, 16)))
+        real = ChannelRealization(np.zeros((33, 16)), np.zeros((33, 32)),
+                                  np.zeros((33, 16)))
         assert real.H.shape == (99, 32)
-        assert (real.K1, real.K2, real.K) == (16, 16, 32)
+        assert (real.K1, real.K - real.K1, real.K) == (16, 16, 32)
 
     def test_stack_of_realizations(self):
         rng = np.random.default_rng(1)
-        reals = [assemble_blocks(*(rng.standard_normal(shape)
-                                   for shape in ((3, 2), (3, 4), (3, 2))))
+        reals = [ChannelRealization(*(rng.standard_normal(shape)
+                                      for shape in ((3, 2), (3, 4), (3, 2))))
                  for _ in range(3)]
         stack = stack_realizations(reals)
         assert stack.H1.shape == (3, 3, 2) and stack.H.shape == (3, 9, 4)
-        assert (stack.K1, stack.K2, stack.K) == (2, 2, 4)
+        assert (stack.K1, stack.K - stack.K1, stack.K) == (2, 2, 4)
         for i, real in enumerate(reals):
             np.testing.assert_array_equal(stack.H[i], real.H)
 
     def test_trial_dimension_mismatch(self):
         with pytest.raises(AssemblyError):
-            assemble_blocks(np.zeros((2, 3, 2)), np.zeros((3, 3, 4)),
-                            np.zeros((2, 3, 2)))
+            ChannelRealization(np.zeros((2, 3, 2)), np.zeros((3, 3, 4)),
+                               np.zeros((2, 3, 2)))
 
     def test_from_user_channels(self):
         # 4 users x 6 antennas: users 0-1 form group 1, antennas 2-3 are

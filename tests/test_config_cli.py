@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from xlmimo import cli, experiments, metrics
-from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
-                           parse_config)
+from xlmimo.config import (EXPERIMENTS, ExperimentConfig, apply_overrides,
+                           config_to_dict, parse_config)
 from xlmimo.errors import ConfigurationError
 from xlmimo.geometry import build_geometry
 from xlmimo.experiments import TRUNCATION_MARKER, run_experiment
@@ -199,7 +199,7 @@ class TestRunExperiment:
         out = tmp_path / f"{experiment}.csv"
         run_experiment(_fast_cfg(experiment), str(out))
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0].split(",") == experiments.CSV_COLUMNS[experiment]
+        assert lines[0].split(",") == experiments.TABLES[experiment][0]
         assert len(lines) > 1
         manifest = json.loads((tmp_path / f"{experiment}.csv.manifest.json")
                               .read_text())
@@ -216,6 +216,9 @@ class TestRunExperiment:
         assert set(env["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
+    def test_one_table_per_configurable_experiment(self):
+        assert set(experiments.TABLES) == set(EXPERIMENTS)
+
     def test_flops_csv_contains_pinned_value(self, tmp_path):
         out = tmp_path / "flops.csv"
         run_experiment(_fast_cfg("flops"), str(out))
@@ -228,7 +231,8 @@ class TestRunExperiment:
             yield ["gs", 1, 0.5, 1]
             raise RuntimeError("simulated failure")
 
-        monkeypatch.setitem(experiments.ROW_GENERATORS, "convergence", boom)
+        columns, _ = experiments.TABLES["convergence"]
+        monkeypatch.setitem(experiments.TABLES, "convergence", (columns, boom))
         out = tmp_path / "convergence.csv"
         with pytest.raises(RuntimeError):
             run_experiment(_fast_cfg("convergence"), str(out))
@@ -257,7 +261,8 @@ class TestCli:
         ("se_vs_m", "channel.gain_ref_m=99"),
         ("se_vs_m", "channel.gain_exponent=2"),
         ("convergence", "geometry.N=23"), ("convergence", "geometry.M=null"),
-        ("se_vs_m", "channel.vr_mu_frac=0")])
+        ("se_vs_m", "channel.vr_mu_frac=0"),
+        ("convergence", "run.methods=[direct]")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"

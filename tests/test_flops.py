@@ -3,8 +3,11 @@
 import pytest
 
 from xlmimo.errors import ConfigurationError
-from xlmimo.flops import (flop_model, flops_cg, flops_direct, flops_gs,
-                          flops_jacpcg, flops_jor)
+from xlmimo.flops import flop_model, flops_direct, flops_jacpcg
+
+
+def _total(method, K, T):
+    return flop_model(method, K, T).total_flops
 
 
 class TestDirect:
@@ -15,7 +18,7 @@ class TestDirect:
 
 class TestGs:
     def test_reference_value(self):
-        assert flops_gs(16, 5) == 25232
+        assert _total("gs", 16, 5) == 25232
 
     def test_k1_edge(self):
         model = flop_model("gs", 1, 1)
@@ -24,23 +27,24 @@ class TestGs:
 
     def test_t_zero_rejected(self):
         with pytest.raises(ConfigurationError):
-            flops_gs(16, 0)
+            flop_model("gs", 16, 0)
 
 
 class TestJor:
     @pytest.mark.parametrize("K,T,expected", [(16, 5, 10129), (2, 1, 27)])
     def test_pinned_values(self, K, T, expected):
-        assert flops_jor(K, T) == expected
+        assert _total("jor", K, T) == expected
 
     def test_monotone_in_k_and_t(self):
-        assert flops_jor(8, 5) < flops_jor(16, 5) < flops_jor(16, 6)
+        assert (_total("jor", 8, 5) < _total("jor", 16, 5)
+                < _total("jor", 16, 6))
 
 
 class TestCg:
     @pytest.mark.parametrize("K,T,expected",
                              [(16, 1, 2778), (30, 5, 42870), (1, 1, 48)])
     def test_pinned_values(self, K, T, expected):
-        assert flops_cg(K, T) == expected
+        assert _total("cg", K, T) == expected
 
 
 class TestJacPcg:
@@ -49,7 +53,8 @@ class TestJacPcg:
         assert flops_jacpcg(K, T) == expected
 
     def test_preprocessing_charged_once(self):
-        assert flops_jacpcg(30, 5) - flops_cg(30, 5) == 4 * 30 ** 2 + 2 * 30
+        assert (flops_jacpcg(30, 5) - _total("cg", 30, 5)
+                == 4 * 30 ** 2 + 2 * 30)
 
 
 class TestModel:
@@ -59,7 +64,6 @@ class TestModel:
         assert model.total_flops == model.init_flops + 5 * model.per_iter_flops
 
     def test_totals_match_functions(self):
-        assert flop_model("gs", 16, 5).total_flops == flops_gs(16, 5)
         assert flop_model("jacpcg", 30, 5).total_flops == flops_jacpcg(30, 5)
         assert flop_model("direct", 30, 5).total_flops == flops_direct(30)
 
@@ -79,8 +83,8 @@ class TestOrdering:
         # closed-form crossovers at T = 5: CG undercuts GS from K = 9,
         # Jac-PCG undercuts direct inversion from K = 15
         for K in range(9, 65):
-            assert flops_cg(K, 5) < flops_gs(K, 5)
+            assert _total("cg", K, 5) < _total("gs", K, 5)
         for K in range(15, 65):
             assert flops_jacpcg(K, 5) < flops_direct(K)
-        assert flops_cg(8, 5) > flops_gs(8, 5)
+        assert _total("cg", 8, 5) > _total("gs", 8, 5)
         assert flops_jacpcg(14, 5) > flops_direct(14)

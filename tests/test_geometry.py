@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xlmimo import geometry
 from xlmimo.errors import ConfigurationError, GeometryInfeasibleError
 from xlmimo.geometry import build_geometry, drop_users, sample_vr
 from xlmimo.seeding import seed_stream
@@ -11,7 +12,7 @@ from xlmimo.seeding import seed_stream
 class TestBuildGeometry:
     def test_indivisible_partition_rejected(self):
         with pytest.raises(ConfigurationError, match="not divisible"):
-            build_geometry(100, 2.6e9)
+            build_geometry(100, 2.6e9, 2.0)
 
     def test_reference_array(self):
         geo = build_geometry(99, 2.6e9, 2.0)
@@ -34,7 +35,7 @@ class TestBuildGeometry:
         assert geo.N == pytest.approx(geo.M * geo.spacing)
 
     def test_partition_is_disjoint_cover(self):
-        geo = build_geometry(12, 1e9)
+        geo = build_geometry(12, 1e9, 2.0)
         idx = np.concatenate([np.nonzero(geo.subarray_of == s)[0]
                               for s in range(3)])
         np.testing.assert_array_equal(np.sort(idx), np.arange(12))
@@ -93,11 +94,11 @@ class TestDropUsers:
         b = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
         np.testing.assert_array_equal(a, b)
 
-    def test_infeasible_cell_raises(self):
+    def test_infeasible_cell_raises(self, monkeypatch):
         # every point of a 10 m cell is within 12 m of some antenna
+        monkeypatch.setattr(geometry, "MAX_RETRIES", 200)
         with pytest.raises(GeometryInfeasibleError):
-            drop_users(seed_stream(0, 0), 2, 10.0, 12.0, self.geo,
-                       max_retries=200)
+            drop_users(seed_stream(0, 0), 2, 10.0, 12.0, self.geo)
 
     def test_min_dist_beyond_diagonal_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -242,18 +243,20 @@ class TestVectorizedSampling:
         assert (masks & rows.reshape(3, 20, -1)).any(axis=-1).all()
         assert _is_interval(masks).all()
 
-    def test_vr_retries_exhausted_names_the_user(self):
+    def test_vr_retries_exhausted_names_the_user(self, monkeypatch):
         # Regions about one antenna spacing long: a row that may use any
         # antenna is accepted at once, user 3 needs the last antenna of 999.
         geo = build_geometry(999, 2.6e9, 2.0)
         required = np.ones((6, geo.M), dtype=bool)
         required[3] = False
         required[3, -1] = True
+        monkeypatch.setattr(geometry, "MAX_RETRIES", 5)
         with pytest.raises(GeometryInfeasibleError, match="for user 3 .* after 5 "):
             sample_vr(seed_stream(27, 0), geo, 1.01 * geo.spacing, 1e-3,
-                      required=required, max_retries=5)
+                      required=required)
 
-    def test_drop_retries_exhausted_names_the_user(self):
-        with pytest.raises(GeometryInfeasibleError, match="place user 0 "):
-            drop_users(seed_stream(0, 0), 4, 10.0, 12.0, self.geo,
-                       max_retries=50)
+    def test_drop_retries_exhausted_names_the_user(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_RETRIES", 50)
+        with pytest.raises(GeometryInfeasibleError,
+                           match="place user 0 .* after 50 "):
+            drop_users(seed_stream(0, 0), 4, 10.0, 12.0, self.geo)

@@ -45,7 +45,7 @@ class TestHpdSystem:
     def test_accepts_asymmetry_within_tolerance(self):
         P = np.eye(2, dtype=complex)
         P[0, 1] = 0.5 * HERMITIAN_RTOL
-        assert HpdSystem(P=P, rhs=np.zeros(2)).n == 2
+        assert HpdSystem(P=P, rhs=np.zeros(2)).P.shape == (2, 2)
 
 
 class TestDirectSolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import sinr_scalar_oracle, small_config, small_draw
-from xlmimo.channel import assemble_blocks, stack_realizations
+from xlmimo.channel import ChannelRealization, stack_realizations
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
@@ -16,8 +16,7 @@ from xlmimo.scenario import build_scenario
 
 def _zero_precoder(real):
     return BlockPrecoder(G1=np.zeros_like(real.H1), Gc=np.zeros_like(real.Hc),
-                         G2=np.zeros_like(real.H2), beta_1=0.0, beta_c=0.0,
-                         beta_2=0.0)
+                         G2=np.zeros_like(real.H2))
 
 
 class TestSinr:
@@ -32,7 +31,8 @@ class TestSinr:
         _, draw = small_draw()
         pre = build_precoder(draw.realization, 0.5, 1.0, "direct")
         report = sinr_eq9(draw.realization, pre, 1e-9)
-        assert report.sum_se == pytest.approx(report.se_per_user.sum())
+        se = np.log2(1.0 + report.gamma)
+        assert report.sum_se == pytest.approx(se.sum())
         assert np.all(report.gamma >= 0)
         assert np.all(np.isfinite(report.gamma))
 
@@ -55,11 +55,10 @@ class TestSinr:
         H1 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         H2 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         # users invisible to the central subarray: cross terms vanish
-        real = assemble_blocks(H1, np.zeros((3, 2), complex), H2)
+        real = ChannelRealization(H1, np.zeros((3, 2), complex), H2)
         G1 = H1 / np.linalg.norm(H1)
         G2 = H2 / np.linalg.norm(H2)
-        pre = BlockPrecoder(G1=G1, Gc=np.zeros((3, 2), complex), G2=G2,
-                            beta_1=1.0, beta_c=1.0, beta_2=1.0)
+        pre = BlockPrecoder(G1=G1, Gc=np.zeros((3, 2), complex), G2=G2)
         report = sinr_eq9(real, pre, 0.5)
         expected = np.array([np.linalg.norm(H1) ** 2,
                              np.linalg.norm(H2) ** 2]) / 0.5
@@ -123,7 +122,8 @@ class TestBer:
     def test_noiseless_limit_direct(self):
         # one user per group so every block can be zero-forced; at 60 dB the
         # residual noise and interference leave essentially no bit errors
-        cfg = small_config(**{"users.K": 2, "run.methods": "[direct]",
+        cfg = small_config(**{"run.experiment": "ber", "users.K": 2,
+                              "run.methods": "[direct]",
                               "run.snr_grid_db": "[60.0]"})
         report = ber_montecarlo(cfg)
         assert report.ber["direct"][0] < 1e-4
@@ -155,7 +155,7 @@ class TestBer:
             return qpsk_detect(Y / gain[:, None])
 
         base = decisions(real, sigma2, xi)
-        scaled = decisions(assemble_blocks(*(B * c for B in real.blocks())),
+        scaled = decisions(ChannelRealization(*(B * c for B in real.blocks())),
                            sigma2 * c ** 2, xi * c ** 2)
         np.testing.assert_array_equal(base, scaled)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_rhs, small_config, small_draw
-from xlmimo.channel import assemble_blocks, stack_realizations
+from xlmimo.channel import ChannelRealization, stack_realizations
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
@@ -22,7 +22,8 @@ def _random_realization(seed):
     """Central block 12 x 6 serving two groups of 3, side blocks 12 x 3."""
     rng = np.random.default_rng(seed)
     Hc = random_rhs(rng, 12, 6)
-    return assemble_blocks(random_rhs(rng, 12, 3), Hc, random_rhs(rng, 12, 3))
+    return ChannelRealization(random_rhs(rng, 12, 3), Hc,
+                              random_rhs(rng, 12, 3))
 
 
 class TestGramRegularized:
@@ -51,16 +52,15 @@ class TestGramRegularized:
 
 class TestRzfDirect:
     def test_identity_closed_form(self):
-        # P = 2I per block, so F = I/2 and tr(F^H F) = n/4.
+        # P = 2I per block, so F = I/2, tr(F^H F) = n/4 and
+        # G = sqrt(power / (n/4)) F.
         power = 3.0
-        pre = build_precoder(assemble_blocks(np.eye(2), np.eye(4), np.eye(2)),
-                             1.0, power, "direct")
-        assert pre.beta_1 == pytest.approx(np.sqrt(power / 0.5))
-        assert pre.beta_c == pytest.approx(np.sqrt(power / 1.0))
-        assert pre.beta_2 == pytest.approx(np.sqrt(power / 0.5))
-        for G, beta, n in ((pre.G1, pre.beta_1, 2), (pre.Gc, pre.beta_c, 4),
-                           (pre.G2, pre.beta_2, 2)):
-            np.testing.assert_allclose(G, beta * 0.5 * np.eye(n), atol=1e-14)
+        real = ChannelRealization(np.eye(2), np.eye(4), np.eye(2))
+        pre = build_precoder(real, 1.0, power, "direct")
+        for G, n in ((pre.G1, 2), (pre.Gc, 4), (pre.G2, 2)):
+            F = 0.5 * np.eye(n)
+            np.testing.assert_allclose(G, np.sqrt(power / (n / 4)) * F,
+                                       atol=1e-14)
 
     def test_power_identity(self):
         pre = build_precoder(_random_realization(2), 0.3, 2.5, "direct")
@@ -76,27 +76,26 @@ class TestRzfDirect:
             assert np.linalg.norm(g - h) < 1e-3
 
     def test_zero_channel_degenerate(self):
-        real = assemble_blocks(np.zeros((4, 1)), np.zeros((4, 2)),
-                               np.zeros((4, 1)))
+        real = ChannelRealization(np.zeros((4, 1)), np.zeros((4, 2)),
+                                  np.zeros((4, 1)))
         with pytest.raises(DegenerateChannelError):
             build_precoder(real, 0.5, 1.0, "direct")
 
     def test_zero_side_block_gets_no_power(self):
         # Group 1 sees no antenna of its side subarray: H1 = 0.
         rng = np.random.default_rng(6)
-        real = assemble_blocks(np.zeros((12, 3)), random_rhs(rng, 12, 6),
-                               random_rhs(rng, 12, 3))
+        real = ChannelRealization(np.zeros((12, 3)), random_rhs(rng, 12, 6),
+                                  random_rhs(rng, 12, 3))
         pre = build_precoder(real, 0.2, 1.0, "direct")
         np.testing.assert_array_equal(pre.G1, 0.0)
-        assert pre.beta_1 == 0.0
         assert float(np.vdot(pre.Gc, pre.Gc).real) == pytest.approx(1.0)
         gamma = sinr_eq9(real, pre, 0.1).gamma
         assert np.all(np.isfinite(gamma)) and np.all(gamma > 0)
 
     def test_all_zero_trial_in_a_stack_degenerate(self):
         live = _random_realization(5)
-        dead = assemble_blocks(np.zeros((12, 3)), np.zeros((12, 6)),
-                               np.zeros((12, 3)))
+        dead = ChannelRealization(np.zeros((12, 3)), np.zeros((12, 6)),
+                                  np.zeros((12, 3)))
         with pytest.raises(DegenerateChannelError):
             build_precoder(stack_realizations([live, dead]), 0.5, 1.0, "cg")
 
@@ -135,9 +134,9 @@ class TestRzfIterative:
 
 class TestAssembly:
     def test_zero_blocks_and_round_trip(self):
-        real = assemble_blocks(np.eye(3)[:, :2] + 0.1,
-                               np.ones((3, 4)) + np.eye(3, 4),
-                               np.eye(3)[:, :2] + 0.2)
+        real = ChannelRealization(np.eye(3)[:, :2] + 0.1,
+                                  np.ones((3, 4)) + np.eye(3, 4),
+                                  np.eye(3)[:, :2] + 0.2)
         pre = build_precoder(real, 0.5, 1.0, "direct")
         assert pre.G.shape == (9, 4)
         np.testing.assert_array_equal(pre.G[:3, 2:], 0.0)
@@ -150,8 +149,7 @@ class TestAssembly:
         side = np.ones((3, 2))
         with pytest.raises(AssemblyError):
             # central block with 2 columns cannot serve K1 + K2 = 4 users
-            BlockPrecoder(G1=side, Gc=side, G2=side, beta_1=1.0, beta_c=1.0,
-                          beta_2=1.0)
+            BlockPrecoder(G1=side, Gc=side, G2=side)
 
 
 class TestBuildPrecoder:
@@ -174,10 +172,10 @@ class TestBuildPrecoder:
     def test_stack_equals_single_trials(self, method):
         reals = [_random_realization(seed) for seed in range(5, 9)]
         stack = build_precoder(stack_realizations(reals), 0.2, 2.0, method)
-        assert stack.G.shape == (4, 36, 6) and stack.beta_c.shape == (4,)
+        assert stack.G.shape == (4, 36, 6)
         for i, real in enumerate(reals):
             one = build_precoder(real, 0.2, 2.0, method)
-            for name in ("G1", "Gc", "G2", "beta_1", "beta_c", "beta_2"):
+            for name in ("G1", "Gc", "G2"):
                 np.testing.assert_array_equal(getattr(stack, name)[i],
                                               getattr(one, name))
 
