@@ -240,14 +240,11 @@ def validate(cfg: ExperimentConfig) -> None:
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")
-    if r.experiment == "convergence" and set(r.methods) == {"direct"}:
-        raise ConfigurationError("run.experiment=convergence needs an "
-                                 "iterative method in run.methods")
-    for name, M in [("geometry.M", g.M), *(("run.m_grid entry", M)
-                                           for M in r.m_grid)]:
+    named_Ms = [("geometry.M", g.M)] + [("run.m_grid entry", M) for M in r.m_grid]
+    for name, M in named_Ms:
         if M <= 0 or M % SUBARRAYS != 0:
             raise ConfigurationError(
-                f"{name} {M} must be a positive multiple of S={SUBARRAYS}")
+                f"{name}={M} must be a positive multiple of S={SUBARRAYS}")
     if min(r.k_grid) < 1:
         raise ConfigurationError("run.k_grid entries must be >= 1")
 

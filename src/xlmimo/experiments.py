@@ -23,8 +23,8 @@ from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigurationError
 from .flops import flop_model
-from .metrics import (ber_montecarlo, convergence_trace, se_montecarlo,
-                      sum_se)
+from .metrics import (ber_montecarlo, convergence_trace, iterative_methods,
+                      se_montecarlo, sum_se)
 
 TRUNCATION_MARKER = "__truncated__"
 
@@ -82,6 +82,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> str:
     experiment = cfg.run.experiment
     if experiment not in TABLES:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
+    if experiment == "convergence":
+        iterative_methods(cfg)  # reject direct alone before the CSV exists
     columns, rows = TABLES[experiment]
     started = perf_counter()
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

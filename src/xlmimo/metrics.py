@@ -200,6 +200,14 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     return errors
 
 
+def iterative_methods(cfg) -> list:
+    """The methods of `run.methods` a convergence trace runs: all but direct."""
+    methods = [m for m in cfg.run.methods if m != "direct"]
+    if not methods:
+        raise ConfigurationError("convergence trace needs at least one iterative method")
+    return methods
+
+
 def convergence_trace(cfg) -> dict:
     """Median least-square error ||P w^(t) - s||^2 / ||s||^2 per iteration.
 
@@ -207,9 +215,7 @@ def convergence_trace(cfg) -> dict:
     vector per trial, for `run.trials` trials; returns {method: array of
     length run.t_max + 1} for the iterative methods of `run.methods`.
     """
-    methods = [m for m in cfg.run.methods if m != "direct"]
-    if not methods:
-        raise ConfigurationError("convergence trace needs at least one iterative method")
+    methods = iterative_methods(cfg)
     if cfg.run.t_max < 1:
         raise ConfigurationError(f"T_max must be >= 1, got {cfg.run.t_max}")
     scenario = build_scenario(cfg)

@@ -98,6 +98,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             parse_config("run:\n  m_grid: [100]\n")
 
+    def test_geometry_m_must_match_subarrays(self):
+        with pytest.raises(ConfigurationError, match="geometry.M=100"):
+            parse_config("geometry:\n  M: 100\n")
+
     @pytest.mark.parametrize("item", [
         "run.m_grid=[99.0]", "run.m_grid=[true]", "run.m_grid=[0]",
         "run.k_grid=[5.5]", "run.k_grid=[0]", "run.snr_grid_db=[a]",
@@ -262,7 +266,8 @@ class TestCli:
         ("se_vs_m", "channel.gain_exponent=2"),
         ("convergence", "geometry.N=23"), ("convergence", "geometry.M=null"),
         ("se_vs_m", "channel.vr_mu_frac=0"),
-        ("convergence", "run.methods=[direct]")])
+        ("convergence", "run.methods=[direct]"),
+        ("convergence", "geometry.M=100")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"
@@ -271,6 +276,22 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment", ["se_vs_m", "ber"])
+    def test_direct_alone_from_config_file(self, experiment, tmp_path):
+        # the file leaves run.experiment at its default, convergence, which
+        # needs an iterative method; the subcommand runs one that does not
+        path = tmp_path / "direct.yaml"
+        path.write_text(
+            "geometry:\n  M: 9\nusers:\n  K: 4\nchannel:\n  vr_mu_frac: 3.0\n"
+            "run:\n  methods: [direct]\n  trials: 2\n  m_grid: [9]\n"
+            "  bits_per_point: 256\n  symbols_per_channel: 32\n"
+            "  snr_grid_db: [10.0]\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        rc = cli.main([experiment, "--config", str(path), "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(",direct," in f",{row}," for row in rows)
 
     def test_negative_seed_rejected_before_any_csv(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

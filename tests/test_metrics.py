@@ -122,8 +122,7 @@ class TestBer:
     def test_noiseless_limit_direct(self):
         # one user per group so every block can be zero-forced; at 60 dB the
         # residual noise and interference leave essentially no bit errors
-        cfg = small_config(**{"run.experiment": "ber", "users.K": 2,
-                              "run.methods": "[direct]",
+        cfg = small_config(**{"users.K": 2, "run.methods": "[direct]",
                               "run.snr_grid_db": "[60.0]"})
         report = ber_montecarlo(cfg)
         assert report.ber["direct"][0] < 1e-4
