@@ -3,8 +3,9 @@
 Channel vectors are h = sqrt(w) .* hbar with hbar ~ CN(0, Theta), where
 Theta = D^{1/2} R D^{1/2} restricted to per-subarray diagonal blocks; D is
 the 0/1 visibility indicator and R the spatial correlation matrix.  The
-per-trial draw with this law is `scenario.draw_trial`.  The block layout is
-the model's constant topology: S = 3 subarrays, L = 2 user groups.
+per-trial draw with this law is `scenario.draw_trial`.  The block layout
+(S = 3 subarrays, L = 2 user groups) and the path loss w = OMEGA * d^(-NU)
+are constants of the model.
 """
 
 from dataclasses import dataclass
@@ -18,17 +19,16 @@ from .geometry import SUBARRAYS
 PSD_CLAMP = 1e-12
 PSD_NEG_TOL = 1e-10
 
+OMEGA = 4.0  # gain at 1 m; the gain calibration in draw_trial divides it out
+NU = 3.0     # path-loss exponent
 
-def path_loss(d, omega: float, nu: float) -> np.ndarray:
-    """Per-antenna large-scale power gain w = omega * d^(-nu)."""
-    if omega <= 0:
-        raise ConfigurationError(f"omega must be positive, got {omega}")
-    if nu < 0:
-        raise ConfigurationError(f"nu must be nonnegative, got {nu}")
+
+def path_loss(d) -> np.ndarray:
+    """Per-antenna large-scale power gain w = OMEGA * d^(-NU)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ConfigurationError("all distances must be positive")
-    return omega * d ** (-nu)
+    return OMEGA * d ** (-NU)
 
 
 def build_correlation(M: int, rho: float) -> np.ndarray:

@@ -1,18 +1,17 @@
 """Experiment configuration: dataclasses, YAML parsing, overrides, validation.
 
-Defaults follow the reference simulation setup: 0.1 x 0.1 km^2 cell, 30 m
-minimum distance, ULA of M = 99 antennas in 3 subarrays with 2-wavelength
-spacing at 2.6 GHz (the largest such array within the paper's 23.0610 m
-aperture), K = 32 users in 2 groups,
-path loss Omega = 4, nu = 3, noise -50 dBm, T = 5 iterations.  S = 3 and
-L = 2 are model constants (`geometry`): M must divide by 3, K by 2.
+Defaults follow the reference simulation setup: M = 99 antennas (the
+largest array within the paper's 23.0610 m aperture), K = 32 users,
+T = 5 iterations.  The rest of the paper's system model is constants, not
+settings: S = 3, L = 2, the carrier, antenna spacing, cell and minimum
+distance (`geometry`), the path loss (`channel`) and the noise power
+`SIGMA2_DBM`.  M must divide by 3, K by 2.
 """
 
 import dataclasses
 import re
 from dataclasses import dataclass, field, fields
 
-import numpy as np
 import yaml
 
 from .errors import ConfigurationError
@@ -21,25 +20,23 @@ from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 
+# Noise power [dBm].  Transmit power is sigma^2 * SNR, so sigma^2 cancels
+# from every SINR and BER decision.
+SIGMA2_DBM = -50.0
+
 
 @dataclass
 class GeometryConfig:
     M: int = 99
-    carrier_hz: float = 2.6e9
-    spacing_wavelengths: float = 2.0
 
 
 @dataclass
 class UsersConfig:
     K: int = 32
-    cell_side: float = 100.0      # [m]
-    min_dist: float = 30.0        # [m]
 
 
 @dataclass
 class ChannelConfig:
-    omega: float = 4.0
-    nu: float = 3.0
     rho: float = 0.5
     vr_mu_frac: float = 0.1       # mu_l = vr_mu_frac * N
     vr_sigma: float = 0.1
@@ -48,12 +45,11 @@ class ChannelConfig:
 
 @dataclass
 class PowerConfig:
-    sigma2_dbm: float = -50.0
     snr_db: float = 5.0           # normalized transmit power [dB]; xi = 1/SNR
 
     @property
     def sigma2_watts(self) -> float:
-        return 10.0 ** (self.sigma2_dbm / 10.0) / 1000.0
+        return 10.0 ** (SIGMA2_DBM / 10.0) / 1000.0
 
     @property
     def snr_linear(self) -> float:
@@ -197,21 +193,12 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    g, u, ch, p, s, r = (cfg.geometry, cfg.users, cfg.channel, cfg.power,
-                         cfg.solver, cfg.run)
-    if g.carrier_hz <= 0 or g.spacing_wavelengths <= 0:
-        raise ConfigurationError("geometry.carrier_hz and spacing must be positive")
+    g, u, ch, s, r = cfg.geometry, cfg.users, cfg.channel, cfg.solver, cfg.run
     if u.K <= 0 or u.K % GROUPS != 0:
         raise ConfigurationError(
             f"users.K={u.K} must be a positive multiple of L={GROUPS}")
-    if u.cell_side <= 0:
-        raise ConfigurationError("users.cell_side must be positive")
-    if u.min_dist >= np.hypot(u.cell_side, u.cell_side):
-        raise ConfigurationError("users.min_dist exceeds the cell diagonal")
     if not 0.0 <= ch.rho < 1.0:
         raise ConfigurationError(f"channel.rho must lie in [0, 1), got {ch.rho}")
-    if ch.omega <= 0 or ch.nu < 0:
-        raise ConfigurationError("channel.omega must be > 0 and channel.nu >= 0")
     if ch.vr_mu_frac <= 0 or ch.vr_sigma <= 0:
         raise ConfigurationError(
             "channel.vr_mu_frac and channel.vr_sigma must be positive")
@@ -237,6 +224,9 @@ def validate(cfg: ExperimentConfig) -> None:
             if isinstance(entry, bool) or not isinstance(entry, kind):
                 raise ConfigurationError(
                     f"run.{name} entry {entry!r} has the wrong type")
+        if len(set(grid)) < len(grid):
+            raise ConfigurationError(
+                f"run.{name}={grid} repeats an entry; each entry is a CSV row key")
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")

@@ -1,8 +1,8 @@
 """Physical ULA construction, subarray partition, user drop and visibility regions.
 
 The base-station array lies along one edge of the square cell, from (0, 0)
-towards (N, 0); users live in the square [0, cell_side]^2.  S = 3 subarrays
-and L = 2 user groups are constants of the model, not settings.
+towards (N, 0); users live in the square [0, CELL_SIDE]^2.  The array, the
+cell, S = 3 subarrays and L = 2 user groups are model constants, not settings.
 """
 
 from dataclasses import dataclass
@@ -21,13 +21,17 @@ MAX_RETRIES = 10_000  # rejection rounds per sampler call before it gives up
 SUBARRAYS = 3  # S: side subarray, central subarray, side subarray
 GROUPS = 2     # L: user groups, each served by one side plus the central one
 
+CARRIER_HZ = 2.6e9
+SPACING_WAVELENGTHS = 2.0
+CELL_SIDE = 100.0  # [m]
+MIN_DIST = 30.0    # [m]
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array split into `SUBARRAYS` contiguous subarrays."""
 
     M: int
-    spacing: float
     positions: np.ndarray  # (M,) antenna positions along the array axis [m]
     N: float               # physical array length, M * spacing [m]
     subarray_of: np.ndarray  # (M,) antenna index -> subarray index 0, 1 or 2
@@ -37,30 +41,23 @@ class ArrayGeometry:
         return self.M // SUBARRAYS
 
 
-def build_geometry(M: int, carrier_hz: float,
-                   spacing_wavelengths: float) -> ArrayGeometry:
+def build_geometry(M: int) -> ArrayGeometry:
     """Build the ULA with wavelength-derived spacing and a contiguous partition."""
     if M <= 0:
         raise ConfigurationError(f"M must be positive, got M={M}")
     if M % SUBARRAYS != 0:
         raise ConfigurationError(
             f"antenna count M={M} is not divisible by S={SUBARRAYS}")
-    if carrier_hz <= 0:
-        raise ConfigurationError(f"carrier frequency must be positive, got {carrier_hz}")
-    if spacing_wavelengths <= 0:
-        raise ConfigurationError(
-            f"antenna spacing must be positive, got {spacing_wavelengths} wavelengths")
-    wavelength = C_LIGHT / carrier_hz
-    spacing = spacing_wavelengths * wavelength
+    spacing = SPACING_WAVELENGTHS * (C_LIGHT / CARRIER_HZ)
     positions = np.arange(M) * spacing
     subarray_of = np.repeat(np.arange(SUBARRAYS), M // SUBARRAYS)
-    return ArrayGeometry(M=M, spacing=spacing, positions=positions,
-                         N=M * spacing, subarray_of=subarray_of)
+    return ArrayGeometry(M=M, positions=positions, N=M * spacing,
+                         subarray_of=subarray_of)
 
 
-def drop_users(rng: np.random.Generator, K: int, cell_side: float,
-               min_dist: float, geometry: ArrayGeometry) -> np.ndarray:
-    """Place K users uniformly in the cell, at least min_dist from every
+def drop_users(rng: np.random.Generator, K: int,
+               geometry: ArrayGeometry) -> np.ndarray:
+    """Place K users uniformly in the cell, at least MIN_DIST from every
     antenna; returns the (K, M) user-antenna distances [m].
 
     Rejection sampling over all users at once: each round draws one candidate
@@ -68,28 +65,22 @@ def drop_users(rng: np.random.Generator, K: int, cell_side: float,
     its first accepted candidate.  K must split evenly into the `GROUPS` user
     groups.
     """
-    if cell_side <= 0:
-        raise ConfigurationError(f"cell_side must be positive, got {cell_side}")
     if K <= 0 or K % GROUPS != 0:
         raise ConfigurationError(f"user count K={K} is not divisible by L={GROUPS}")
-    diagonal = np.hypot(cell_side, cell_side)
-    if min_dist >= diagonal:
-        raise ConfigurationError(
-            f"min_dist={min_dist} m exceeds the cell diagonal {diagonal:.3f} m")
 
     distances = np.empty((K, geometry.M))
     ax = geometry.positions
     pending = np.arange(K)
     for _ in range(MAX_RETRIES):
-        p = rng.uniform(0.0, cell_side, size=(pending.size, 2))
+        p = rng.uniform(0.0, CELL_SIDE, size=(pending.size, 2))
         d = np.hypot(p[:, :1] - ax, p[:, 1:])
-        ok = d.min(axis=1) >= min_dist
+        ok = d.min(axis=1) >= MIN_DIST
         distances[pending[ok]] = d[ok]
         pending = pending[~ok]
         if not pending.size:
             return distances
     raise GeometryInfeasibleError(
-        f"could not place user {pending[0]} at min_dist={min_dist} m "
+        f"could not place user {pending[0]} at {MIN_DIST} m from the array "
         f"after {MAX_RETRIES} attempts")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (assemble_from_user_channels, build_correlation, path_loss,
                       psd_sqrt)
-from .config import ChannelConfig, ExperimentConfig, UsersConfig
+from .config import ChannelConfig, ExperimentConfig
 from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, build_geometry,
                        drop_users, sample_vr)
 
@@ -24,15 +24,11 @@ from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, build_geometry,
 @dataclass(frozen=True)
 class Scenario:
     geometry: ArrayGeometry
-    users: UsersConfig      # copies of the config sections, taken when built
-    channel: ChannelConfig
+    channel: ChannelConfig  # a copy of the config section, taken when built
     Rsub_sqrt: np.ndarray  # (M_s, M_s) square root of the subarray correlation block
+    K: int
     K1: int                # users in group 1, the first K/2
     serving: np.ndarray    # (K, M) boolean: the antennas serving each user's group
-
-    @property
-    def K(self) -> int:
-        return self.users.K
 
     @property
     def vr_mu(self) -> float:
@@ -47,16 +43,14 @@ class TrialDraw:
 
 
 def build_scenario(cfg: ExperimentConfig, M: int | None = None) -> Scenario:
-    g = cfg.geometry
-    geometry = build_geometry(g.M if M is None else M, g.carrier_hz,
-                              g.spacing_wavelengths)
+    geometry = build_geometry(cfg.geometry.M if M is None else M)
     Rsub = build_correlation(geometry.M_s, cfg.channel.rho)
     K1, sub = cfg.users.K // GROUPS, geometry.subarray_of
     in_group1 = np.arange(cfg.users.K)[:, None] < K1
     serving = np.where(in_group1, sub == 0, sub == SUBARRAYS - 1) | (sub == 1)
-    return Scenario(geometry=geometry, users=replace(cfg.users),
-                    channel=replace(cfg.channel), Rsub_sqrt=psd_sqrt(Rsub),
-                    K1=K1, serving=serving)
+    return Scenario(geometry=geometry, channel=replace(cfg.channel),
+                    Rsub_sqrt=psd_sqrt(Rsub), K=cfg.users.K, K1=K1,
+                    serving=serving)
 
 
 # Mean per-user gain (M / GAIN_REF_M)^GAIN_EXPONENT: unity at the reference
@@ -67,13 +61,13 @@ GAIN_EXPONENT = 2.0
 
 
 def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
-    geo, users, ch = scenario.geometry, scenario.users, scenario.channel
-    K, M, Ms = users.K, geo.M, geo.M_s
-    distances = drop_users(rng, K, users.cell_side, users.min_dist, geo)
+    geo, ch = scenario.geometry, scenario.channel
+    K, M, Ms = scenario.K, geo.M, geo.M_s
+    distances = drop_users(rng, K, geo)
     # Each user's VR must reach at least one antenna serving its group.
     masks = sample_vr(rng, geo, scenario.vr_mu, ch.vr_sigma,
                       required=scenario.serving)
-    W = path_loss(distances, ch.omega, ch.nu)
+    W = path_loss(distances)
 
     # White CN(0, I) fading z per user and subarray, coloured as z @ R_s^{1/2}.T;
     # R_s^{1/2} is real, so one real product colours both parts of z.

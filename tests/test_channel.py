@@ -6,6 +6,7 @@ The channel law itself is tested on the live sampler in test_scenario.py.
 import numpy as np
 import pytest
 
+from xlmimo import channel
 from xlmimo.channel import (ChannelRealization, assemble_from_user_channels,
                             build_correlation, path_loss, psd_sqrt,
                             stack_realizations)
@@ -15,24 +16,27 @@ from xlmimo.seeding import seed_stream
 
 class TestPathLoss:
     def test_reference_distance(self):
-        w = path_loss(np.full(9, 30.0), 4.0, 3.0)
+        w = path_loss(np.full(9, 30.0))
         np.testing.assert_allclose(w, 1.48148148e-4, rtol=1e-6)
 
     def test_arithmetic(self):
-        np.testing.assert_allclose(path_loss(np.array([1.0, 2.0]), 4.0, 3.0),
-                                   [4.0, 0.5])
+        d = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(path_loss(d),
+                                      channel.OMEGA * d ** -channel.NU)
+        np.testing.assert_allclose(path_loss(d), [4.0, 0.5])
 
-    def test_zero_exponent(self):
-        np.testing.assert_array_equal(path_loss(np.array([3.0, 7.0]), 1.0, 0.0),
+    def test_zero_exponent(self, monkeypatch):
+        # The path-loss constants are read when the gain is computed.
+        monkeypatch.setattr(channel, "OMEGA", 1.0)
+        monkeypatch.setattr(channel, "NU", 0.0)
+        np.testing.assert_array_equal(path_loss(np.array([3.0, 7.0])),
                                       [1.0, 1.0])
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            path_loss(np.array([0.0, 1.0]), 4.0, 3.0)
+            path_loss(np.array([0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            path_loss(np.array([1.0]), 0.0, 3.0)
-        with pytest.raises(ConfigurationError):
-            path_loss(np.array([1.0]), 4.0, -1.0)
+            path_loss(np.array([-1.0]))
 
 
 class TestCorrelation:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xlmimo import cli, experiments, metrics
+from xlmimo import channel, cli, config, experiments, geometry, metrics
 from xlmimo.config import (EXPERIMENTS, ExperimentConfig, apply_overrides,
                            config_to_dict, parse_config)
 from xlmimo.errors import ConfigurationError
@@ -18,18 +18,18 @@ class TestDefaults:
     def test_empty_document_yields_reference_defaults(self):
         cfg = parse_config("")
         assert cfg.geometry.M == 99
-        assert cfg.geometry.carrier_hz == 2.6e9
-        assert cfg.geometry.spacing_wavelengths == 2.0
         assert cfg.users.K == 32
-        assert (cfg.users.cell_side, cfg.users.min_dist) == (100.0, 30.0)
-        assert (cfg.channel.omega, cfg.channel.nu) == (4.0, 3.0)
         assert cfg.channel.vr_mu_frac == 0.1 and cfg.channel.vr_sigma == 0.1
-        assert cfg.power.sigma2_dbm == -50.0
         assert cfg.solver.T == 5
 
+    def test_reference_model_constants(self):
+        assert (geometry.CARRIER_HZ, geometry.SPACING_WAVELENGTHS) == (2.6e9, 2.0)
+        assert (geometry.CELL_SIDE, geometry.MIN_DIST) == (100.0, 30.0)
+        assert (channel.OMEGA, channel.NU) == (4.0, 3.0)
+        assert config.SIGMA2_DBM == -50.0
+
     def test_aperture_resolves_to_99_antennas(self):
-        g = ExperimentConfig().geometry
-        array = build_geometry(g.M, g.carrier_hz, g.spacing_wavelengths)
+        array = build_geometry(ExperimentConfig().geometry.M)
         assert array.M == 99 and array.M_s == 33
         assert array.N == pytest.approx(22.8, abs=0.1)
 
@@ -84,7 +84,12 @@ class TestValidation:
         ("channel", "vr_interpretation", "linear-mean"),
         ("geometry", "S", 3), ("users", "L", 2),
         ("channel", "gain_ref_m", 99), ("channel", "gain_exponent", 2.0),
-        ("geometry", "N", 23.061)])
+        ("geometry", "N", 23.061),
+        ("geometry", "carrier_hz", 2.6e9),
+        ("geometry", "spacing_wavelengths", 2.0),
+        ("users", "cell_side", 100.0), ("users", "min_dist", 30.0),
+        ("channel", "omega", 4.0), ("channel", "nu", 3.0),
+        ("power", "sigma2_dbm", -50.0)])
     def test_removed_keys_rejected(self, section, key, value, form):
         with pytest.raises(ConfigurationError,
                            match=f"unknown config key {section}.{key}"):
@@ -119,11 +124,11 @@ class TestValidation:
     # sign) as a string; float fields take it in a file and in --set alike.
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw, value", [
-        ("geometry", "carrier_hz", "3e9", 3e9),
-        ("geometry", "carrier_hz", "1e15", 1e15),
+        ("power", "snr_db", "3e1", 30.0),
+        ("channel", "vr_sigma", "1e15", 1e15),
         ("channel", "vr_mu_frac", "1e-9", 1e-9),
         ("power", "snr_db", "-2.5E1", -25.0),
-        ("power", "sigma2_dbm", "1.0e1", 10.0)])
+        ("solver", "omega", "1.0e1", 10.0)])
     def test_float_with_exponent_accepted(self, section, key, raw, value, form):
         cfg = _config_with(section, key, raw, form)
         assert getattr(getattr(cfg, section), key) == value
@@ -131,10 +136,10 @@ class TestValidation:
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw", [
         ("run", "trials", "1e3"),            # a float for an int field
-        ("geometry", "carrier_hz", "3e"),    # no exponent digits
-        ("geometry", "carrier_hz", "e9"),    # no mantissa
-        ("geometry", "carrier_hz", "null"),
-        ("geometry", "carrier_hz", "yes")])
+        ("solver", "omega", "3e"),           # no exponent digits
+        ("solver", "omega", "e9"),           # no mantissa
+        ("solver", "omega", "null"),
+        ("solver", "omega", "yes")])
     def test_bad_number_forms_rejected(self, section, key, raw, form):
         with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
             _config_with(section, key, raw, form)
@@ -267,7 +272,10 @@ class TestCli:
         ("convergence", "geometry.N=23"), ("convergence", "geometry.M=null"),
         ("se_vs_m", "channel.vr_mu_frac=0"),
         ("convergence", "run.methods=[direct]"),
-        ("convergence", "geometry.M=100")])
+        ("convergence", "geometry.M=100"),
+        # Each grid or method entry is a CSV row key.
+        ("se_vs_m", "run.methods=[cg, cg]"), ("se_vs_m", "run.m_grid=[9, 9]"),
+        ("flops", "run.k_grid=[5, 5]"), ("ber", "run.snr_grid_db=[4.0, 4]")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"

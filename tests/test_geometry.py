@@ -12,42 +12,42 @@ from xlmimo.seeding import seed_stream
 class TestBuildGeometry:
     def test_indivisible_partition_rejected(self):
         with pytest.raises(ConfigurationError, match="not divisible"):
-            build_geometry(100, 2.6e9, 2.0)
+            build_geometry(100)
 
     def test_reference_array(self):
-        geo = build_geometry(99, 2.6e9, 2.0)
-        assert geo.spacing == pytest.approx(0.23077, rel=1e-4)
+        geo = build_geometry(99)
+        assert geo.positions[1] - geo.positions[0] == pytest.approx(0.23077,
+                                                                    rel=1e-4)
         assert geo.N == pytest.approx(22.846, rel=1e-4)
         assert geo.M_s == 33
 
-    def test_small_array_positions_and_partition(self):
-        geo = build_geometry(6, 3.0e9, 0.5)
-        assert geo.spacing == pytest.approx(0.05)
+    def test_small_array_positions_and_partition(self, monkeypatch):
+        # The carrier and spacing are read when the array is built.
+        monkeypatch.setattr(geometry, "CARRIER_HZ", 3.0e9)
+        monkeypatch.setattr(geometry, "SPACING_WAVELENGTHS", 0.5)
+        geo = build_geometry(6)
         np.testing.assert_allclose(geo.positions,
                                    [0.0, 0.05, 0.10, 0.15, 0.20, 0.25])
+        assert geo.N == pytest.approx(0.3)
         np.testing.assert_array_equal(geo.subarray_of, [0, 0, 1, 1, 2, 2])
 
     def test_positions_uniformly_spaced(self):
-        geo = build_geometry(99, 2.6e9, 2.0)
+        geo = build_geometry(99)
         gaps = np.diff(geo.positions)
         assert np.all(gaps > 0)
-        np.testing.assert_allclose(gaps, geo.spacing, rtol=1e-12)
-        assert geo.N == pytest.approx(geo.M * geo.spacing)
+        np.testing.assert_allclose(gaps, gaps[0], rtol=1e-12)
+        assert geo.N == pytest.approx(geo.M * gaps[0])
 
     def test_partition_is_disjoint_cover(self):
-        geo = build_geometry(12, 1e9, 2.0)
+        geo = build_geometry(12)
         idx = np.concatenate([np.nonzero(geo.subarray_of == s)[0]
                               for s in range(3)])
         np.testing.assert_array_equal(np.sort(idx), np.arange(12))
 
-    @pytest.mark.parametrize("bad", [dict(M=0), dict(M=-3),
-                                     dict(carrier_hz=0.0),
-                                     dict(spacing_wavelengths=0.0)])
+    @pytest.mark.parametrize("bad", [dict(M=0), dict(M=-3)])
     def test_invalid_inputs(self, bad):
-        kwargs = dict(M=9, carrier_hz=1e9, spacing_wavelengths=2.0)
-        kwargs.update(bad)
         with pytest.raises(ConfigurationError):
-            build_geometry(**kwargs)
+            build_geometry(**bad)
 
 
 def _positions(geo, distances):
@@ -75,43 +75,45 @@ def _is_interval(masks):
     return masks.any(axis=-1) & (last - first + 1 == masks.sum(axis=-1))
 
 
+def _small_cell(monkeypatch):
+    """Every point of a 10 m cell is within 12 m of some antenna."""
+    monkeypatch.setattr(geometry, "CELL_SIDE", 10.0)
+    monkeypatch.setattr(geometry, "MIN_DIST", 12.0)
+
+
 class TestDropUsers:
     def setup_method(self):
-        self.geo = build_geometry(99, 2.6e9, 2.0)
+        self.geo = build_geometry(99)
 
     def test_min_distance_respected(self):
-        distances = drop_users(seed_stream(1, 0), 8, 100.0, 30.0, self.geo)
+        distances = drop_users(seed_stream(1, 0), 8, self.geo)
         assert distances.shape == (8, self.geo.M)
-        assert distances.min() >= 30.0
+        assert distances.min() >= geometry.MIN_DIST
         # Each row is the distances of one point of the cell to every antenna.
         p = _positions(self.geo, distances)
-        assert ((p >= 0.0) & (p <= 100.0)).all()
+        assert ((p >= 0.0) & (p <= geometry.CELL_SIDE)).all()
         d = np.hypot(p[:, :1] - self.geo.positions, p[:, 1:])
         np.testing.assert_allclose(distances, d, rtol=1e-9)
 
     def test_same_seed_identical(self):
-        a = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
-        b = drop_users(seed_stream(7, 3), 32, 100.0, 30.0, self.geo)
+        a = drop_users(seed_stream(7, 3), 32, self.geo)
+        b = drop_users(seed_stream(7, 3), 32, self.geo)
         np.testing.assert_array_equal(a, b)
 
     def test_infeasible_cell_raises(self, monkeypatch):
-        # every point of a 10 m cell is within 12 m of some antenna
+        _small_cell(monkeypatch)
         monkeypatch.setattr(geometry, "MAX_RETRIES", 200)
         with pytest.raises(GeometryInfeasibleError):
-            drop_users(seed_stream(0, 0), 2, 10.0, 12.0, self.geo)
-
-    def test_min_dist_beyond_diagonal_rejected(self):
-        with pytest.raises(ConfigurationError):
-            drop_users(seed_stream(0, 0), 2, 10.0, 15.0, self.geo)
+            drop_users(seed_stream(0, 0), 2, self.geo)
 
     def test_indivisible_users_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_users(seed_stream(0, 0), 31, 100.0, 30.0, self.geo)
+            drop_users(seed_stream(0, 0), 31, self.geo)
 
 
 class TestSampleVr:
     def setup_method(self):
-        self.geo = build_geometry(99, 2.6e9, 2.0)
+        self.geo = build_geometry(99)
 
     def _any(self, n):
         """`n` mask rows that each accept every antenna."""
@@ -197,7 +199,7 @@ class TestVectorizedSampling:
     and round, each keeping its first accepted one."""
 
     def setup_method(self):
-        self.geo = build_geometry(99, 2.6e9, 2.0)
+        self.geo = build_geometry(99)
 
     def test_vr_law_matches_scalar_first_accepted(self):
         # Only the last three antennas count: about one candidate in ten is
@@ -219,10 +221,11 @@ class TestVectorizedSampling:
             assert _within_4se(masks[:, j], ref_masks[:, j]), j
         assert _within_4se(masks.sum(axis=1), ref_masks.sum(axis=1))
 
-    def test_drop_law_matches_scalar_first_accepted(self):
-        # min_dist rejects about half of the cell's points.
-        cell, min_dist, K = 100.0, 60.0, 2000
-        distances = drop_users(seed_stream(23, 0), K, cell, min_dist, self.geo)
+    def test_drop_law_matches_scalar_first_accepted(self, monkeypatch):
+        # A 60 m minimum distance rejects about half of the cell's points.
+        cell, min_dist, K = geometry.CELL_SIDE, 60.0, 2000
+        monkeypatch.setattr(geometry, "MIN_DIST", min_dist)
+        distances = drop_users(seed_stream(23, 0), K, self.geo)
         assert distances.min() >= min_dist
         positions = _positions(self.geo, distances)
         rng, ref = seed_stream(24, 0), []
@@ -246,17 +249,19 @@ class TestVectorizedSampling:
     def test_vr_retries_exhausted_names_the_user(self, monkeypatch):
         # Regions about one antenna spacing long: a row that may use any
         # antenna is accepted at once, user 3 needs the last antenna of 999.
-        geo = build_geometry(999, 2.6e9, 2.0)
+        geo = build_geometry(999)
         required = np.ones((6, geo.M), dtype=bool)
         required[3] = False
         required[3, -1] = True
         monkeypatch.setattr(geometry, "MAX_RETRIES", 5)
         with pytest.raises(GeometryInfeasibleError, match="for user 3 .* after 5 "):
-            sample_vr(seed_stream(27, 0), geo, 1.01 * geo.spacing, 1e-3,
+            sample_vr(seed_stream(27, 0), geo,
+                      1.01 * (geo.positions[1] - geo.positions[0]), 1e-3,
                       required=required)
 
     def test_drop_retries_exhausted_names_the_user(self, monkeypatch):
+        _small_cell(monkeypatch)
         monkeypatch.setattr(geometry, "MAX_RETRIES", 50)
         with pytest.raises(GeometryInfeasibleError,
                            match="place user 0 .* after 50 "):
-            drop_users(seed_stream(0, 0), 4, 10.0, 12.0, self.geo)
+            drop_users(seed_stream(0, 0), 4, self.geo)

@@ -120,7 +120,7 @@ class TestDrawTrial:
         # on the served antennas is CN(0, blockdiag(R_s, R_s)).
         cfg = small_config(**{"channel.normalize_gain": "false"})
         scenario = build_scenario(cfg)
-        geo, users = scenario.geometry, scenario.users
+        geo = scenario.geometry
         target = np.kron(np.eye(2), build_correlation(geo.M_s, cfg.channel.rho))
         acc = np.zeros_like(target, dtype=complex)
         n = 0
@@ -128,10 +128,8 @@ class TestDrawTrial:
             draw = draw_trial(scenario, seed_stream(2, trial))
             # The user drop is the draw's first use of its stream, so
             # replaying it on a fresh copy gives the draw's distances.
-            distances = drop_users(seed_stream(2, trial), scenario.K,
-                                   users.cell_side, users.min_dist, geo)
-            W = path_loss(distances, scenario.channel.omega,
-                          scenario.channel.nu)
+            distances = drop_users(seed_stream(2, trial), scenario.K, geo)
+            W = path_loss(distances)
             H = draw.realization.H
             for k in range(scenario.K):
                 served = _served(geo, scenario.K, k)
