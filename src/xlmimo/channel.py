@@ -4,8 +4,8 @@ Channel vectors are h = sqrt(w) .* hbar with hbar ~ CN(0, Theta), where
 Theta = D^{1/2} R D^{1/2} restricted to per-subarray diagonal blocks; D is
 the 0/1 visibility indicator and R the spatial correlation matrix.  The
 per-trial draw with this law is `scenario.draw_trial`.  The block layout
-(S = 3 subarrays, L = 2 user groups) and the path loss w = OMEGA * d^(-NU)
-are constants of the model.
+(S = 3 subarrays, L = 2 user groups), the path loss w = OMEGA * d^(-NU) and
+the correlation R[i, j] = RHO^|i-j| are constants of the model.
 """
 
 from dataclasses import dataclass
@@ -13,14 +13,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigurationError, ModelError
+from .errors import AssemblyError, ConfigurationError
 from .geometry import SUBARRAYS
-
-PSD_CLAMP = 1e-12
-PSD_NEG_TOL = 1e-10
 
 OMEGA = 4.0  # gain at 1 m; the gain calibration in draw_trial divides it out
 NU = 3.0     # path-loss exponent
+RHO = 0.5    # correlation between adjacent antennas
 
 
 def path_loss(d) -> np.ndarray:
@@ -31,26 +29,16 @@ def path_loss(d) -> np.ndarray:
     return OMEGA * d ** (-NU)
 
 
-def build_correlation(M: int, rho: float) -> np.ndarray:
-    """Exponential M x M correlation matrix R[i, j] = rho^|i-j| (Hermitian Toeplitz)."""
-    if not 0.0 <= rho < 1.0:
-        raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
+def build_correlation(M: int) -> np.ndarray:
+    """Exponential M x M correlation matrix R[i, j] = RHO^|i-j| (Hermitian Toeplitz)."""
     idx = np.arange(M)
-    return rho ** np.abs(idx[:, None] - idx).astype(float)
+    return RHO ** np.abs(idx[:, None] - idx).astype(float)
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition with rank handling.
-
-    Eigenvalues below `PSD_CLAMP` are zeroed; eigenvalues below
-    -PSD_NEG_TOL (relative to the largest) raise.
-    """
+    """Hermitian square root of a positive-definite matrix, via `eigh`; the
+    RHO = 0.5 correlation block has every eigenvalue in (1/3, 3)."""
     vals, vecs = np.linalg.eigh(mat)
-    scale = max(1.0, float(vals[-1]) if vals.size else 1.0)
-    if vals.size and vals[0] < -PSD_NEG_TOL * scale:
-        raise ModelError(
-            f"covariance not PSD: min eigenvalue {vals[0]:.3e}")
-    vals = np.where(vals < PSD_CLAMP, 0.0, vals)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 

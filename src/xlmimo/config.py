@@ -3,13 +3,14 @@
 Defaults follow the reference simulation setup: M = 99 antennas (the
 largest array within the paper's 23.0610 m aperture), K = 32 users,
 T = 5 iterations.  The rest of the paper's system model is constants, not
-settings: S = 3, L = 2, the carrier, antenna spacing, cell and minimum
-distance (`geometry`), the path loss (`channel`) and the noise power
-`SIGMA2_DBM`.  M must divide by 3, K by 2.
+settings: S = 3, L = 2, the carrier, antenna spacing, cell, minimum distance
+and VR length spread (`geometry`), the path loss and correlation (`channel`)
+and the noise power `SIGMA2_DBM`.  M must divide by 3, K by 2.
 """
 
 import dataclasses
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -23,6 +24,8 @@ EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 # Noise power [dBm].  Transmit power is sigma^2 * SNR, so sigma^2 cancels
 # from every SINR and BER decision.
 SIGMA2_DBM = -50.0
+# 10^(SNR/10) and its inverse are finite and positive within this bound [dB].
+SNR_DB_MAX = 300.0
 
 
 @dataclass
@@ -37,10 +40,7 @@ class UsersConfig:
 
 @dataclass
 class ChannelConfig:
-    rho: float = 0.5
     vr_mu_frac: float = 0.1       # mu_l = vr_mu_frac * N
-    vr_sigma: float = 0.1
-    normalize_gain: bool = True   # calibrate mean per-user gain (scenario.py)
 
 
 @dataclass
@@ -119,11 +119,10 @@ def _load_yaml(text: str, what: str):
 def _coerce(value, target, path):
     if target in (int, float) and isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected number, got {value!r}")
-    if target is float and isinstance(value, (int, float)):
+    if (target is float and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max):  # not NaN or inf
         return float(value)
     if target is int and isinstance(value, int):
-        return value
-    if target is bool and isinstance(value, bool):
         return value
     if target is str and isinstance(value, str):
         return value
@@ -193,15 +192,12 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    g, u, ch, s, r = cfg.geometry, cfg.users, cfg.channel, cfg.solver, cfg.run
+    g, u, s, r = cfg.geometry, cfg.users, cfg.solver, cfg.run
     if u.K <= 0 or u.K % GROUPS != 0:
         raise ConfigurationError(
             f"users.K={u.K} must be a positive multiple of L={GROUPS}")
-    if not 0.0 <= ch.rho < 1.0:
-        raise ConfigurationError(f"channel.rho must lie in [0, 1), got {ch.rho}")
-    if ch.vr_mu_frac <= 0 or ch.vr_sigma <= 0:
-        raise ConfigurationError(
-            "channel.vr_mu_frac and channel.vr_sigma must be positive")
+    if cfg.channel.vr_mu_frac <= 0:
+        raise ConfigurationError("channel.vr_mu_frac must be positive")
     if s.T < 1:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
     if s.omega <= 0:
@@ -227,6 +223,10 @@ def validate(cfg: ExperimentConfig) -> None:
         if len(set(grid)) < len(grid):
             raise ConfigurationError(
                 f"run.{name}={grid} repeats an entry; each entry is a CSV row key")
+    for snr in [cfg.power.snr_db, *r.snr_grid_db]:
+        if not -SNR_DB_MAX <= snr <= SNR_DB_MAX:  # false for NaN too
+            raise ConfigurationError(f"SNR {snr} dB lies outside +-{SNR_DB_MAX} dB "
+                                     "(power.snr_db, run.snr_grid_db)")
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")

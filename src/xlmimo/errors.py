@@ -13,10 +13,6 @@ class GeometryInfeasibleError(XlMimoError, RuntimeError):
     """Rejection sampling could not satisfy the geometric constraints."""
 
 
-class ModelError(XlMimoError, ValueError):
-    """Statistical model violated (e.g. covariance not positive semi-definite)."""
-
-
 class NotHpdError(XlMimoError, ValueError):
     """Matrix expected to be Hermitian positive definite is not."""
 

@@ -2,7 +2,7 @@
 
 The base-station array lies along one edge of the square cell, from (0, 0)
 towards (N, 0); users live in the square [0, CELL_SIDE]^2.  The array, the
-cell, S = 3 subarrays and L = 2 user groups are model constants, not settings.
+cell, S = 3, L = 2 and the VR length spread are model constants, not settings.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ CARRIER_HZ = 2.6e9
 SPACING_WAVELENGTHS = 2.0
 CELL_SIDE = 100.0  # [m]
 MIN_DIST = 30.0    # [m]
+VR_SIGMA = 0.1     # log-normal spread of the visibility region length
 
 
 @dataclass(frozen=True)
@@ -85,24 +86,21 @@ def drop_users(rng: np.random.Generator, K: int,
 
 
 def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
-              mu_l: float, sigma_l: float,
-              required: np.ndarray) -> np.ndarray:
+              mu_l: float, required: np.ndarray) -> np.ndarray:
     """Sample visibility regions, center uniform on [0, N] and log-normal
     length; returns the (..., M) boolean masks of the antennas each covers.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
-    log(mu_l) - sigma_l^2 / 2.  `required` (..., M) asks for one region per
-    mask row (a user's row of `Scenario.serving`).  A region is redrawn
-    until it covers at least one antenna of its row, so no user ends up
-    with an all-zero effective channel.  Each round draws uniform(n)
-    centers, then lognormal(n) lengths, for the n rows still pending; a row
-    keeps its first accepted draw.
+    log(mu_l) - VR_SIGMA^2 / 2 and spread VR_SIGMA.  `required` (..., M)
+    asks for one region per mask row (a user's row of `Scenario.serving`).
+    A region is redrawn until it covers at least one antenna of its row, so
+    no user ends up with an all-zero effective channel.  Each round draws
+    uniform(n) centers, then lognormal(n) lengths, for the n rows still
+    pending; a row keeps its first accepted draw.
     """
-    if sigma_l <= 0:
-        raise ConfigurationError(f"sigma_l must be positive, got {sigma_l}")
     if mu_l <= 0:
         raise ConfigurationError(f"mean VR length must be positive, got {mu_l}")
-    mu = np.log(mu_l) - 0.5 * sigma_l ** 2
+    mu = np.log(mu_l) - 0.5 * VR_SIGMA ** 2
 
     pos, N = geometry.positions, geometry.N
     needed = np.asarray(required, dtype=bool)
@@ -116,7 +114,7 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
     pending = np.arange(len(rows))
     for _ in range(MAX_RETRIES):
         c = rng.uniform(0.0, N, size=pending.size)
-        ln = rng.lognormal(mean=mu, sigma=sigma_l, size=pending.size)
+        ln = rng.lognormal(mean=mu, sigma=VR_SIGMA, size=pending.size)
         lo = np.maximum(0.0, c - ln / 2.0)
         hi = np.minimum(N, c + ln / 2.0)
         vis = (pos >= lo[:, None]) & (pos <= hi[:, None])

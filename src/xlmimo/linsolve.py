@@ -142,6 +142,8 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
     Stops early only when the generator ends (a Krylov method whose
     residuals have all vanished).  With `trace`, records the LS error per
     iteration; converged means the final error does not exceed the initial.
+    Overflow warnings are off: a diverged iterate stays non-finite, so an inf
+    or NaN in the final iterate or the trace raises `NonFiniteError`.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
@@ -152,12 +154,15 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
         snorm2 = _rhs_norms(s2)
         errors = [_ls_error(P, w, s2, snorm2)]
     iterations, iterates = 0, []
-    for w in islice(steps(P, s2, w), T):
-        iterations += 1
-        if keep_iterates:
-            iterates.append(w.copy())
-        if trace:
-            errors.append(_ls_error(P, w, s2, snorm2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in islice(steps(P, s2, w), T):
+            iterations += 1
+            if keep_iterates:
+                iterates.append(w.copy())
+            if trace:
+                errors.append(_ls_error(P, w, s2, snorm2))
+    if not np.isfinite(w).all() or trace and not np.isfinite(errors).all():
+        raise NonFiniteError(f"iterate diverged to inf or NaN in {iterations} steps")
     if not trace:
         return _finish(w, is_vec, iterations, None, None, iterates)
     return _finish(w, is_vec, iterations, errors, errors[-1] <= errors[0],

@@ -10,7 +10,7 @@ from xlmimo import channel
 from xlmimo.channel import (ChannelRealization, assemble_from_user_channels,
                             build_correlation, path_loss, psd_sqrt,
                             stack_realizations)
-from xlmimo.errors import AssemblyError, ConfigurationError, ModelError
+from xlmimo.errors import AssemblyError, ConfigurationError
 from xlmimo.seeding import seed_stream
 
 
@@ -40,41 +40,35 @@ class TestPathLoss:
 
 
 class TestCorrelation:
-    def test_uncorrelated_identity(self):
-        np.testing.assert_array_equal(build_correlation(4, 0.0), np.eye(4))
+    def test_uncorrelated_identity(self, monkeypatch):
+        # RHO is read when the matrix is built.
+        monkeypatch.setattr(channel, "RHO", 0.0)
+        np.testing.assert_array_equal(build_correlation(4), np.eye(4))
 
     def test_exponential_values(self):
-        R = build_correlation(3, 0.5)
+        R = build_correlation(3)
         np.testing.assert_allclose(
             R, [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
-    def test_positive_definite_at_desk_scale(self, rho):
-        vals = np.linalg.eigvalsh(build_correlation(64, rho))
+    def test_positive_definite_at_desk_scale(self, rho, monkeypatch):
+        monkeypatch.setattr(channel, "RHO", rho)
+        vals = np.linalg.eigvalsh(build_correlation(64))
         assert vals[0] > 0
 
-    @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
-    def test_invalid_rho(self, rho):
-        with pytest.raises(ConfigurationError):
-            build_correlation(4, rho)
+    @pytest.mark.parametrize("M_s", [1, 2, 33, 88, 200])
+    def test_spectrum_within_kms_bounds(self, M_s):
+        # Exponential correlation has its spectrum inside
+        # ((1 - RHO) / (1 + RHO), (1 + RHO) / (1 - RHO)) = (1/3, 3).
+        vals = np.linalg.eigvalsh(build_correlation(M_s))
+        assert 1 / 3 < vals[0] and vals[-1] < 3
 
 
 class TestPsdSqrt:
     def test_square_recovers_matrix(self):
-        R = build_correlation(8, 0.7)
+        R = build_correlation(8)
         A = psd_sqrt(R)
         np.testing.assert_allclose(A @ A, R, atol=1e-12)
-
-    def test_rank_deficient_masked_matrix(self):
-        R = build_correlation(6, 0.5)
-        d = np.array([1.0, 1, 0, 0, 1, 1])
-        masked = R * np.outer(d, d)
-        A = psd_sqrt(masked)
-        np.testing.assert_allclose(A @ A, masked, atol=1e-12)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ModelError):
-            psd_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestBlockAssembly:

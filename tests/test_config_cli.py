@@ -19,13 +19,14 @@ class TestDefaults:
         cfg = parse_config("")
         assert cfg.geometry.M == 99
         assert cfg.users.K == 32
-        assert cfg.channel.vr_mu_frac == 0.1 and cfg.channel.vr_sigma == 0.1
+        assert cfg.channel.vr_mu_frac == 0.1
         assert cfg.solver.T == 5
 
     def test_reference_model_constants(self):
         assert (geometry.CARRIER_HZ, geometry.SPACING_WAVELENGTHS) == (2.6e9, 2.0)
         assert (geometry.CELL_SIDE, geometry.MIN_DIST) == (100.0, 30.0)
         assert (channel.OMEGA, channel.NU) == (4.0, 3.0)
+        assert (channel.RHO, geometry.VR_SIGMA) == (0.5, 0.1)
         assert config.SIGMA2_DBM == -50.0
 
     def test_aperture_resolves_to_99_antennas(self):
@@ -89,7 +90,9 @@ class TestValidation:
         ("geometry", "spacing_wavelengths", 2.0),
         ("users", "cell_side", 100.0), ("users", "min_dist", 30.0),
         ("channel", "omega", 4.0), ("channel", "nu", 3.0),
-        ("power", "sigma2_dbm", -50.0)])
+        ("power", "sigma2_dbm", -50.0),
+        ("channel", "rho", 0.5), ("channel", "vr_sigma", 0.1),
+        ("channel", "normalize_gain", "true")])
     def test_removed_keys_rejected(self, section, key, value, form):
         with pytest.raises(ConfigurationError,
                            match=f"unknown config key {section}.{key}"):
@@ -125,7 +128,7 @@ class TestValidation:
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw, value", [
         ("power", "snr_db", "3e1", 30.0),
-        ("channel", "vr_sigma", "1e15", 1e15),
+        ("solver", "omega", "5e-1", 0.5),
         ("channel", "vr_mu_frac", "1e-9", 1e-9),
         ("power", "snr_db", "-2.5E1", -25.0),
         ("solver", "omega", "1.0e1", 10.0)])
@@ -263,6 +266,26 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
 
+    # A diverging iteration stops the run instead of writing NaN rows: at
+    # the default settings JOR's iterate overflows at t = 1598, and with
+    # omega = 1e200 within the precoder's T = 5 steps.
+    @pytest.mark.parametrize("experiment, items", [
+        ("convergence", ["run.t_max=3000", "run.trials=4"]),
+        ("se_vs_m", ["solver.omega=1e200", "run.trials=2", "run.m_grid=[99]"])])
+    def test_diverging_iteration_truncates_the_run(self, experiment, items,
+                                                   tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [experiment, "--out", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteError"
+        text = out.read_text(encoding="utf-8")
+        assert text.splitlines()[-1].startswith(
+            f"{TRUNCATION_MARKER},NonFiniteError")
+        assert "nan" not in text.lower()
+
     @pytest.mark.parametrize("experiment, item", [
         ("se_vs_m", "run.m_grid=[99.0]"), ("ber", "run.snr_grid_db=[a]"),
         ("convergence", "power.snr_db=true"),
@@ -275,7 +298,15 @@ class TestCli:
         ("convergence", "geometry.M=100"),
         # Each grid or method entry is a CSV row key.
         ("se_vs_m", "run.methods=[cg, cg]"), ("se_vs_m", "run.m_grid=[9, 9]"),
-        ("flops", "run.k_grid=[5, 5]"), ("ber", "run.snr_grid_db=[4.0, 4]")])
+        ("flops", "run.k_grid=[5, 5]"), ("ber", "run.snr_grid_db=[4.0, 4]"),
+        # Every float is finite, and every SNR within +-300 dB.
+        ("convergence", "power.snr_db=.nan"),
+        ("se_vs_m", "solver.omega=.nan"), ("se_vs_m", "solver.omega=.inf"),
+        ("ber", "run.snr_grid_db=[.nan]"), ("ber", "run.snr_grid_db=[-.inf]"),
+        ("se_vs_m", "channel.vr_mu_frac=.inf"),
+        ("convergence", "power.snr_db=4000"),
+        ("convergence", "power.snr_db=-4000"),
+        ("ber", "run.snr_grid_db=[0.0, 301]")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"

@@ -119,10 +119,11 @@ class TestSampleVr:
         """`n` mask rows that each accept every antenna."""
         return np.ones((n, self.geo.M), dtype=bool)
 
-    def test_full_length_region_covers_array(self):
+    def test_full_length_region_covers_array(self, monkeypatch):
         # length ~ 10N with tiny spread: every antenna visible
+        monkeypatch.setattr(geometry, "VR_SIGMA", 0.01)
         masks = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
-                          sigma_l=0.01, required=self._any(1))
+                          required=self._any(1))
         assert masks.all()
 
     def _replayed_lengths(self, seed, n, mu_l):
@@ -132,8 +133,8 @@ class TestSampleVr:
         Regions about ten spacings long always reach an antenna, so every
         row keeps its first draw: uniform centers, then log-normal lengths
         with log-mean log(mu_l) - sigma^2 / 2."""
-        sigma_l = 0.1
-        masks = sample_vr(seed_stream(seed, 0), self.geo, mu_l, sigma_l,
+        sigma_l = geometry.VR_SIGMA
+        masks = sample_vr(seed_stream(seed, 0), self.geo, mu_l,
                           required=self._any(n))
         rng = seed_stream(seed, 0)
         center = rng.uniform(0.0, self.geo.N, size=n)
@@ -152,9 +153,10 @@ class TestSampleVr:
         lengths = self._replayed_lengths(5, 5000, mu)
         assert np.mean(lengths) == pytest.approx(mu, rel=0.05)
 
-    def test_required_mask_honored(self):
+    def test_required_mask_honored(self, monkeypatch):
+        monkeypatch.setattr(geometry, "VR_SIGMA", 0.3)
         required = np.tile(self.geo.subarray_of == 2, (100, 1))
-        masks = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0, sigma_l=0.3,
+        masks = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0,
                           required=required)
         assert (masks & required).any(axis=-1).all()
 
@@ -162,18 +164,16 @@ class TestSampleVr:
         required = self._any(2)
         required[1] = False
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.1, required=required)
+            sample_vr(seed_stream(0, 0), self.geo, 0.5, required=required)
 
     def test_same_seed_identical(self):
-        a = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
-        b = sample_vr(seed_stream(11, 4), self.geo, 0.5, 0.1, self._any(4))
+        a = sample_vr(seed_stream(11, 4), self.geo, 0.5, self._any(4))
+        b = sample_vr(seed_stream(11, 4), self.geo, 0.5, self._any(4))
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, 0.0, self._any(1))
-        with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, -1.0, 0.1, self._any(1))
+            sample_vr(seed_stream(0, 0), self.geo, -1.0, self._any(1))
 
 
 def _first_accepted_vr(rng, geo, mu_l, sigma_l, required, block=256):
@@ -201,13 +201,14 @@ class TestVectorizedSampling:
     def setup_method(self):
         self.geo = build_geometry(99)
 
-    def test_vr_law_matches_scalar_first_accepted(self):
+    def test_vr_law_matches_scalar_first_accepted(self, monkeypatch):
         # Only the last three antennas count: about one candidate in ten is
         # accepted.
+        monkeypatch.setattr(geometry, "VR_SIGMA", 0.5)
         required = np.zeros(self.geo.M, dtype=bool)
         required[-3:] = True
         n, mu_l = 3000, 0.1 * self.geo.N
-        masks = sample_vr(seed_stream(21, 0), self.geo, mu_l, 0.5,
+        masks = sample_vr(seed_stream(21, 0), self.geo, mu_l,
                           required=np.tile(required, (n, 1)))
         rng = seed_stream(22, 0)
         ref = np.array([_first_accepted_vr(rng, self.geo, mu_l, 0.5, required)
@@ -237,11 +238,12 @@ class TestVectorizedSampling:
         for axis in (0, 1):
             assert _within_4se(positions[:, axis], ref[:, axis])
 
-    def test_required_honoured_for_each_row(self):
+    def test_required_honoured_for_each_row(self, monkeypatch):
         # Each row asks for one subarray only; a short region must reach it.
+        monkeypatch.setattr(geometry, "VR_SIGMA", 0.3)
         rows = np.stack([self.geo.subarray_of == s for s in (0, 1, 2)] * 20)
         masks = sample_vr(seed_stream(25, 0), self.geo, 0.05 * self.geo.N,
-                          0.3, required=rows.reshape(3, 20, self.geo.M))
+                          required=rows.reshape(3, 20, self.geo.M))
         assert masks.shape == (3, 20, self.geo.M)
         assert (masks & rows.reshape(3, 20, -1)).any(axis=-1).all()
         assert _is_interval(masks).all()
@@ -254,9 +256,10 @@ class TestVectorizedSampling:
         required[3] = False
         required[3, -1] = True
         monkeypatch.setattr(geometry, "MAX_RETRIES", 5)
+        monkeypatch.setattr(geometry, "VR_SIGMA", 1e-3)
         with pytest.raises(GeometryInfeasibleError, match="for user 3 .* after 5 "):
             sample_vr(seed_stream(27, 0), geo,
-                      1.01 * (geo.positions[1] - geo.positions[0]), 1e-3,
+                      1.01 * (geo.positions[1] - geo.positions[0]),
                       required=required)
 
     def test_drop_retries_exhausted_names_the_user(self, monkeypatch):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import small_config
-from xlmimo.channel import build_correlation, path_loss
+from xlmimo.channel import (assemble_from_user_channels, build_correlation,
+                            path_loss)
 from xlmimo.config import ExperimentConfig, apply_overrides
-from xlmimo.geometry import drop_users
+from xlmimo.geometry import drop_users, sample_vr
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
 
@@ -89,14 +90,6 @@ class TestDrawTrial:
             fro2 = float(np.vdot(draw.realization.H, draw.realization.H).real)
             assert fro2 == pytest.approx(expected, rel=1e-12)
 
-    def test_gain_normalization_disabled(self):
-        cfg = ExperimentConfig()
-        apply_overrides(cfg, ["channel.normalize_gain=false"])
-        scenario = build_scenario(cfg)
-        draw = draw_trial(scenario, seed_stream(3, 0))
-        fro2 = float(np.vdot(draw.realization.H, draw.realization.H).real)
-        assert fro2 != pytest.approx(32.0, rel=1e-6)
-
     def test_block_zero_pattern(self):
         draw = draw_trial(self.scenario, seed_stream(4, 0))
         H = draw.realization.H
@@ -116,23 +109,30 @@ class TestDrawTrial:
                 assert np.all(H[live, k] != 0)
 
     def test_sample_covariance_matches_theta(self):
-        # With every antenna visible and no gain calibration, h_k / sqrt(w_k)
-        # on the served antennas is CN(0, blockdiag(R_s, R_s)).
-        cfg = small_config(**{"channel.normalize_gain": "false"})
-        scenario = build_scenario(cfg)
-        geo = scenario.geometry
-        target = np.kron(np.eye(2), build_correlation(geo.M_s, cfg.channel.rho))
+        # Before the gain calibration, with every antenna visible,
+        # h_k / sqrt(w_k) on the served antennas is CN(0, blockdiag(R_s, R_s)).
+        scenario = build_scenario(small_config())
+        geo, K = scenario.geometry, scenario.K
+        target = np.kron(np.eye(2), build_correlation(geo.M_s))
         acc = np.zeros_like(target, dtype=complex)
         n = 0
         for trial in range(5000):
             draw = draw_trial(scenario, seed_stream(2, trial))
-            # The user drop is the draw's first use of its stream, so
-            # replaying it on a fresh copy gives the draw's distances.
-            distances = drop_users(seed_stream(2, trial), scenario.K, geo)
-            W = path_loss(distances)
-            H = draw.realization.H
-            for k in range(scenario.K):
-                served = _served(geo, scenario.K, k)
+            # Replay the draw's stream in its order (drop, VR, white
+            # normals) to rebuild the draw before its calibration.
+            rng = seed_stream(2, trial)
+            W = path_loss(drop_users(rng, K, geo))
+            masks = sample_vr(rng, geo, scenario.vr_mu, scenario.serving)
+            z = (rng.standard_normal((6 * K, geo.M_s))
+                 @ scenario.Rsub_sqrt.T).reshape(2, K, geo.M)
+            H = assemble_from_user_channels(
+                np.sqrt(W / 2.0) * masks * (z[0] + 1j * z[1]), scenario.K1).H
+            # The calibration scales the whole draw by one number.
+            scale = np.linalg.norm(draw.realization.H) / np.linalg.norm(H)
+            np.testing.assert_allclose(draw.realization.H, scale * H,
+                                       rtol=1e-12, atol=0)
+            for k in range(K):
+                served = _served(geo, K, k)
                 if not draw.vr_masks[k][served].all():
                     continue  # the VR law is independent of the fading
                 h = H[served, k] / np.sqrt(W[k, served])
