@@ -21,8 +21,7 @@ from .channel import ChannelRealization, build_correlation, path_loss
 from .config import (ExperimentConfig, apply_overrides, load_config,
                      parse_config)
 from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
-                     GeometryInfeasibleError, NotHpdError, SplittingError,
-                     XlMimoError)
+                     GeometryInfeasibleError, NotHpdError, XlMimoError)
 from .experiments import run_experiment
 from .flops import FlopModel, flop_model, flops_direct, flops_jacpcg
 from .geometry import ArrayGeometry, build_geometry, drop_users, sample_vr

@@ -19,6 +19,11 @@ from .geometry import SUBARRAYS
 OMEGA = 4.0  # gain at 1 m; the gain calibration in draw_trial divides it out
 NU = 3.0     # path-loss exponent
 RHO = 0.5    # correlation between adjacent antennas
+# Mean per-user gain (M / GAIN_REF_M)^GAIN_EXPONENT: unity at the reference
+# array.  The exponent 2 models a per-antenna power budget (radiated power
+# ~ M) on top of the aperture gain (~ M).
+GAIN_REF_M = 99
+GAIN_EXPONENT = 2.0
 
 
 def path_loss(d) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Command-line interface: one subcommand per experiment scenario."""
+"""Command-line interface: `xlmimo EXPERIMENT`, with flags before or after it."""
 
 import argparse
 import json
@@ -17,16 +17,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xlmimo",
         description="XL-MIMO RZF precoding experiments "
                     "(convergence, SE vs M, BER, flop model)")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--config", help="YAML config file (defaults are built in)")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override a single config value")
-        p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--workers", type=int, help="override run.workers")
+    parser.add_argument("experiment", choices=EXPERIMENTS,
+                        help="the scenario to run")
+    parser.add_argument("--config", help="YAML config file (defaults are built in)")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE",
+                        help="override a single config value")
+    parser.add_argument("--seed", type=int, help="override run.seed")
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--workers", type=int, help="override run.workers")
     return parser
 
 

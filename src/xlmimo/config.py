@@ -4,19 +4,22 @@ Defaults follow the reference simulation setup: M = 99 antennas (the
 largest array within the paper's 23.0610 m aperture), K = 32 users,
 T = 5 iterations.  The rest of the paper's system model is constants, not
 settings: S = 3, L = 2, the carrier, antenna spacing, cell, minimum distance
-and VR length spread (`geometry`), the path loss and correlation (`channel`)
-and the noise power `SIGMA2_DBM`.  M must divide by 3, K by 2.
+and VR length spread (`geometry`), the path loss and correlation (`channel`),
+the flops table's user grid (`flops.K_GRID`) and the noise power
+`SIGMA2_DBM`.  M must divide by 3, K by 2.
 """
 
 import dataclasses
+import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .channel import GAIN_EXPONENT, GAIN_REF_M
 from .errors import ConfigurationError
-from .geometry import GROUPS, SUBARRAYS
+from .geometry import GROUPS, MAX_RETRIES, SUBARRAYS
 from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
 EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
@@ -52,16 +55,12 @@ class PowerConfig:
         return 10.0 ** (SIGMA2_DBM / 10.0) / 1000.0
 
     @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
-    @property
     def xi(self) -> float:
-        return 1.0 / self.snr_linear
+        return 1.0 / 10.0 ** (self.snr_db / 10.0)
 
     @property
     def tx_power_watts(self) -> float:
-        return self.sigma2_watts * self.snr_linear
+        return self.sigma2_watts * 10.0 ** (self.snr_db / 10.0)
 
 
 @dataclass
@@ -79,7 +78,6 @@ class RunConfig:
     methods: list = field(default_factory=lambda: list(METHODS))
     t_max: int = 5
     m_grid: list = field(default_factory=lambda: [99, 132, 165, 198, 231, 264])
-    k_grid: list = field(default_factory=lambda: [5, 10, 15, 20, 25, 30])
     snr_grid_db: list = field(default_factory=lambda: [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
     bits_per_point: int = 1_000_000
     symbols_per_channel: int = 512
@@ -143,9 +141,10 @@ def _fill_section(section_obj, data: dict, section: str):
     return section_obj
 
 
-def config_from_dict(data: dict | None) -> ExperimentConfig:
-    """Build a validated config from a (possibly empty) nested dict."""
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a YAML config document; empty text yields the full default config."""
     cfg = ExperimentConfig()
+    data = _load_yaml(text, "malformed YAML")
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -160,11 +159,6 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
         _fill_section(getattr(cfg, section), content, section)
     validate(cfg)
     return cfg
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a YAML config document; empty text yields the full default config."""
-    return config_from_dict(_load_yaml(text, "malformed YAML"))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -211,7 +205,7 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("run.trials, run.workers and run.t_max must be >= 1")
     if r.bits_per_point < 1 or r.symbols_per_channel < 1:
         raise ConfigurationError("run.bits_per_point and symbols_per_channel must be >= 1")
-    for name, grid, kind in (("m_grid", r.m_grid, int), ("k_grid", r.k_grid, int),
+    for name, grid, kind in (("m_grid", r.m_grid, int),
                              ("snr_grid_db", r.snr_grid_db, (int, float)),
                              ("methods", r.methods, str)):
         if not grid:
@@ -223,10 +217,6 @@ def validate(cfg: ExperimentConfig) -> None:
         if len(set(grid)) < len(grid):
             raise ConfigurationError(
                 f"run.{name}={grid} repeats an entry; each entry is a CSV row key")
-    for snr in [cfg.power.snr_db, *r.snr_grid_db]:
-        if not -SNR_DB_MAX <= snr <= SNR_DB_MAX:  # false for NaN too
-            raise ConfigurationError(f"SNR {snr} dB lies outside +-{SNR_DB_MAX} dB "
-                                     "(power.snr_db, run.snr_grid_db)")
     for m in r.methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r} in run.methods")
@@ -235,8 +225,21 @@ def validate(cfg: ExperimentConfig) -> None:
         if M <= 0 or M % SUBARRAYS != 0:
             raise ConfigurationError(
                 f"{name}={M} must be a positive multiple of S={SUBARRAYS}")
-    if min(r.k_grid) < 1:
-        raise ConfigurationError("run.k_grid entries must be >= 1")
+        # A VR centre is uniform on [0, N] and its mean length vr_mu_frac * N,
+        # so by the union bound one round reaches one of a user's 2M/3 serving
+        # antennas with probability at most (2M/3) * vr_mu_frac.  Below 0.1
+        # over MAX_RETRIES rounds, a user stays unplaced with probability > 90%.
+        if MAX_RETRIES * (2 * M / SUBARRAYS) * cfg.channel.vr_mu_frac < 0.1:
+            raise ConfigurationError(f"channel.vr_mu_frac too small for {name}={M}")
+    # The gain calibration makes the mean Gram diagonal entry (M/99)^2; an xi
+    # below eps times it rounds away there, and with it the R of RZF.
+    M_max = max(g.M, *r.m_grid)
+    top = -10 * math.log10(sys.float_info.epsilon * (M_max / GAIN_REF_M) ** GAIN_EXPONENT)
+    for snr in [cfg.power.snr_db, *r.snr_grid_db]:
+        if not -SNR_DB_MAX <= snr <= min(SNR_DB_MAX, top):  # false for NaN too
+            raise ConfigurationError(
+                f"SNR {snr} dB lies outside [-{SNR_DB_MAX}, {top:.1f}] dB at M="
+                f"{M_max} (power.snr_db, run.snr_grid_db)")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -21,10 +21,6 @@ class NonFiniteError(XlMimoError, ValueError):
     """Input holds an inf or NaN."""
 
 
-class SplittingError(XlMimoError, ValueError):
-    """Matrix splitting unusable (zero diagonal entry)."""
-
-
 class DegenerateChannelError(XlMimoError, ValueError):
     """Channel block carries no energy; power control undefined."""
 

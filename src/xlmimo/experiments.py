@@ -22,7 +22,7 @@ import numpy as np
 from . import BLAS_THREAD_VARS, __version__
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigurationError
-from .flops import flop_model
+from .flops import K_GRID, flop_model
 from .metrics import (ber_montecarlo, convergence_trace, iterative_methods,
                       se_montecarlo, sum_se)
 
@@ -37,7 +37,7 @@ def _fmt(value) -> str:
 
 def rows_flops(cfg: ExperimentConfig):
     T = cfg.solver.T
-    for K in cfg.run.k_grid:
+    for K in K_GRID:
         for method in cfg.run.methods:
             model = flop_model(method, K, T)
             yield [method, K, T, model.init_flops, model.per_iter_flops,

@@ -2,7 +2,8 @@
 
 Counts mix real and complex operations as in the cost model the figures use:
 direct inversion via Cholesky, GS/JOR fixed-point sweeps, CG, and CG with a
-Jacobi preconditioner (one extra preprocessing charge per solve).
+Jacobi preconditioner (one extra preprocessing charge per solve).  The flops
+table compares them over the paper's fixed user grid `K_GRID`.
 """
 
 from dataclasses import dataclass
@@ -10,11 +11,11 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .linsolve import METHODS
 
+K_GRID = (5, 10, 15, 20, 25, 30)  # user counts K of the flops table
+
 
 @dataclass(frozen=True)
 class FlopModel:
-    method: str
-    K: int
     T: int
     init_flops: int
     per_iter_flops: int
@@ -56,7 +57,7 @@ def flop_model(method: str, K: int, T: int = 1) -> FlopModel:
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}")
     init, per_iter = _FLOPS[method](K)
-    return FlopModel(method, K, T, init_flops=init, per_iter_flops=per_iter)
+    return FlopModel(T, init_flops=init, per_iter_flops=per_iter)
 
 
 def flops_direct(K: int) -> int:

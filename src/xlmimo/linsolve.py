@@ -22,8 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (ConfigurationError, NonFiniteError, NotHpdError,
-                     SplittingError)
+from .errors import ConfigurationError, NonFiniteError, NotHpdError
 
 HERMITIAN_RTOL = 1e-12
 # A PCG column whose r^H z is below the smallest normal float has converged:
@@ -172,7 +171,7 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
 def _check_diag(d) -> np.ndarray:
     if np.any(d == 0):
         where = tuple(int(i) for i in np.argwhere(d == 0)[0])
-        raise SplittingError(f"zero diagonal entry at {where}")
+        raise NotHpdError(f"zero diagonal entry at {where}")
     return d
 
 
@@ -263,13 +262,12 @@ def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,
     """Standard PCG with the Jacobi preconditioner C = diag(P) by default.
 
     Pass `precond_diag` ((n,) or (..., n)) to override the preconditioner;
-    C = I gives CG.  C must be positive: a zero entry raises
-    `SplittingError`, a negative one `NotHpdError`.
+    C = I gives CG.  C must be positive, else `NotHpdError`.
     """
     c = _diag(np.asarray(sys.P)).real if precond_diag is None else precond_diag
-    c = _check_diag(np.asarray(c, dtype=float))
-    if np.any(c < 0):
-        raise NotHpdError("negative preconditioner entry; P is not HPD")
+    c = np.asarray(c, dtype=float)
+    if not np.all(c > 0):
+        raise NotHpdError("nonpositive preconditioner entry; P is not HPD")
     return _iterate(sys, T, keep_iterates, trace, _pcg_steps(c[..., None]))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import stack_realizations
+from .config import PowerConfig
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, herm, solve
 from .precoder import build_precoder, gram_regularized
@@ -176,11 +177,10 @@ def ber_montecarlo(cfg) -> BerReport:
 
 def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     """Bit errors of each trial of the batch, per method, at `snr_db`."""
-    snr = 10.0 ** (snr_db / 10.0)
-    sigma2, sol = cfg.power.sigma2_watts, cfg.solver
+    power, sol = PowerConfig(snr_db=snr_db), cfg.solver
     K, nsym = real.K, cfg.run.symbols_per_channel
     couplings = {m: coupling_matrix(real, build_precoder(
-        real, 1.0 / snr, sigma2 * snr, m, sol.T, sol.omega))
+        real, power.xi, power.tx_power_watts, m, sol.T, sol.omega))
         for m in cfg.run.methods}
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
     # Bits and noise follow each trial's channel on its stream, trial by
@@ -188,7 +188,7 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     for i, rng in enumerate(rngs):
         bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
         symbols = qpsk_modulate(bits)
-        noise = np.sqrt(sigma2 / 2.0) * (
+        noise = np.sqrt(power.sigma2_watts / 2.0) * (
             rng.standard_normal((K, nsym))
             + 1j * rng.standard_normal((K, nsym)))
         for m, B in couplings.items():

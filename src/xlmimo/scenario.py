@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (assemble_from_user_channels, build_correlation, path_loss,
-                      psd_sqrt)
+from .channel import (GAIN_EXPONENT, GAIN_REF_M, assemble_from_user_channels,
+                      build_correlation, path_loss, psd_sqrt)
 from .config import ExperimentConfig
 from .geometry import (GROUPS, SUBARRAYS, ArrayGeometry, build_geometry,
                        drop_users, sample_vr)
@@ -47,13 +47,6 @@ def build_scenario(cfg: ExperimentConfig, M: int | None = None) -> Scenario:
                     vr_mu=cfg.channel.vr_mu_frac * geometry.N,
                     Rsub_sqrt=psd_sqrt(build_correlation(geometry.M_s)),
                     K=cfg.users.K, K1=K1, serving=serving)
-
-
-# Mean per-user gain (M / GAIN_REF_M)^GAIN_EXPONENT: unity at the reference
-# array.  The exponent 2 models a per-antenna power budget (radiated power
-# ~ M) on top of the aperture gain (~ M).
-GAIN_REF_M = 99
-GAIN_EXPONENT = 2.0
 
 
 def draw_trial(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:

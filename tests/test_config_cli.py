@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xlmimo import channel, cli, config, experiments, geometry, metrics
+from xlmimo import channel, cli, config, experiments, flops, geometry, metrics
 from xlmimo.config import (EXPERIMENTS, ExperimentConfig, apply_overrides,
                            config_to_dict, parse_config)
 from xlmimo.errors import ConfigurationError
@@ -28,6 +28,7 @@ class TestDefaults:
         assert (channel.OMEGA, channel.NU) == (4.0, 3.0)
         assert (channel.RHO, geometry.VR_SIGMA) == (0.5, 0.1)
         assert config.SIGMA2_DBM == -50.0
+        assert flops.K_GRID == (5, 10, 15, 20, 25, 30)
 
     def test_aperture_resolves_to_99_antennas(self):
         array = build_geometry(ExperimentConfig().geometry.M)
@@ -36,7 +37,7 @@ class TestDefaults:
 
     def test_xi_snr_product(self):
         cfg = ExperimentConfig()
-        assert cfg.power.xi * cfg.power.snr_linear == pytest.approx(1.0)
+        assert cfg.power.xi * 10 ** (cfg.power.snr_db / 10) == pytest.approx(1.0)
         assert cfg.power.sigma2_watts == pytest.approx(1e-8)
 
 
@@ -92,7 +93,8 @@ class TestValidation:
         ("channel", "omega", 4.0), ("channel", "nu", 3.0),
         ("power", "sigma2_dbm", -50.0),
         ("channel", "rho", 0.5), ("channel", "vr_sigma", 0.1),
-        ("channel", "normalize_gain", "true")])
+        ("channel", "normalize_gain", "true"),
+        ("run", "k_grid", "[5, 10, 15, 20, 25, 30]")])
     def test_removed_keys_rejected(self, section, key, value, form):
         with pytest.raises(ConfigurationError,
                            match=f"unknown config key {section}.{key}"):
@@ -110,6 +112,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="geometry.M=100"):
             parse_config("geometry:\n  M: 100\n")
 
+    # The flops table's grid is the constant flops.K_GRID, so a run.k_grid
+    # entry of any form is an unknown key.
     @pytest.mark.parametrize("item", [
         "run.m_grid=[99.0]", "run.m_grid=[true]", "run.m_grid=[0]",
         "run.k_grid=[5.5]", "run.k_grid=[0]", "run.snr_grid_db=[a]",
@@ -117,6 +121,24 @@ class TestValidation:
     def test_bad_list_entry_rejected(self, item):
         with pytest.raises(ConfigurationError, match=item.split("=")[0]):
             apply_overrides(ExperimentConfig(), [item])
+
+    # The SNR bound is -10 log10(eps (M_max/99)^2) dB, M_max the largest of
+    # geometry.M and run.m_grid: 156.5 dB at 99 and 148.0 dB at 264.
+    @pytest.mark.parametrize("m_grid, top", [("[99]", 156.5),
+                                             ("[99, 264]", 148.0)])
+    def test_snr_bound_follows_largest_array(self, m_grid, top):
+        apply_overrides(ExperimentConfig(),
+                        [f"run.m_grid={m_grid}", f"power.snr_db={top}"])
+        with pytest.raises(ConfigurationError, match=rf"{top}\] dB at M="):
+            apply_overrides(ExperimentConfig(),
+                            [f"run.m_grid={m_grid}", f"power.snr_db={top + 0.1}"])
+
+    # The VR length bound is tightest at the smallest array.
+    def test_vr_bound_follows_smallest_array(self):
+        apply_overrides(ExperimentConfig(), ["channel.vr_mu_frac=1e-6"])
+        with pytest.raises(ConfigurationError, match="run.m_grid entry=9"):
+            apply_overrides(ExperimentConfig(),
+                            ["channel.vr_mu_frac=1e-6", "run.m_grid=[9, 99]"])
 
     @pytest.mark.parametrize("item", ["run.trials=true", "power.snr_db=true"])
     def test_bool_for_number_rejected(self, item):
@@ -129,7 +151,7 @@ class TestValidation:
     @pytest.mark.parametrize("section, key, raw, value", [
         ("power", "snr_db", "3e1", 30.0),
         ("solver", "omega", "5e-1", 0.5),
-        ("channel", "vr_mu_frac", "1e-9", 1e-9),
+        ("channel", "vr_mu_frac", "2e-1", 0.2),
         ("power", "snr_db", "-2.5E1", -25.0),
         ("solver", "omega", "1.0e1", 10.0)])
     def test_float_with_exponent_accepted(self, section, key, raw, value, form):
@@ -199,7 +221,7 @@ def _fast_cfg(experiment):
         f"run.experiment={experiment}", "geometry.M=9", "users.K=4",
         "run.trials=3", "run.m_grid=[9]", "run.bits_per_point=1024",
         "run.symbols_per_channel=32", "run.snr_grid_db=[10.0]",
-        "run.k_grid=[5, 30]", "channel.vr_mu_frac=3.0",
+        "channel.vr_mu_frac=3.0",
     ])
     return cfg
 
@@ -255,7 +277,7 @@ class TestRunExperiment:
 class TestCli:
     def test_flops_subcommand(self, tmp_path, capsys):
         out = tmp_path / "flops.csv"
-        rc = cli.main(["flops", "--out", str(out), "--set", "run.k_grid=[30]"])
+        rc = cli.main(["flops", "--out", str(out)])
         assert rc == 0
         assert str(out) in capsys.readouterr().out
         assert out.exists()
@@ -306,7 +328,14 @@ class TestCli:
         ("se_vs_m", "channel.vr_mu_frac=.inf"),
         ("convergence", "power.snr_db=4000"),
         ("convergence", "power.snr_db=-4000"),
-        ("ber", "run.snr_grid_db=[0.0, 301]")])
+        ("ber", "run.snr_grid_db=[0.0, 301]"),
+        # Above -10 log10(eps (M_max/99)^2) dB (148 dB at M = 264), xi
+        # rounds away on the Gram diagonal and the Cholesky factor breaks.
+        ("se_vs_m", "power.snr_db=170"), ("se_vs_m", "power.snr_db=200"),
+        ("ber", "run.snr_grid_db=[0.0, 180]"),
+        # VRs this short reach no serving antenna in MAX_RETRIES rounds.
+        ("convergence", "channel.vr_mu_frac=1e-9"),
+        ("convergence", "channel.vr_mu_frac=1e-7")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"
@@ -319,7 +348,7 @@ class TestCli:
     @pytest.mark.parametrize("experiment", ["se_vs_m", "ber"])
     def test_direct_alone_from_config_file(self, experiment, tmp_path):
         # the file leaves run.experiment at its default, convergence, which
-        # needs an iterative method; the subcommand runs one that does not
+        # needs an iterative method; the CLI's experiment needs none
         path = tmp_path / "direct.yaml"
         path.write_text(
             "geometry:\n  M: 9\nusers:\n  K: 4\nchannel:\n  vr_mu_frac: 3.0\n"
@@ -342,10 +371,23 @@ class TestCli:
         assert "run.seed" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_flags_before_the_experiment(self, tmp_path):
+        out = tmp_path / "flops.csv"
+        assert cli.main(["--seed", "3", "flops", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "flops.csv.manifest.json").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["config"]["run"]["experiment"] == "flops"
+
+    def test_high_snr_below_the_bound_runs(self, tmp_path):
+        out = tmp_path / "se.csv"
+        rc = cli.main(["se_vs_m", "--out", str(out), "--set", "power.snr_db=140",
+                       "--set", "run.trials=2", "--set", "run.m_grid=[99, 264]"])
+        assert rc == 0
+        assert TRUNCATION_MARKER not in out.read_text()
+
     def test_seed_and_workers_flags(self, tmp_path):
         out = tmp_path / "flops.csv"
-        cli.main(["flops", "--out", str(out), "--seed", "5", "--workers", "2",
-                  "--set", "run.k_grid=[5]"])
+        cli.main(["flops", "--out", str(out), "--seed", "5", "--workers", "2"])
         manifest = json.loads((tmp_path / "flops.csv.manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config"]["run"]["workers"] == 2
@@ -373,6 +415,6 @@ class TestCli:
 
     def test_default_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DEFAULT_OUT_ENV, str(tmp_path))
-        rc = cli.main(["flops", "--set", "run.k_grid=[5]"])
+        rc = cli.main(["flops"])
         assert rc == 0
         assert (tmp_path / "flops.csv").exists()

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import condition_number, diag_scaled_hpd, random_hpd, random_rhs
-from xlmimo.errors import (ConfigurationError, NonFiniteError, NotHpdError,
-                           SplittingError)
+from xlmimo.errors import ConfigurationError, NonFiniteError, NotHpdError
 from xlmimo.linsolve import (HERMITIAN_RTOL, METHODS, HpdSystem, cg_solve,
                              direct_solve, gs_solve, jacpcg_solve, jor_solve,
                              solve)
@@ -92,7 +91,7 @@ class TestGaussSeidel:
             assert out.converged
 
     def test_zero_diagonal_rejected(self):
-        with pytest.raises(SplittingError):
+        with pytest.raises(NotHpdError):
             gs_solve(_sys([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), T=1)
 
     def test_trace_length_and_t_validation(self):
@@ -202,7 +201,7 @@ class TestJacPcg:
 
     def test_zero_preconditioner_diagonal_rejected(self):
         P = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(SplittingError):
+        with pytest.raises(NotHpdError):
             jacpcg_solve(HpdSystem(P=P, rhs=np.ones(2)), T=1)
 
     def test_indefinite_preconditioner_rejected(self):
@@ -325,7 +324,7 @@ class TestStacks:
     @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
     def test_zero_diagonal_system_rejects_the_stack(self, method):
         P = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
-        with pytest.raises(SplittingError):
+        with pytest.raises(NotHpdError):
             solve(HpdSystem(P=P, rhs=np.ones((3, 2))), method)
 
     def test_converged_is_reported_per_system(self):
