@@ -3,7 +3,7 @@
 Channel vectors are h = sqrt(w) .* hbar with hbar ~ CN(0, Theta), where
 Theta = D^{1/2} R D^{1/2} restricted to per-subarray diagonal blocks; D is
 the 0/1 visibility indicator and R the spatial correlation matrix.  The
-per-trial draw with this law is `scenario.draw_trial`.  The block layout
+batch draw with this law is `scenario.draw_batch`.  The block layout
 (S = 3 subarrays, L = 2 user groups), the path loss w = OMEGA * d^(-NU) and
 the correlation R[i, j] = RHO^|i-j| are constants of the model.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AssemblyError, ConfigurationError
 from .geometry import SUBARRAYS
 
-OMEGA = 4.0  # gain at 1 m; the gain calibration in draw_trial divides it out
+OMEGA = 4.0  # gain at 1 m; the gain calibration in draw_batch divides it out
 NU = 3.0     # path-loss exponent
 RHO = 0.5    # correlation between adjacent antennas
 # Mean per-user gain (M / GAIN_REF_M)^GAIN_EXPONENT: unity at the reference
@@ -31,7 +31,9 @@ def path_loss(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ConfigurationError("all distances must be positive")
-    return OMEGA * d ** (-NU)
+    w = d ** (-NU)
+    w *= OMEGA
+    return w
 
 
 def build_correlation(M: int) -> np.ndarray:
@@ -78,7 +80,7 @@ class ChannelRealization:
     """Block channel matrices for the S=3, L=2 topology.
 
     Each block may carry leading trial dimensions (...): one object then
-    holds a stack of trials (see `stack_realizations`).
+    holds a stack of trials (see `scenario.draw_batch`).
     """
 
     H1: np.ndarray  # (..., M_1, K_1) subarray 1 x group 1
@@ -105,20 +107,17 @@ class ChannelRealization:
         return self.H1, self.Hc, self.H2
 
 
-def stack_realizations(realizations) -> ChannelRealization:
-    """One realization whose blocks carry a leading axis over `realizations`."""
-    return ChannelRealization(*(np.stack(blocks) for blocks in
-                                zip(*(r.blocks() for r in realizations))))
-
-
 def assemble_from_user_channels(h_users: np.ndarray,
                                 K1: int) -> ChannelRealization:
-    """Assemble (K, M) per-user full-array channel rows into the block layout.
+    """Assemble (..., K, M) per-user full-array channel rows into the block
+    layout, one C-contiguous (..., M_s, K_i) array per block.
 
     The first K1 users form group 1, the rest group 2, and the antennas split
     into three equal subarrays.  Dropping each group's unserved side subarray
     leaves the exact zero blocks.
     """
-    Ms = h_users.shape[1] // SUBARRAYS
-    return ChannelRealization(h_users[:K1, :Ms].T, h_users[:, Ms:2 * Ms].T,
-                              h_users[K1:, 2 * Ms:].T)
+    Ms = h_users.shape[-1] // SUBARRAYS
+    return ChannelRealization(*(np.ascontiguousarray(np.swapaxes(h, -1, -2))
+                                for h in (h_users[..., :K1, :Ms],
+                                          h_users[..., Ms:2 * Ms],
+                                          h_users[..., K1:, 2 * Ms:])))

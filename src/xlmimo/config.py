@@ -29,6 +29,8 @@ EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
 SIGMA2_DBM = -50.0
 # 10^(SNR/10) and its inverse are finite and positive within this bound [dB].
 SNR_DB_MAX = 300.0
+# Most expected users per draw that MAX_RETRIES VR rounds may leave unplaced.
+VR_UNPLACED_MAX = 1e-6
 
 
 @dataclass
@@ -226,20 +228,29 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(
                 f"{name}={M} must be a positive multiple of S={SUBARRAYS}")
         # A VR centre is uniform on [0, N] and its mean length vr_mu_frac * N,
-        # so by the union bound one round reaches one of a user's 2M/3 serving
-        # antennas with probability at most (2M/3) * vr_mu_frac.  Below 0.1
-        # over MAX_RETRIES rounds, a user stays unplaced with probability > 90%.
-        if MAX_RETRIES * (2 * M / SUBARRAYS) * cfg.channel.vr_mu_frac < 0.1:
+        # so by the union bound one round reaches one of a user's 2M/3
+        # serving antennas with probability at most p = (2M/3) * vr_mu_frac.
+        # A user then stays unplaced after MAX_RETRIES rounds with
+        # probability at least (1 - p)^MAX_RETRIES, and K times that bounds
+        # from below the expected number of unplaced users per draw, each of
+        # which stops the run.  The bound is largest at the smallest M.
+        p = (2 * M / SUBARRAYS) * cfg.channel.vr_mu_frac
+        if u.K * (1.0 - min(1.0, p)) ** MAX_RETRIES > VR_UNPLACED_MAX:
             raise ConfigurationError(f"channel.vr_mu_frac too small for {name}={M}")
-    # The gain calibration makes the mean Gram diagonal entry (M/99)^2; an xi
-    # below eps times it rounds away there, and with it the R of RZF.
-    M_max = max(g.M, *r.m_grid)
-    top = -10 * math.log10(sys.float_info.epsilon * (M_max / GAIN_REF_M) ** GAIN_EXPONENT)
-    for snr in [cfg.power.snr_db, *r.snr_grid_db]:
-        if not -SNR_DB_MAX <= snr <= min(SNR_DB_MAX, top):  # false for NaN too
-            raise ConfigurationError(
-                f"SNR {snr} dB lies outside [-{SNR_DB_MAX}, {top:.1f}] dB at M="
-                f"{M_max} (power.snr_db, run.snr_grid_db)")
+    # BER runs at geometry.M; se_vs_m and convergence read power.snr_db at
+    # every array size of the run.
+    _check_snr("power.snr_db", cfg.power.snr_db, max(g.M, *r.m_grid))
+    for snr in r.snr_grid_db:
+        _check_snr("run.snr_grid_db entry", snr, g.M)
+
+
+def _check_snr(name: str, snr: float, M: int) -> None:
+    """The gain calibration makes the mean Gram diagonal entry (M/99)^2; an
+    xi below eps times it rounds away there, and with it the R of RZF."""
+    top = -10 * math.log10(sys.float_info.epsilon * (M / GAIN_REF_M) ** GAIN_EXPONENT)
+    if not -SNR_DB_MAX <= snr <= min(SNR_DB_MAX, top):  # false for NaN too
+        raise ConfigurationError(
+            f"{name} {snr} dB lies outside [-{SNR_DB_MAX}, {top:.1f}] dB at M={M}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

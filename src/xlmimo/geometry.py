@@ -56,47 +56,65 @@ def build_geometry(M: int) -> ArrayGeometry:
                          subarray_of=subarray_of)
 
 
-def drop_users(rng: np.random.Generator, K: int,
-               geometry: ArrayGeometry) -> np.ndarray:
-    """Place K users uniformly in the cell, at least MIN_DIST from every
-    antenna; returns the (K, M) user-antenna distances [m].
+def _per_trial(rngs, pending, draw) -> list:
+    """One round of candidates: `draw(rng, n)` for each trial's generator
+    with its n > 0 pending rows (a row of `pending`), in trial order."""
+    return [draw(rng, n) for rng, n in zip(rngs, pending.sum(axis=1).tolist())
+            if n]
 
-    Rejection sampling over all users at once: each round draws one candidate
-    (uniform((n, 2))) for each of the n users still unplaced, and a user keeps
-    its first accepted candidate.  K must split evenly into the `GROUPS` user
-    groups.
+
+def drop_users(rngs, K: int, geometry: ArrayGeometry) -> np.ndarray:
+    """Place K users uniformly in the cell, at least MIN_DIST from every
+    antenna, once per generator of `rngs`; returns the (len(rngs), K, M)
+    user-antenna distances [m].
+
+    Rejection sampling over all users at once: each round draws, from each
+    trial's own generator, one candidate (uniform((n, 2))) for each of its n
+    users still unplaced, and a user keeps its first accepted candidate.  A
+    trial's draws are those of a batch of one.  K must split evenly into the
+    `GROUPS` user groups.
     """
     if K <= 0 or K % GROUPS != 0:
         raise ConfigurationError(f"user count K={K} is not divisible by L={GROUPS}")
 
-    distances = np.empty((K, geometry.M))
+    distances = np.empty((len(rngs), K, geometry.M))
     ax = geometry.positions
-    pending = np.arange(K)
+    pending = np.ones((len(rngs), K), dtype=bool)
     for _ in range(MAX_RETRIES):
-        p = rng.uniform(0.0, CELL_SIDE, size=(pending.size, 2))
-        d = np.hypot(p[:, :1] - ax, p[:, 1:])
+        p = np.concatenate(_per_trial(
+            rngs, pending,
+            lambda rng, n: rng.uniform(0.0, CELL_SIDE, size=(n, 2))))
+        d = p[:, :1] - ax
+        np.hypot(d, p[:, 1:], out=d)
+        # Every pending row takes its candidate; a rejected one is
+        # overwritten in a later round.
+        trial, user = np.nonzero(pending)
+        distances[trial, user] = d
         ok = d.min(axis=1) >= MIN_DIST
-        distances[pending[ok]] = d[ok]
-        pending = pending[~ok]
-        if not pending.size:
+        pending[trial[ok], user[ok]] = False
+        if not pending.any():
             return distances
+    trial, user = np.argwhere(pending)[0]
     raise GeometryInfeasibleError(
-        f"could not place user {pending[0]} at {MIN_DIST} m from the array "
-        f"after {MAX_RETRIES} attempts")
+        f"could not place user {user} of draw {trial} at {MIN_DIST} m from "
+        f"the array after {MAX_RETRIES} attempts")
 
 
-def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
-              mu_l: float, required: np.ndarray) -> np.ndarray:
+def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
+              required: np.ndarray) -> np.ndarray:
     """Sample visibility regions, center uniform on [0, N] and log-normal
-    length; returns the (..., M) boolean masks of the antennas each covers.
+    length, once per generator of `rngs`; returns the (len(rngs), ..., M)
+    boolean masks of the antennas each covers.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
     log(mu_l) - VR_SIGMA^2 / 2 and spread VR_SIGMA.  `required` (..., M)
-    asks for one region per mask row (a user's row of `Scenario.serving`).
-    A region is redrawn until it covers at least one antenna of its row, so
-    no user ends up with an all-zero effective channel.  Each round draws
-    uniform(n) centers, then lognormal(n) lengths, for the n rows still
-    pending; a row keeps its first accepted draw.
+    asks for one region per mask row (a user's row of `Scenario.serving`),
+    the same rows in every trial.  A region is redrawn until it covers at
+    least one antenna of its row, so no user ends up with an all-zero
+    effective channel.  Each round draws, from each trial's own generator,
+    uniform(n) centers, then lognormal(n) lengths, for its n rows still
+    pending; a row keeps its first accepted draw.  A trial's draws are those
+    of a batch of one.
     """
     if mu_l <= 0:
         raise ConfigurationError(f"mean VR length must be positive, got {mu_l}")
@@ -110,21 +128,25 @@ def sample_vr(rng: np.random.Generator, geometry: ArrayGeometry,
     if not needed.any(axis=-1).all():
         raise ConfigurationError("required mask excludes every antenna")
     rows = needed.reshape(-1, geometry.M)
-    visible = np.empty(rows.shape, dtype=bool)
-    pending = np.arange(len(rows))
+    visible = np.empty((len(rngs), *rows.shape), dtype=bool)
+    pending = np.ones(visible.shape[:2], dtype=bool)
     for _ in range(MAX_RETRIES):
-        c = rng.uniform(0.0, N, size=pending.size)
-        ln = rng.lognormal(mean=mu, sigma=VR_SIGMA, size=pending.size)
+        c, ln = map(np.concatenate, zip(*_per_trial(
+            rngs, pending, lambda rng, n: (
+                rng.uniform(0.0, N, size=n),
+                rng.lognormal(mean=mu, sigma=VR_SIGMA, size=n)))))
         lo = np.maximum(0.0, c - ln / 2.0)
         hi = np.minimum(N, c + ln / 2.0)
         vis = (pos >= lo[:, None]) & (pos <= hi[:, None])
+        trial, row = np.nonzero(pending)
+        visible[trial, row] = vis
         # An all-invisible draw would zero the user's effective channel row;
         # resample until the region reaches an antenna that can serve them.
-        ok = (vis & rows[pending]).any(axis=1)
-        visible[pending[ok]] = vis[ok]
-        pending = pending[~ok]
-        if not pending.size:
-            return visible.reshape(needed.shape)
+        ok = (vis & rows[row]).any(axis=1)
+        pending[trial[ok], row[ok]] = False
+        if not pending.any():
+            return visible.reshape(len(rngs), *needed.shape)
+    trial, row = np.argwhere(pending)[0]
     raise GeometryInfeasibleError(
-        f"no visible antenna for user {pending[0]} (row of `required`) "
-        f"after {MAX_RETRIES} VR draws")
+        f"no visible antenna for user {row} (row of `required`) of draw "
+        f"{trial} after {MAX_RETRIES} VR draws")

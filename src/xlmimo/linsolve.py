@@ -10,11 +10,10 @@ same leading dimensions and is one vector per system, (..., n), or several,
 ||P w^(t) - s||_F^2 / ||s||_F^2 per system.  The iterative schemes are step
 generators run by one driver, `_iterate`.
 
-Element-wise steps, stacked matrix products and numpy's stacked
-`cholesky`/`inv` (one LAPACK call per system) round every system exactly as
-a solve of that system alone.  The `np.vdot` norms, whose rounding would
-differ between one call per system and one call per stack, run system by
-system.
+Element-wise steps, stacked matrix products, numpy's stacked
+`cholesky`/`inv` (one LAPACK call per system) and `np.vecdot` norms (one
+BLAS dot per system) round every system exactly as a solve of that system
+alone.
 """
 
 from dataclasses import dataclass, field
@@ -84,9 +83,15 @@ def herm(A: np.ndarray) -> np.ndarray:
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
-    """||X_i||_F^2 of each matrix in a stack (...), one `np.vdot` per matrix."""
-    flat = X.reshape(-1, *X.shape[-2:])
-    return np.array([np.vdot(x, x).real for x in flat]).reshape(X.shape[:-2])
+    """||X_i||_F^2 of each matrix in a stack (...), one BLAS dot per matrix.
+
+    Each matrix is flattened in C order, a view where its strides allow, as
+    `np.vdot` flattens it, and `np.vecdot` makes the same `zdotc` call per
+    row: a norm rounds as the matrix's own `np.vdot`, whatever stack it sits
+    in.
+    """
+    f = X.reshape(*X.shape[:-2], -1)
+    return np.vecdot(f, f).real
 
 
 def _prepare(sys: HpdSystem):
@@ -97,7 +102,9 @@ def _prepare(sys: HpdSystem):
 
 
 def _ls_error(P, w, s2, snorm2) -> np.ndarray:
-    return sq_norms(P @ w - s2) / snorm2
+    r = P @ w
+    r -= s2
+    return sq_norms(r) / snorm2
 
 
 def _rhs_norms(s2) -> np.ndarray:
@@ -105,11 +112,12 @@ def _rhs_norms(s2) -> np.ndarray:
     return np.where(snorm2 > 0, snorm2, 1.0)
 
 
-def _finish(w, is_vec, iterations, errors, converged, iterates):
+def _finish(w, is_vec, iterations, trace, iterates):
+    """The outcome; `trace` (..., iterations + 1) LS errors or None."""
     if is_vec:
         w = w[..., 0]
         iterates = [x[..., 0] for x in iterates]
-    trace = None if errors is None else np.stack(errors, axis=-1)
+    converged = None if trace is None else trace[..., -1] <= trace[..., 0]
     return SolverOutcome(w=w, iterations=iterations, residual_trace=trace,
                          converged=converged, iterates=iterates)
 
@@ -128,9 +136,8 @@ def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
         raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
     Linv = np.linalg.inv(L)
     w = herm(Linv) @ (Linv @ s2)
-    errors = [_ls_error(P, w, s2, _rhs_norms(s2))] if trace else None
-    converged = np.ones(P.shape[:-2], dtype=bool) if trace else None
-    return _finish(w, is_vec, 0, errors, converged, [])
+    errors = _ls_error(P, w, s2, _rhs_norms(s2))[..., None] if trace else None
+    return _finish(w, is_vec, 0, errors, [])
 
 
 def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
@@ -139,33 +146,33 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
     from w = 0.
 
     Stops early only when the generator ends (a Krylov method whose
-    residuals have all vanished).  With `trace`, records the LS error per
-    iteration; converged means the final error does not exceed the initial.
-    Overflow warnings are off: a diverged iterate stays non-finite, so an inf
-    or NaN in the final iterate or the trace raises `NonFiniteError`.
+    residuals have all vanished).  With `trace`, records the LS error of
+    every iterate in one stacked pass; converged means the final error does
+    not exceed the initial.  Overflow warnings are off: a diverged iterate
+    stays non-finite, so an inf or NaN in the final iterate or the trace
+    raises `NonFiniteError`.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     P = np.asarray(sys.P, dtype=complex)
     s2, is_vec = _prepare(sys)
-    w = np.zeros_like(s2)
-    if trace:
-        snorm2 = _rhs_norms(s2)
-        errors = [_ls_error(P, w, s2, snorm2)]
-    iterations, iterates = 0, []
+    # ws[t] holds iterate t of every system, when any but the last is read.
+    keep = trace or keep_iterates
+    ws = np.zeros((T + 1 if keep else 1, *s2.shape), dtype=complex)
+    w, iterations = ws[0], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for w in islice(steps(P, s2, w), T):
             iterations += 1
-            if keep_iterates:
-                iterates.append(w.copy())
-            if trace:
-                errors.append(_ls_error(P, w, s2, snorm2))
+            if keep:
+                ws[iterations] = w
+        ws = ws[:iterations + 1]
+        # P broadcasts over the leading iteration axis, moved last after.
+        errors = (np.moveaxis(_ls_error(P, ws, s2, _rhs_norms(s2)), 0, -1)
+                  if trace else None)
     if not np.isfinite(w).all() or trace and not np.isfinite(errors).all():
         raise NonFiniteError(f"iterate diverged to inf or NaN in {iterations} steps")
-    if not trace:
-        return _finish(w, is_vec, iterations, None, None, iterates)
-    return _finish(w, is_vec, iterations, errors, errors[-1] <= errors[0],
-                   iterates)
+    return _finish(w, is_vec, iterations, errors,
+                   list(ws[1:]) if keep_iterates else [])
 
 
 def _check_diag(d) -> np.ndarray:

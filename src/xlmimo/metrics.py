@@ -6,10 +6,11 @@ through the central subarray only, and the noise floor.
 
 The three Monte-Carlo pipelines run on one batch driver, `monte_carlo`.
 Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
-(SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A pipeline's kernel
-gets a stacked batch of draws and makes one precoder, solver and SINR call
-per batch.  A batch holds what `BATCH_BYTES` holds of the trials' working
-set, so memory stays bounded as M and K grow.
+(SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A batch is drawn
+with one `scenario.draw_batch` call, each trial from its own stream, and a
+pipeline's kernel gets the stacked draws and makes one precoder, solver and
+SINR call per batch.  A batch holds what `BATCH_BYTES` holds of the trials'
+working set, so memory stays bounded as M and K grow.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import stack_realizations
 from .config import PowerConfig
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, herm, solve
 from .precoder import build_precoder, gram_regularized
-from .scenario import build_scenario, draw_trial
+from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
 BATCH_BYTES = 3 << 19
@@ -83,9 +83,7 @@ def _run_batch(job):
     """Draw one batch of trials and apply the kernel to it."""
     kernel, cfg, scenario, key, trials, arg = job
     rngs = [seed_stream(cfg.run.seed, *key, t) for t in trials]
-    real = stack_realizations(draw_trial(scenario, rng).realization
-                              for rng in rngs)
-    return kernel(cfg, real, rngs, arg)
+    return kernel(cfg, draw_batch(scenario, rngs).realization, rngs, arg)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Shared test utilities: random HPD ensembles, condition numbers and an
-independent SINR oracle."""
+"""Shared test utilities: random HPD ensembles, condition numbers, stacks
+of realizations, and independent LS-error and SINR oracles."""
 
 import numpy as np
 
+from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError, NotHpdError
 from xlmimo.scenario import build_scenario, draw_trial
@@ -64,6 +65,33 @@ def small_draw(cfg=None, trial=0):
     cfg = cfg or small_config()
     scenario = build_scenario(cfg)
     return scenario, draw_trial(scenario, seed_stream(cfg.run.seed, trial))
+
+
+def stacked(realizations) -> ChannelRealization:
+    """One realization whose blocks stack `realizations` on a leading axis."""
+    return ChannelRealization(*(np.stack(blocks) for blocks in
+                                zip(*(r.blocks() for r in realizations))))
+
+
+def ls_error_oracle(P, rhs, iterates) -> np.ndarray:
+    """LS errors ||P w - s||^2 / ||s||^2 of w = 0 and each of `iterates`
+    (a solver's `keep_iterates`), one `np.vdot` per system and iterate;
+    shaped (..., len(iterates) + 1) like `SolverOutcome.residual_trace`.
+
+    Vectors are solved as one-column matrices, so each product is the
+    solver's own."""
+    P = np.asarray(P, dtype=complex)
+    col = np.ndim(rhs) < P.ndim
+    s = np.asarray(rhs, dtype=complex)
+    s = s[..., None] if col else s
+    ws = [np.zeros_like(s)] + [w[..., None] if col else w for w in iterates]
+    out = np.empty((*P.shape[:-2], len(ws)))
+    for i in np.ndindex(P.shape[:-2]):
+        snorm2 = np.vdot(s[i], s[i]).real
+        for t, w in enumerate(ws):
+            r = P[i] @ w[i] - s[i]
+            out[i + (t,)] = np.vdot(r, r).real / (snorm2 if snorm2 > 0 else 1.0)
+    return out
 
 
 def sinr_scalar_oracle(realization, precoder, sigma2):

@@ -6,10 +6,10 @@ The channel law itself is tested on the live sampler in test_scenario.py.
 import numpy as np
 import pytest
 
+from helpers import stacked
 from xlmimo import channel
 from xlmimo.channel import (ChannelRealization, assemble_from_user_channels,
-                            build_correlation, path_loss, psd_sqrt,
-                            stack_realizations)
+                            build_correlation, path_loss, psd_sqrt)
 from xlmimo.errors import AssemblyError, ConfigurationError
 from xlmimo.seeding import seed_stream
 
@@ -101,7 +101,7 @@ class TestBlockAssembly:
         reals = [ChannelRealization(*(rng.standard_normal(shape)
                                       for shape in ((3, 2), (3, 4), (3, 2))))
                  for _ in range(3)]
-        stack = stack_realizations(reals)
+        stack = stacked(reals)
         assert stack.H1.shape == (3, 3, 2) and stack.H.shape == (3, 9, 4)
         assert (stack.K1, stack.K - stack.K1, stack.K) == (2, 2, 4)
         for i, real in enumerate(reals):
@@ -120,3 +120,13 @@ class TestBlockAssembly:
         np.testing.assert_array_equal(real.H1, h[:2, :2].T)
         np.testing.assert_array_equal(real.Hc, h[:, 2:4].T)
         np.testing.assert_array_equal(real.H2, h[2:, 4:].T)
+
+    def test_from_user_channels_of_a_stack(self):
+        # Leading trial axes pass through; each block is C-contiguous, as a
+        # stack of each trial's blocks is.
+        h = np.arange(72).reshape(3, 4, 6) * (1 - 1j)
+        real = assemble_from_user_channels(h, 2)
+        one = stacked([assemble_from_user_channels(x, 2) for x in h])
+        for block, ref in zip(real.blocks(), one.blocks()):
+            assert block.flags.c_contiguous
+            np.testing.assert_array_equal(block, ref)

@@ -133,12 +133,27 @@ class TestValidation:
             apply_overrides(ExperimentConfig(),
                             [f"run.m_grid={m_grid}", f"power.snr_db={top + 0.1}"])
 
-    # The VR length bound is tightest at the smallest array.
+    # Every SNR grid entry is bounded at geometry.M, the one array BER runs.
+    @pytest.mark.parametrize("M, top", [(99, 156.5), (264, 148.0)])
+    def test_snr_grid_bound_follows_geometry_m(self, M, top):
+        base = [f"geometry.M={M}", "run.m_grid=[99, 264]"]
+        apply_overrides(ExperimentConfig(),
+                        base + [f"run.snr_grid_db=[0.0, {top}]"])
+        with pytest.raises(ConfigurationError,
+                           match=rf"snr_grid_db entry .*{top}\] dB at M={M}"):
+            apply_overrides(ExperimentConfig(),
+                            base + [f"run.snr_grid_db=[0.0, {top + 0.1}]"])
+
+    # The VR length bound is tightest at the smallest array: at M = 99 it
+    # accepts 3e-5 and rejects 1e-5 (0.044 unplaced users per draw).
     def test_vr_bound_follows_smallest_array(self):
-        apply_overrides(ExperimentConfig(), ["channel.vr_mu_frac=1e-6"])
+        apply_overrides(ExperimentConfig(), ["channel.vr_mu_frac=1e-4"])
+        apply_overrides(ExperimentConfig(), ["channel.vr_mu_frac=3e-5"])
+        with pytest.raises(ConfigurationError, match="geometry.M=99"):
+            apply_overrides(ExperimentConfig(), ["channel.vr_mu_frac=1e-5"])
         with pytest.raises(ConfigurationError, match="run.m_grid entry=9"):
             apply_overrides(ExperimentConfig(),
-                            ["channel.vr_mu_frac=1e-6", "run.m_grid=[9, 99]"])
+                            ["channel.vr_mu_frac=1e-4", "run.m_grid=[9, 99]"])
 
     @pytest.mark.parametrize("item", ["run.trials=true", "power.snr_db=true"])
     def test_bool_for_number_rejected(self, item):
@@ -333,9 +348,12 @@ class TestCli:
         # rounds away on the Gram diagonal and the Cholesky factor breaks.
         ("se_vs_m", "power.snr_db=170"), ("se_vs_m", "power.snr_db=200"),
         ("ber", "run.snr_grid_db=[0.0, 180]"),
-        # VRs this short reach no serving antenna in MAX_RETRIES rounds.
+        # VRs this short reach no serving antenna in MAX_RETRIES rounds, for
+        # some user of a run.
         ("convergence", "channel.vr_mu_frac=1e-9"),
-        ("convergence", "channel.vr_mu_frac=1e-7")])
+        ("convergence", "channel.vr_mu_frac=1e-7"),
+        ("convergence", "channel.vr_mu_frac=1e-6"),
+        ("convergence", "channel.vr_mu_frac=1e-5")])
     def test_rejected_before_any_csv(self, experiment, item, tmp_path,
                                      capsys):
         out = tmp_path / "out.csv"
@@ -385,6 +403,15 @@ class TestCli:
         assert rc == 0
         assert TRUNCATION_MARKER not in out.read_text()
 
+    def test_ber_snr_bound_is_at_geometry_m(self, tmp_path):
+        # BER runs at geometry.M = 99 only (bound 156.5 dB), whatever
+        # run.m_grid holds (148 dB at its M = 264).
+        out = tmp_path / "ber.csv"
+        rc = cli.main(["ber", "--out", str(out), "--set", "run.snr_grid_db=[150]",
+                       "--set", "run.bits_per_point=2048"])
+        assert rc == 0
+        assert TRUNCATION_MARKER not in out.read_text()
+
     def test_seed_and_workers_flags(self, tmp_path):
         out = tmp_path / "flops.csv"
         cli.main(["flops", "--out", str(out), "--seed", "5", "--workers", "2"])
@@ -396,15 +423,16 @@ class TestCli:
         # With K=4 a side subarray often serves no user of its group; its
         # block then gets no power instead of stopping the run.
         side_zero = []
-        draw = metrics.draw_trial
+        draw = metrics.draw_batch
 
-        def recording_draw(scenario, rng):
-            out = draw(scenario, rng)
+        def recording_draw(scenario, rngs):
+            out = draw(scenario, rngs)
             H1, _, H2 = out.realization.blocks()
-            side_zero.append(not H1.any() or not H2.any())
+            side_zero.extend(not h1.any() or not h2.any()
+                             for h1, h2 in zip(H1, H2))
             return out
 
-        monkeypatch.setattr(metrics, "draw_trial", recording_draw)
+        monkeypatch.setattr(metrics, "draw_batch", recording_draw)
         out = tmp_path / "se.csv"
         rc = cli.main(["se_vs_m", "--out", str(out), "--set", "users.K=4",
                        "--set", "run.trials=20"])

@@ -5,6 +5,7 @@ and solver-table entries."""
 
 import hashlib
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -60,17 +61,19 @@ def test_se_vs_m_builds_one_scenario_per_m(tmp_path, monkeypatch):
 
 def test_tracer_hooks_reach_the_channel_draw(tmp_path, monkeypatch):
     counts = Counter()
-    for name, fn in (("draw", scenario.draw_trial),
+    for name, fn in (("draw", scenario.draw_batch),
                      ("drop", geometry.drop_users),
                      ("vr", geometry.sample_vr),
                      ("assemble", channel.assemble_from_user_channels)):
         _count_calls(monkeypatch, counts, name, fn)
     cfg = _small("se_vs_m")
     run_experiment(cfg, str(tmp_path / "se.csv"))
-    draws = TRIALS * len(M_GRID)
-    # One VR call per draw samples every user's region at once.
-    assert counts == Counter(draw=draws, drop=draws, assemble=draws,
-                             vr=draws)
+    batches = sum(len(metrics.trial_batches(
+        TRIALS, metrics.precoding_bytes(build_scenario(cfg, M))))
+        for M in M_GRID)
+    # One call of each per batch draws every trial and user of it at once.
+    assert counts == Counter(draw=batches, drop=batches, assemble=batches,
+                             vr=batches)
 
 
 def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
@@ -98,6 +101,30 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     run_experiment(_small("convergence"), str(tmp_path / "conv.csv"))
     assert counts == Counter({**{m: 1 for m in linsolve.ITERATIVE_SOLVERS},
                               "gram": 1})
+
+
+def test_conv_trace_batch_peak_within_budget(tmp_path, monkeypatch):
+    # A full batch of the benchmark's conv-trace config (M = 99, t_max =
+    # 20) holds at most BATCH_BYTES at once, draw and kernel together.
+    peaks, sizes = [], []
+    run_batch = metrics._run_batch
+
+    def traced(job):
+        sizes.append(len(job[4]))
+        tracemalloc.start()
+        try:
+            return run_batch(job)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(metrics, "_run_batch", traced)
+    cfg = ExperimentConfig()
+    apply_overrides(cfg, ["run.experiment=convergence", "run.t_max=20",
+                          "run.trials=11"])
+    run_experiment(cfg, str(tmp_path / "conv.csv"))
+    assert sizes == [11]
+    assert peaks[0] <= metrics.BATCH_BYTES
 
 
 def _fix_batch_size(monkeypatch, per_batch):
@@ -185,7 +212,7 @@ def test_workers_run_with_traced_names_swapped(tmp_path, monkeypatch,
     # pickled; the pool must be sent only module-level kernels.
     counts = Counter()
     _count_calls(monkeypatch, counts, "se_trial", metrics.se_trial)
-    _count_calls(monkeypatch, counts, "draw", scenario.draw_trial)
+    _count_calls(monkeypatch, counts, "draw", scenario.draw_batch)
     _fix_batch_size(monkeypatch, 2)
     assert (_golden_sha256(tmp_path, experiment, "run.workers=2")
             == GOLDEN[experiment])
@@ -194,13 +221,13 @@ def test_workers_run_with_traced_names_swapped(tmp_path, monkeypatch,
 def _stream_starts(monkeypatch):
     """The generator state each trial's draw starts from, in draw order."""
     starts = []
-    original = metrics.draw_trial
+    original = metrics.draw_batch
 
-    def draw(scenario, rng):
-        starts.append(rng.bit_generator.state["state"]["state"])
-        return original(scenario, rng)
+    def draw(scenario, rngs):
+        starts.extend(rng.bit_generator.state["state"]["state"] for rng in rngs)
+        return original(scenario, rngs)
 
-    monkeypatch.setattr(metrics, "draw_trial", draw)
+    monkeypatch.setattr(metrics, "draw_batch", draw)
     return starts
 
 

@@ -86,7 +86,7 @@ class TestDropUsers:
         self.geo = build_geometry(99)
 
     def test_min_distance_respected(self):
-        distances = drop_users(seed_stream(1, 0), 8, self.geo)
+        distances, = drop_users([seed_stream(1, 0)], 8, self.geo)
         assert distances.shape == (8, self.geo.M)
         assert distances.min() >= geometry.MIN_DIST
         # Each row is the distances of one point of the cell to every antenna.
@@ -96,19 +96,19 @@ class TestDropUsers:
         np.testing.assert_allclose(distances, d, rtol=1e-9)
 
     def test_same_seed_identical(self):
-        a = drop_users(seed_stream(7, 3), 32, self.geo)
-        b = drop_users(seed_stream(7, 3), 32, self.geo)
+        a = drop_users([seed_stream(7, 3)], 32, self.geo)
+        b = drop_users([seed_stream(7, 3)], 32, self.geo)
         np.testing.assert_array_equal(a, b)
 
     def test_infeasible_cell_raises(self, monkeypatch):
         _small_cell(monkeypatch)
         monkeypatch.setattr(geometry, "MAX_RETRIES", 200)
         with pytest.raises(GeometryInfeasibleError):
-            drop_users(seed_stream(0, 0), 2, self.geo)
+            drop_users([seed_stream(0, 0)], 2, self.geo)
 
     def test_indivisible_users_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_users(seed_stream(0, 0), 31, self.geo)
+            drop_users([seed_stream(0, 0)], 31, self.geo)
 
 
 class TestSampleVr:
@@ -122,8 +122,8 @@ class TestSampleVr:
     def test_full_length_region_covers_array(self, monkeypatch):
         # length ~ 10N with tiny spread: every antenna visible
         monkeypatch.setattr(geometry, "VR_SIGMA", 0.01)
-        masks = sample_vr(seed_stream(0, 0), self.geo, mu_l=10 * self.geo.N,
-                          required=self._any(1))
+        masks = sample_vr([seed_stream(0, 0)], self.geo, mu_l=10 * self.geo.N,
+                          required=self._any(1))[0]
         assert masks.all()
 
     def _replayed_lengths(self, seed, n, mu_l):
@@ -134,8 +134,8 @@ class TestSampleVr:
         row keeps its first draw: uniform centers, then log-normal lengths
         with log-mean log(mu_l) - sigma^2 / 2."""
         sigma_l = geometry.VR_SIGMA
-        masks = sample_vr(seed_stream(seed, 0), self.geo, mu_l,
-                          required=self._any(n))
+        masks, = sample_vr([seed_stream(seed, 0)], self.geo, mu_l,
+                           required=self._any(n))
         rng = seed_stream(seed, 0)
         center = rng.uniform(0.0, self.geo.N, size=n)
         length = rng.lognormal(np.log(mu_l) - 0.5 * sigma_l ** 2, sigma_l,
@@ -156,24 +156,24 @@ class TestSampleVr:
     def test_required_mask_honored(self, monkeypatch):
         monkeypatch.setattr(geometry, "VR_SIGMA", 0.3)
         required = np.tile(self.geo.subarray_of == 2, (100, 1))
-        masks = sample_vr(seed_stream(9, 0), self.geo, mu_l=1.0,
-                          required=required)
+        masks, = sample_vr([seed_stream(9, 0)], self.geo, mu_l=1.0,
+                           required=required)
         assert (masks & required).any(axis=-1).all()
 
     def test_empty_required_mask_rejected(self):
         required = self._any(2)
         required[1] = False
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, 0.5, required=required)
+            sample_vr([seed_stream(0, 0)], self.geo, 0.5, required=required)
 
     def test_same_seed_identical(self):
-        a = sample_vr(seed_stream(11, 4), self.geo, 0.5, self._any(4))
-        b = sample_vr(seed_stream(11, 4), self.geo, 0.5, self._any(4))
+        a = sample_vr([seed_stream(11, 4)], self.geo, 0.5, self._any(4))
+        b = sample_vr([seed_stream(11, 4)], self.geo, 0.5, self._any(4))
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            sample_vr(seed_stream(0, 0), self.geo, -1.0, self._any(1))
+            sample_vr([seed_stream(0, 0)], self.geo, -1.0, self._any(1))
 
 
 def _first_accepted_vr(rng, geo, mu_l, sigma_l, required, block=256):
@@ -208,8 +208,8 @@ class TestVectorizedSampling:
         required = np.zeros(self.geo.M, dtype=bool)
         required[-3:] = True
         n, mu_l = 3000, 0.1 * self.geo.N
-        masks = sample_vr(seed_stream(21, 0), self.geo, mu_l,
-                          required=np.tile(required, (n, 1)))
+        masks, = sample_vr([seed_stream(21, 0)], self.geo, mu_l,
+                           required=np.tile(required, (n, 1)))
         rng = seed_stream(22, 0)
         ref = np.array([_first_accepted_vr(rng, self.geo, mu_l, 0.5, required)
                         for _ in range(n)])
@@ -226,7 +226,7 @@ class TestVectorizedSampling:
         # A 60 m minimum distance rejects about half of the cell's points.
         cell, min_dist, K = geometry.CELL_SIDE, 60.0, 2000
         monkeypatch.setattr(geometry, "MIN_DIST", min_dist)
-        distances = drop_users(seed_stream(23, 0), K, self.geo)
+        distances, = drop_users([seed_stream(23, 0)], K, self.geo)
         assert distances.min() >= min_dist
         positions = _positions(self.geo, distances)
         rng, ref = seed_stream(24, 0), []
@@ -242,11 +242,31 @@ class TestVectorizedSampling:
         # Each row asks for one subarray only; a short region must reach it.
         monkeypatch.setattr(geometry, "VR_SIGMA", 0.3)
         rows = np.stack([self.geo.subarray_of == s for s in (0, 1, 2)] * 20)
-        masks = sample_vr(seed_stream(25, 0), self.geo, 0.05 * self.geo.N,
-                          required=rows.reshape(3, 20, self.geo.M))
+        masks, = sample_vr([seed_stream(25, 0)], self.geo, 0.05 * self.geo.N,
+                           required=rows.reshape(3, 20, self.geo.M))
         assert masks.shape == (3, 20, self.geo.M)
         assert (masks & rows.reshape(3, 20, -1)).any(axis=-1).all()
         assert _is_interval(masks).all()
+
+    def test_batch_draws_each_trial_from_its_own_stream(self, monkeypatch):
+        # Pending counts differ between trials from the first round on:
+        # about half the cell's points and one region in ten are rejected.
+        monkeypatch.setattr(geometry, "MIN_DIST", 60.0)
+        monkeypatch.setattr(geometry, "VR_SIGMA", 0.5)
+        required = np.zeros((8, self.geo.M), dtype=bool)
+        required[:, -3:] = True
+        mu_l = 0.1 * self.geo.N
+        rngs = [seed_stream(26, t) for t in range(4)]
+        distances = drop_users(rngs, 8, self.geo)
+        masks = sample_vr(rngs, self.geo, mu_l, required)
+        assert masks.shape == (4, 8, self.geo.M)
+        for t, rng in enumerate(rngs):
+            alone = seed_stream(26, t)
+            np.testing.assert_array_equal(
+                distances[t], drop_users([alone], 8, self.geo)[0])
+            np.testing.assert_array_equal(
+                masks[t], sample_vr([alone], self.geo, mu_l, required)[0])
+            assert rng.bit_generator.state == alone.bit_generator.state
 
     def test_vr_retries_exhausted_names_the_user(self, monkeypatch):
         # Regions about one antenna spacing long: a row that may use any
@@ -258,7 +278,7 @@ class TestVectorizedSampling:
         monkeypatch.setattr(geometry, "MAX_RETRIES", 5)
         monkeypatch.setattr(geometry, "VR_SIGMA", 1e-3)
         with pytest.raises(GeometryInfeasibleError, match="for user 3 .* after 5 "):
-            sample_vr(seed_stream(27, 0), geo,
+            sample_vr([seed_stream(27, 0)], geo,
                       1.01 * (geo.positions[1] - geo.positions[0]),
                       required=required)
 
@@ -267,4 +287,4 @@ class TestVectorizedSampling:
         monkeypatch.setattr(geometry, "MAX_RETRIES", 50)
         with pytest.raises(GeometryInfeasibleError,
                            match="place user 0 .* after 50 "):
-            drop_users(seed_stream(0, 0), 4, self.geo)
+            drop_users([seed_stream(0, 0)], 4, self.geo)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import condition_number, diag_scaled_hpd, random_hpd, random_rhs
+from helpers import (condition_number, diag_scaled_hpd, ls_error_oracle,
+                     random_hpd, random_rhs)
 from xlmimo.errors import ConfigurationError, NonFiniteError, NotHpdError
-from xlmimo.linsolve import (HERMITIAN_RTOL, METHODS, HpdSystem, cg_solve,
-                             direct_solve, gs_solve, jacpcg_solve, jor_solve,
-                             solve)
+from xlmimo.linsolve import (HERMITIAN_RTOL, ITERATIVE_SOLVERS, METHODS,
+                             HpdSystem, cg_solve, direct_solve, gs_solve,
+                             jacpcg_solve, jor_solve, solve, sq_norms)
 
 
 def _sys(P, s):
@@ -345,6 +346,65 @@ class TestStacks:
             off = solve(sys, method, 3, trace=False)
             assert off.residual_trace is None and off.converged is None
             np.testing.assert_array_equal(off.w, solve(sys, method, 3).w)
+
+
+@st.composite
+def _matrix_stacks(draw):
+    """A complex stack (0-2 leading axes) of 1-40 x 1-40 matrices: C
+    contiguous, a transposed view, or a view with strided rows or columns."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (*lead, 2 * n, 2 * m)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return {"contiguous": np.ascontiguousarray(X[..., :n, :m]),
+            "transposed": np.swapaxes(X[..., :n, :m], -1, -2),
+            "strided rows": X[..., ::2, :m],
+            "strided columns": X[..., :n, ::2],
+            "reversed": X[..., ::-1, ::-2]}[
+        draw(st.sampled_from(["contiguous", "transposed", "strided rows",
+                              "strided columns", "reversed"]))]
+
+
+class TestSqNorms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(X=_matrix_stacks())
+    def test_equals_vdot_per_matrix(self, X):
+        # Bit for bit: one BLAS dot per matrix, as np.vdot of that matrix.
+        flat = X.reshape(-1, *X.shape[-2:])
+        oracle = np.array([np.vdot(x, x).real for x in flat])
+        out = sq_norms(X)
+        assert out.shape == X.shape[:-2]
+        np.testing.assert_array_equal(out.reshape(-1), oracle)
+
+
+class TestTrace:
+    """The LS-error trace, taken over the stack of iterates in one pass,
+    against one np.vdot per system and iterate."""
+
+    @pytest.mark.parametrize("method", ITERATIVE_SOLVERS)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stack=_stacks(), T=st.integers(1, 10))
+    def test_trace_equals_per_iteration_oracle(self, method, stack, T):
+        P, rhs = stack
+        out = ITERATIVE_SOLVERS[method](HpdSystem(P=P, rhs=rhs), T,
+                                        keep_iterates=True)
+        assert len(out.iterates) == out.iterations
+        np.testing.assert_array_equal(out.residual_trace,
+                                      ls_error_oracle(P, rhs, out.iterates))
+
+    @pytest.mark.parametrize("method", ["cg", "jacpcg"])
+    def test_krylov_early_stop(self, method):
+        # The identity's residual vanishes after one step, in every system.
+        rng = np.random.default_rng(24)
+        P = np.stack([np.eye(5, dtype=complex)] * 3)
+        rhs = random_rhs(rng, 3, 5)
+        out = ITERATIVE_SOLVERS[method](HpdSystem(P=P, rhs=rhs), 6,
+                                        keep_iterates=True)
+        assert out.iterations == 1 and out.residual_trace.shape == (3, 2)
+        np.testing.assert_array_equal(out.residual_trace,
+                                      ls_error_oracle(P, rhs, out.iterates))
+        np.testing.assert_array_equal(out.residual_trace[:, -1], 0.0)
 
 
 class TestConditionNumber:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import sinr_scalar_oracle, small_config, small_draw
-from xlmimo.channel import ChannelRealization, stack_realizations
+from helpers import sinr_scalar_oracle, small_config, small_draw, stacked
+from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
@@ -67,7 +67,7 @@ class TestSinr:
     def test_stack_equals_single_trials(self):
         cfg = small_config()
         reals = [small_draw(cfg, trial)[1].realization for trial in range(3)]
-        stack = stack_realizations(reals)
+        stack = stacked(reals)
         report = sinr_eq9(stack, build_precoder(stack, 0.5, 1.0, "cg"), 1e-9)
         for i, real in enumerate(reals):
             one = sinr_eq9(real, build_precoder(real, 0.5, 1.0, "cg"), 1e-9)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_rhs, small_config, small_draw
-from xlmimo.channel import ChannelRealization, stack_realizations
+from helpers import random_rhs, small_config, small_draw, stacked
+from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
@@ -97,7 +97,7 @@ class TestRzfDirect:
         dead = ChannelRealization(np.zeros((12, 3)), np.zeros((12, 6)),
                                   np.zeros((12, 3)))
         with pytest.raises(DegenerateChannelError):
-            build_precoder(stack_realizations([live, dead]), 0.5, 1.0, "cg")
+            build_precoder(stacked([live, dead]), 0.5, 1.0, "cg")
 
 
 class TestRzfIterative:
@@ -171,7 +171,7 @@ class TestBuildPrecoder:
     @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
     def test_stack_equals_single_trials(self, method):
         reals = [_random_realization(seed) for seed in range(5, 9)]
-        stack = build_precoder(stack_realizations(reals), 0.2, 2.0, method)
+        stack = build_precoder(stacked(reals), 0.2, 2.0, method)
         assert stack.G.shape == (4, 36, 6)
         for i, real in enumerate(reals):
             one = build_precoder(real, 0.2, 2.0, method)

@@ -8,7 +8,7 @@ from xlmimo.channel import (assemble_from_user_channels, build_correlation,
                             path_loss)
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.geometry import drop_users, sample_vr
-from xlmimo.scenario import build_scenario, draw_trial
+from xlmimo.scenario import build_scenario, draw_batch, draw_trial
 from xlmimo.seeding import seed_stream
 
 
@@ -56,6 +56,29 @@ class TestBuildScenario:
         apply_overrides(cfg, ["users.K=4", "channel.vr_mu_frac=3.0"])
         assert scenario.K == 32
         assert scenario.vr_mu == pytest.approx(0.1 * scenario.geometry.N)
+
+
+class TestDrawBatch:
+    """A batch draws each trial as a batch of one, from its own stream."""
+
+    @pytest.mark.parametrize("M", [99, 264])
+    @pytest.mark.parametrize("B", [1, 2, 5])
+    def test_each_trial_as_drawn_alone(self, M, B):
+        scenario = build_scenario(ExperimentConfig(), M=M)
+        rngs = [seed_stream(6, M, t) for t in range(B)]
+        batch = draw_batch(scenario, rngs)
+        assert batch.vr_masks.shape == (B, scenario.K, M)
+        assert batch.realization.Hc.shape == (B, M // 3, scenario.K)
+        for t, rng in enumerate(rngs):
+            alone = seed_stream(6, M, t)
+            one = draw_trial(scenario, alone)
+            np.testing.assert_array_equal(batch.vr_masks[t], one.vr_masks)
+            for block, ref in zip(batch.realization.blocks(),
+                                  one.realization.blocks()):
+                np.testing.assert_array_equal(block[t], ref)
+            # The stream is left where a draw alone leaves it, for the bits
+            # and symbols drawn after it.
+            assert rng.bit_generator.state == alone.bit_generator.state
 
 
 class TestDrawTrial:
@@ -121,8 +144,8 @@ class TestDrawTrial:
             # Replay the draw's stream in its order (drop, VR, white
             # normals) to rebuild the draw before its calibration.
             rng = seed_stream(2, trial)
-            W = path_loss(drop_users(rng, K, geo))
-            masks = sample_vr(rng, geo, scenario.vr_mu, scenario.serving)
+            W = path_loss(drop_users([rng], K, geo)[0])
+            masks = sample_vr([rng], geo, scenario.vr_mu, scenario.serving)[0]
             z = (rng.standard_normal((6 * K, geo.M_s))
                  @ scenario.Rsub_sqrt.T).reshape(2, K, geo.M)
             H = assemble_from_user_channels(
