@@ -30,6 +30,5 @@ from .linsolve import (HpdSystem, SolverOutcome, cg_solve, direct_solve,
 from .metrics import (BerReport, LinkReport, ber_montecarlo, convergence_trace,
                       sinr_eq9, sum_se)
 from .precoder import BlockPrecoder, build_precoder, gram_regularized
-from .scenario import (Scenario, TrialDraw, build_scenario, draw_batch,
-                       draw_trial)
+from .scenario import Scenario, TrialDraw, build_scenario, draw_trial
 from .seeding import seed_stream
