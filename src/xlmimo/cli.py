@@ -5,9 +5,9 @@ import json
 import os
 import sys
 
-from .config import EXPERIMENTS, ExperimentConfig, apply_overrides, load_config
+from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import XlMimoError
-from .experiments import run_experiment
+from .experiments import TABLES, run_experiment
 
 DEFAULT_OUT_ENV = "XLMIMO_OUT_DIR"
 
@@ -17,7 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xlmimo",
         description="XL-MIMO RZF precoding experiments "
                     "(convergence, SE vs M, BER, flop model)")
-    parser.add_argument("experiment", choices=EXPERIMENTS,
+    parser.add_argument("experiment", choices=TABLES,
                         help="the scenario to run")
     parser.add_argument("--config", help="YAML config file (defaults are built in)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],

@@ -22,8 +22,6 @@ from .errors import ConfigurationError
 from .geometry import GROUPS, MAX_RETRIES, SUBARRAYS
 from .linsolve import DEFAULT_OMEGA, DEFAULT_T, METHODS
 
-EXPERIMENTS = ("convergence", "se_vs_m", "ber", "flops")
-
 # Noise power [dBm].  Transmit power is sigma^2 * SNR, so sigma^2 cancels
 # from every SINR and BER decision.
 SIGMA2_DBM = -50.0
@@ -95,7 +93,9 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
 
-_SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)}
+# section -> {field name: the field's declared type}
+_FIELDS = {s.name: {f.name: f.type for f in fields(s.type)}
+           for s in fields(ExperimentConfig)}
 
 
 class _Loader(yaml.SafeLoader):
@@ -129,18 +129,22 @@ def _coerce(value, target, path):
     if target is list and isinstance(value, list):
         return list(value)
     raise ConfigurationError(
-        f"{path}: expected {getattr(target, '__name__', target)}, got {value!r}")
+        f"{path}: expected {target.__name__}, got {value!r}")
 
 
-def _fill_section(section_obj, data: dict, section: str):
-    valid = {f.name: f for f in fields(section_obj)}
-    for key, value in data.items():
-        if key not in valid:
+def _set(cfg: ExperimentConfig, section, values) -> None:
+    """Set each key of the mapping `values` in `cfg`'s `section`, coerced
+    to its field's declared type; None sets nothing."""
+    if section not in _FIELDS:
+        raise ConfigurationError(f"unknown config section {section!r}")
+    if values is not None and not isinstance(values, dict):
+        raise ConfigurationError(f"section {section!r} must be a mapping")
+    types = _FIELDS[section]
+    for key, value in (values or {}).items():
+        if key not in types:
             raise ConfigurationError(f"unknown config key {section}.{key}")
-        default = getattr(type(section_obj)(), key)
-        ftype = list if isinstance(default, list) else type(default)
-        setattr(section_obj, key, _coerce(value, ftype, f"{section}.{key}"))
-    return section_obj
+        setattr(getattr(cfg, section), key,
+                _coerce(value, types[key], f"{section}.{key}"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -151,14 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigurationError(f"config document must be a mapping, got {type(data)}")
-    for section, content in data.items():
-        if section not in _SECTIONS:
-            raise ConfigurationError(f"unknown config section {section!r}")
-        if content is None:
-            continue
-        if not isinstance(content, dict):
-            raise ConfigurationError(f"section {section!r} must be a mapping")
-        _fill_section(getattr(cfg, section), content, section)
+    for section, values in data.items():
+        _set(cfg, section, values)
     validate(cfg)
     return cfg
 
@@ -179,10 +177,8 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
             raise ConfigurationError(
                 f"override key {path!r} must be section.key")
         section, key = parts
-        if section not in _SECTIONS:
-            raise ConfigurationError(f"unknown config section {section!r}")
         value = _load_yaml(raw, f"{path}: cannot parse {raw!r}")
-        _fill_section(getattr(cfg, section), {key: value}, section)
+        _set(cfg, section, {key: value})
     validate(cfg)
     return cfg
 
@@ -200,9 +196,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"solver.omega must be positive, got {s.omega}")
     if r.seed < 0:
         raise ConfigurationError(f"run.seed must be >= 0, got {r.seed}")
-    if r.experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"run.experiment must be one of {EXPERIMENTS}, got {r.experiment!r}")
     if r.trials < 1 or r.workers < 1 or r.t_max < 1:
         raise ConfigurationError("run.trials, run.workers and run.t_max must be >= 1")
     if r.bits_per_point < 1 or r.symbols_per_channel < 1:

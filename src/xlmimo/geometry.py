@@ -103,11 +103,11 @@ def drop_users(rngs, K: int, geometry: ArrayGeometry) -> np.ndarray:
 def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
               required: np.ndarray) -> np.ndarray:
     """Sample visibility regions, center uniform on [0, N] and log-normal
-    length, once per generator of `rngs`; returns the (len(rngs), ..., M)
+    length, once per generator of `rngs`; returns the (len(rngs), R, M)
     boolean masks of the antennas each covers.
 
     mu_l is the mean length on the linear scale, so the log-length has mean
-    log(mu_l) - VR_SIGMA^2 / 2 and spread VR_SIGMA.  `required` (..., M)
+    log(mu_l) - VR_SIGMA^2 / 2 and spread VR_SIGMA.  `required` (R, M)
     asks for one region per mask row (a user's row of `Scenario.serving`),
     the same rows in every trial.  A region is redrawn until it covers at
     least one antenna of its row, so no user ends up with an all-zero
@@ -121,13 +121,12 @@ def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
     mu = np.log(mu_l) - 0.5 * VR_SIGMA ** 2
 
     pos, N = geometry.positions, geometry.N
-    needed = np.asarray(required, dtype=bool)
-    if needed.shape[-1:] != (geometry.M,):
+    rows = np.asarray(required, dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != geometry.M:
         raise ConfigurationError(
-            f"required mask shape {needed.shape} does not end in M={geometry.M}")
-    if not needed.any(axis=-1).all():
+            f"required mask shape {rows.shape} is not (rows, M={geometry.M})")
+    if not rows.any(axis=1).all():
         raise ConfigurationError("required mask excludes every antenna")
-    rows = needed.reshape(-1, geometry.M)
     visible = np.empty((len(rngs), *rows.shape), dtype=bool)
     pending = np.ones(visible.shape[:2], dtype=bool)
     for _ in range(MAX_RETRIES):
@@ -145,7 +144,7 @@ def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
         ok = (vis & rows[row]).any(axis=1)
         pending[trial[ok], row[ok]] = False
         if not pending.any():
-            return visible.reshape(len(rngs), *needed.shape)
+            return visible
     trial, row = np.argwhere(pending)[0]
     raise GeometryInfeasibleError(
         f"no visible antenna for user {row} (row of `required`) of draw "

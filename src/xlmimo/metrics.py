@@ -183,6 +183,8 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
     # Bits and noise follow each trial's channel on its stream, trial by
     # trial: stacked over the batch, the chain adds memory and saves no time.
+    # Y is built in place and each trial's arrays are released before the
+    # next trial's, so the chain adds one trial's arrays to the batch peak.
     for i, rng in enumerate(rngs):
         bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
         symbols = qpsk_modulate(bits)
@@ -192,9 +194,12 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
         for m, B in couplings.items():
             gain = np.diag(B[i]).copy()
             gain[gain == 0] = 1.0  # dead user: decisions become coin flips
-            Y = B[i] @ symbols + noise
-            detected = qpsk_detect(Y / gain[:, None])
-            errors[m][i] = np.count_nonzero(detected != bits)
+            Y = B[i] @ symbols
+            Y += noise
+            Y /= gain[:, None]
+            errors[m][i] = np.count_nonzero(qpsk_detect(Y) != bits)
+            del Y
+        del bits, symbols, noise
     return errors
 
 
@@ -217,10 +222,10 @@ def convergence_trace(cfg) -> dict:
     if cfg.run.t_max < 1:
         raise ConfigurationError(f"T_max must be >= 1, got {cfg.run.t_max}")
     scenario = build_scenario(cfg)
-    K = scenario.K
-    # One trial's working set: its central block and a copy of it in the
-    # Gram product, P and about five K x K temporaries of P's checks.
-    trial_bytes = 16 * (2 * scenario.geometry.M_s * K + 6 * K * K)
+    # One trial's working set peaks in its draw, at the 2 M K complex
+    # entries of `precoding_bytes`: the (K, M) rows, complex and real.  The
+    # kernel's central block and K x K arrays come after the rows are gone.
+    trial_bytes = 32 * scenario.geometry.M * scenario.K
     point = (scenario, (CONVERGENCE,), methods, trial_bytes)
     traces, = monte_carlo(cfg, _ls_error_kernel, [point], cfg.run.trials)
     return {m: np.median(traces[m], axis=0) for m in methods}

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from xlmimo import channel, cli, config, experiments, flops, geometry, metrics
-from xlmimo.config import (EXPERIMENTS, ExperimentConfig, apply_overrides,
-                           config_to_dict, parse_config)
+from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
+                           parse_config)
 from xlmimo.errors import ConfigurationError
 from xlmimo.geometry import build_geometry
 from xlmimo.experiments import TRUNCATION_MARKER, run_experiment
@@ -265,8 +265,12 @@ class TestRunExperiment:
         assert set(env["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
-    def test_one_table_per_configurable_experiment(self):
-        assert set(experiments.TABLES) == set(EXPERIMENTS)
+    def test_unknown_experiment_rejected_before_any_csv(self, tmp_path):
+        # The config takes any name; run_experiment checks it against TABLES.
+        cfg = _fast_cfg("bogus")
+        with pytest.raises(ConfigurationError, match="unknown experiment 'bogus'"):
+            run_experiment(cfg, str(tmp_path / "out.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_flops_csv_contains_pinned_value(self, tmp_path):
         out = tmp_path / "flops.csv"
@@ -378,6 +382,17 @@ class TestCli:
         assert rc == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert rows and all(",direct," in f",{row}," for row in rows)
+
+    def test_positional_experiment_overrides_config_file(self, tmp_path):
+        path = tmp_path / "stale.yaml"
+        path.write_text("run:\n  experiment: bogus\n  trials: 2\n"
+                        "  m_grid: [99]\n", encoding="utf-8")
+        out = tmp_path / "se.csv"
+        rc = cli.main(["se_vs_m", "--config", str(path), "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "se.csv.manifest.json").read_text())
+        assert manifest["config"]["run"]["experiment"] == "se_vs_m"
+        assert TRUNCATION_MARKER not in out.read_text()
 
     def test_negative_seed_rejected_before_any_csv(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

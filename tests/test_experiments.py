@@ -103,14 +103,26 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
                               "gram": 1})
 
 
-def test_conv_trace_batch_peak_within_budget(tmp_path, monkeypatch):
-    # A full batch of the benchmark's conv-trace config (M = 99, t_max =
-    # 20) holds at most BATCH_BYTES at once, draw and kernel together.
-    peaks, sizes = [], []
+# Each pipeline at both ends of the M grid, or at the benchmark's ber-qpsk
+# settings: the overrides and the batch sizes they give.
+@pytest.mark.parametrize("experiment, items, sizes", [
+    ("se_vs_m", ["run.m_grid=[99]", "run.trials=12"], [6, 6]),
+    ("se_vs_m", ["run.m_grid=[264]", "run.trials=6"], [3, 3]),
+    ("ber", ["run.bits_per_point=262144"], [4, 4] * 6),
+    ("convergence", ["run.t_max=20", "run.trials=15"], [15]),
+    ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=20"],
+     [5] * 4)],
+    ids=["se_vs_m-M99", "se_vs_m-M264", "ber-qpsk", "convergence-M99",
+         "convergence-M264"])
+def test_batch_peak_within_budget(experiment, items, sizes, tmp_path,
+                                  monkeypatch):
+    # Every batch holds at most BATCH_BYTES at once, draw and kernel
+    # together.
+    peaks, seen = [], []
     run_batch = metrics._run_batch
 
     def traced(job):
-        sizes.append(len(job[4]))
+        seen.append(len(job[4]))
         tracemalloc.start()
         try:
             return run_batch(job)
@@ -120,11 +132,10 @@ def test_conv_trace_batch_peak_within_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metrics, "_run_batch", traced)
     cfg = ExperimentConfig()
-    apply_overrides(cfg, ["run.experiment=convergence", "run.t_max=20",
-                          "run.trials=11"])
-    run_experiment(cfg, str(tmp_path / "conv.csv"))
-    assert sizes == [11]
-    assert peaks[0] <= metrics.BATCH_BYTES
+    apply_overrides(cfg, [f"run.experiment={experiment}", *items])
+    run_experiment(cfg, str(tmp_path / "out.csv"))
+    assert seen == sizes
+    assert max(peaks) <= metrics.BATCH_BYTES
 
 
 def _fix_batch_size(monkeypatch, per_batch):

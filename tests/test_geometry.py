@@ -166,6 +166,12 @@ class TestSampleVr:
         with pytest.raises(ConfigurationError):
             sample_vr([seed_stream(0, 0)], self.geo, 0.5, required=required)
 
+    @pytest.mark.parametrize("shape", [(99,), (2, 3, 99), (2, 98)])
+    def test_required_mask_must_be_rows_of_m(self, shape):
+        with pytest.raises(ConfigurationError, match=r"not \(rows, M=99\)"):
+            sample_vr([seed_stream(0, 0)], self.geo, 0.5,
+                      required=np.ones(shape, dtype=bool))
+
     def test_same_seed_identical(self):
         a = sample_vr([seed_stream(11, 4)], self.geo, 0.5, self._any(4))
         b = sample_vr([seed_stream(11, 4)], self.geo, 0.5, self._any(4))
@@ -243,9 +249,9 @@ class TestVectorizedSampling:
         monkeypatch.setattr(geometry, "VR_SIGMA", 0.3)
         rows = np.stack([self.geo.subarray_of == s for s in (0, 1, 2)] * 20)
         masks, = sample_vr([seed_stream(25, 0)], self.geo, 0.05 * self.geo.N,
-                           required=rows.reshape(3, 20, self.geo.M))
-        assert masks.shape == (3, 20, self.geo.M)
-        assert (masks & rows.reshape(3, 20, -1)).any(axis=-1).all()
+                           required=rows)
+        assert masks.shape == (60, self.geo.M)
+        assert (masks & rows).any(axis=-1).all()
         assert _is_interval(masks).all()
 
     def test_batch_draws_each_trial_from_its_own_stream(self, monkeypatch):
