@@ -162,8 +162,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config(text)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:

@@ -86,7 +86,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> str:
         iterative_methods(cfg)  # reject direct alone before the CSV exists
     columns, rows = TABLES[experiment]
     started = perf_counter()
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write CSV {out_path!r}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         try:

@@ -56,11 +56,33 @@ def build_geometry(M: int) -> ArrayGeometry:
                          subarray_of=subarray_of)
 
 
-def _per_trial(rngs, pending, draw) -> list:
-    """One round of candidates: `draw(rng, n)` for each trial's generator
-    with its n > 0 pending rows (a row of `pending`), in trial order."""
-    return [draw(rng, n) for rng, n in zip(rngs, pending.sum(axis=1).tolist())
-            if n]
+def _reject(rngs, rows: int, propose, judge, fail) -> np.ndarray:
+    """Rejection-sample `rows` rows per generator of `rngs`; returns the
+    (len(rngs), rows, ...) values of each row's first accepted candidate.
+
+    Each round calls `propose(rng, n)` for each trial with n > 0 pending
+    rows, in trial order, so each generator makes the calls of a batch of
+    one.  `judge(candidates, row)` takes the round's candidates, stacked,
+    and their row indices, and returns their values and acceptance.  A row
+    still pending after `MAX_RETRIES` rounds raises
+    `GeometryInfeasibleError` with `fail(trial, row)` for the first one.
+    """
+    pending = np.ones((len(rngs), rows), dtype=bool)
+    out = None
+    for _ in range(MAX_RETRIES):
+        candidates = np.concatenate([
+            propose(rng, n)
+            for rng, n in zip(rngs, pending.sum(axis=1).tolist()) if n])
+        trial, row = np.nonzero(pending)
+        values, ok = judge(candidates, row)
+        if out is None:
+            out = np.empty((len(rngs), rows, *values.shape[1:]), values.dtype)
+        out[trial, row] = values
+        pending[trial[ok], row[ok]] = False
+        if not pending.any():
+            return out
+    trial, row = np.argwhere(pending)[0]
+    raise GeometryInfeasibleError(fail(trial, row))
 
 
 def drop_users(rngs, K: int, geometry: ArrayGeometry) -> np.ndarray:
@@ -68,36 +90,22 @@ def drop_users(rngs, K: int, geometry: ArrayGeometry) -> np.ndarray:
     antenna, once per generator of `rngs`; returns the (len(rngs), K, M)
     user-antenna distances [m].
 
-    Rejection sampling over all users at once: each round draws, from each
-    trial's own generator, one candidate (uniform((n, 2))) for each of its n
-    users still unplaced, and a user keeps its first accepted candidate.  A
-    trial's draws are those of a batch of one.  K must split evenly into the
-    `GROUPS` user groups.
+    Candidates, by `_reject`: uniform((n, 2)) positions.  K must split
+    evenly into the `GROUPS` user groups.
     """
     if K <= 0 or K % GROUPS != 0:
         raise ConfigurationError(f"user count K={K} is not divisible by L={GROUPS}")
 
-    distances = np.empty((len(rngs), K, geometry.M))
-    ax = geometry.positions
-    pending = np.ones((len(rngs), K), dtype=bool)
-    for _ in range(MAX_RETRIES):
-        p = np.concatenate(_per_trial(
-            rngs, pending,
-            lambda rng, n: rng.uniform(0.0, CELL_SIDE, size=(n, 2))))
-        d = p[:, :1] - ax
+    def judge(p, _):
+        d = p[:, :1] - geometry.positions
         np.hypot(d, p[:, 1:], out=d)
-        # Every pending row takes its candidate; a rejected one is
-        # overwritten in a later round.
-        trial, user = np.nonzero(pending)
-        distances[trial, user] = d
-        ok = d.min(axis=1) >= MIN_DIST
-        pending[trial[ok], user[ok]] = False
-        if not pending.any():
-            return distances
-    trial, user = np.argwhere(pending)[0]
-    raise GeometryInfeasibleError(
-        f"could not place user {user} of draw {trial} at {MIN_DIST} m from "
-        f"the array after {MAX_RETRIES} attempts")
+        return d, d.min(axis=1) >= MIN_DIST
+
+    return _reject(
+        rngs, K, lambda rng, n: rng.uniform(0.0, CELL_SIDE, size=(n, 2)),
+        judge, lambda trial, user: (
+            f"could not place user {user} of draw {trial} at {MIN_DIST} m "
+            f"from the array after {MAX_RETRIES} attempts"))
 
 
 def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
@@ -111,10 +119,8 @@ def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
     asks for one region per mask row (a user's row of `Scenario.serving`),
     the same rows in every trial.  A region is redrawn until it covers at
     least one antenna of its row, so no user ends up with an all-zero
-    effective channel.  Each round draws, from each trial's own generator,
-    uniform(n) centers, then lognormal(n) lengths, for its n rows still
-    pending; a row keeps its first accepted draw.  A trial's draws are those
-    of a batch of one.
+    effective channel.  Candidates, by `_reject`: uniform(n) centers,
+    then lognormal(n) lengths.
     """
     if mu_l <= 0:
         raise ConfigurationError(f"mean VR length must be positive, got {mu_l}")
@@ -127,25 +133,18 @@ def sample_vr(rngs, geometry: ArrayGeometry, mu_l: float,
             f"required mask shape {rows.shape} is not (rows, M={geometry.M})")
     if not rows.any(axis=1).all():
         raise ConfigurationError("required mask excludes every antenna")
-    visible = np.empty((len(rngs), *rows.shape), dtype=bool)
-    pending = np.ones(visible.shape[:2], dtype=bool)
-    for _ in range(MAX_RETRIES):
-        c, ln = map(np.concatenate, zip(*_per_trial(
-            rngs, pending, lambda rng, n: (
-                rng.uniform(0.0, N, size=n),
-                rng.lognormal(mean=mu, sigma=VR_SIGMA, size=n)))))
+
+    def judge(candidates, row):
+        c, ln = candidates.T  # centers, lengths
         lo = np.maximum(0.0, c - ln / 2.0)
         hi = np.minimum(N, c + ln / 2.0)
         vis = (pos >= lo[:, None]) & (pos <= hi[:, None])
-        trial, row = np.nonzero(pending)
-        visible[trial, row] = vis
-        # An all-invisible draw would zero the user's effective channel row;
-        # resample until the region reaches an antenna that can serve them.
-        ok = (vis & rows[row]).any(axis=1)
-        pending[trial[ok], row[ok]] = False
-        if not pending.any():
-            return visible
-    trial, row = np.argwhere(pending)[0]
-    raise GeometryInfeasibleError(
-        f"no visible antenna for user {row} (row of `required`) of draw "
-        f"{trial} after {MAX_RETRIES} VR draws")
+        return vis, (vis & rows[row]).any(axis=1)
+
+    return _reject(
+        rngs, len(rows), lambda rng, n: np.column_stack((
+            rng.uniform(0.0, N, size=n),
+            rng.lognormal(mean=mu, sigma=VR_SIGMA, size=n))),
+        judge, lambda trial, row: (
+            f"no visible antenna for user {row} (row of `required`) of draw "
+            f"{trial} after {MAX_RETRIES} VR draws"))

@@ -29,9 +29,12 @@ from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 BATCH_BYTES = 3 << 19
 """Working memory one batched kernel call may hold, in bytes (1.5 MiB).
 
-Trials per batch are this over one trial's working set.  Larger batches
-save little more time and add to peak memory: the benchmark's
-`peak_rss_mb` has a 5% bound, about 3 MB."""
+Trials per batch are this over one trial's working set, which counts
+the draw and the precoders.  BER's per-trial QPSK chain, about 0.8 MB at
+K = 32 and 512 symbols and growing with `run.symbols_per_channel`, lies
+outside it, so a BER batch may exceed it.  Larger batches save little
+more time and add to peak memory: the benchmark's `peak_rss_mb` has a 5%
+bound, about 3 MB."""
 
 
 def trial_batches(trials: int, trial_bytes: int) -> list:
@@ -48,7 +51,8 @@ def trial_batches(trials: int, trial_bytes: int) -> list:
 def precoding_bytes(scenario) -> int:
     """One trial's working set while precoding: its channel and precoder
     blocks (at most M x K complex entries each) and about eight K x K
-    solver arrays."""
+    solver arrays.  BER's QPSK chain, run trial by trial after the
+    precoders, is not counted."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
 

@@ -456,6 +456,33 @@ class TestCli:
         assert any(side_zero)
         assert TRUNCATION_MARKER not in out.read_text()
 
+    # A config file that cannot be read as UTF-8 text, or a CSV path that
+    # cannot be opened (from --out or XLMIMO_OUT_DIR), fails as a typed
+    # error before any row is computed.
+    @pytest.mark.parametrize("argv, out_env", [
+        (["--config", "{src}/missing.yaml", "--out", "{dst}/x.csv"], None),
+        (["--config", "{src}", "--out", "{dst}/x.csv"], None),
+        (["--config", "{src}/latin1.yaml", "--out", "{dst}/x.csv"], None),
+        (["--out", "{dst}/missing/x.csv"], None),
+        ([], "{dst}/missing")],
+        ids=["missing-config", "config-is-dir", "config-not-utf8",
+             "missing-out-dir", "missing-env-out-dir"])
+    def test_file_errors_exit_2_before_any_csv(self, argv, out_env, tmp_path,
+                                               monkeypatch, capsys):
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        src.mkdir()
+        dst.mkdir()
+        (src / "latin1.yaml").write_bytes(b"run:\n  seed: \xff\n")
+        if out_env:
+            monkeypatch.setenv(cli.DEFAULT_OUT_ENV,
+                               out_env.format(src=src, dst=dst))
+        rc = cli.main(["flops"] + [a.format(src=src, dst=dst) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigurationError"
+        assert list(dst.iterdir()) == []
+
     def test_default_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DEFAULT_OUT_ENV, str(tmp_path))
         rc = cli.main(["flops"])

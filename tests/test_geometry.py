@@ -294,3 +294,60 @@ class TestVectorizedSampling:
         with pytest.raises(GeometryInfeasibleError,
                            match="place user 0 .* after 50 "):
             drop_users([seed_stream(0, 0)], 4, self.geo)
+
+
+class TestRejectDriver:
+    """`geometry._reject` with stand-in generators (the trial indices), a
+    proposal that records its calls and a judge that follows a script."""
+
+    # Per round, the (trial, row) candidates the judge accepts; trial 0
+    # finishes in round 0, trial 1 in round 2 and trial 2 in round 3.
+    ACCEPT = [{(0, 0), (0, 1), (0, 2), (1, 1)}, {(1, 0)},
+              {(1, 2), (2, 0), (2, 1)}, {(2, 2)}]
+
+    def _run(self, monkeypatch, retries):
+        """Run three trials of three rows for `retries` rounds; returns the
+        output (or the exception), the proposal calls and the judged rows.
+
+        A candidate's value is 10 * round + trial."""
+        monkeypatch.setattr(geometry, "MAX_RETRIES", retries)
+        calls, judged = [], []
+
+        def propose(trial, n):
+            calls.append((len(judged), trial, n))
+            return np.full(n, 10 * len(judged) + trial)
+
+        def judge(candidates, row):
+            accept = self.ACCEPT[len(judged)]
+            judged.append(row.tolist())
+            trial = candidates % 10
+            return candidates, np.array([(t, r) in accept
+                                         for t, r in zip(trial, row)])
+
+        try:
+            out = geometry._reject(
+                [0, 1, 2], 3, propose, judge,
+                lambda trial, row: f"trial {trial} row {row}")
+        except GeometryInfeasibleError as exc:
+            out = exc
+        return out, calls, judged
+
+    def test_proposes_for_pending_trials_in_order(self, monkeypatch):
+        _, calls, judged = self._run(monkeypatch, 4)
+        assert calls == [(0, 0, 3), (0, 1, 3), (0, 2, 3),
+                         (1, 1, 2), (1, 2, 3),
+                         (2, 1, 1), (2, 2, 3),
+                         (3, 2, 1)]
+        assert judged == [[0, 1, 2] * 3, [0, 2, 0, 1, 2], [2, 0, 1, 2], [2]]
+
+    def test_row_keeps_its_first_accepted_candidate(self, monkeypatch):
+        out, _, _ = self._run(monkeypatch, 4)
+        np.testing.assert_array_equal(out, [[0, 0, 0], [11, 1, 21],
+                                            [22, 22, 32]])
+
+    def test_exhaustion_names_the_first_pending_row(self, monkeypatch):
+        # After two rounds (1, 2) and all of trial 2 are still pending.
+        out, calls, _ = self._run(monkeypatch, 2)
+        assert isinstance(out, GeometryInfeasibleError)
+        assert str(out) == "trial 1 row 2"
+        assert {c[0] for c in calls} == {0, 1}

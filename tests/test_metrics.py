@@ -8,8 +8,8 @@ from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
-                            qpsk_detect, qpsk_modulate, se_trial, sinr_eq9,
-                            sum_se)
+                            qpsk_detect, qpsk_modulate, se_montecarlo,
+                            se_trial, sinr_eq9, sum_se)
 from xlmimo.precoder import BlockPrecoder, build_precoder
 from xlmimo.scenario import build_scenario
 
@@ -208,3 +208,17 @@ class TestSeTrial:
         assert set(a) == {"direct", "cg"}
         for m in a:
             np.testing.assert_array_equal(a[m], b[m])
+
+    def test_is_the_se_vs_m_pipeline(self):
+        # Acceptance criterion 3 measures SE through se_trial, the CSV comes
+        # from se_montecarlo: both draw trial t of M from (SE_VS_M, M, t).
+        cfg = small_config(**{"run.m_grid": "[9, 12]"})
+        Ms = []
+        for M, sums in se_montecarlo(cfg):
+            Ms.append(M)
+            alone = se_trial(cfg, build_scenario(cfg, M=M),
+                             range(cfg.run.trials))
+            assert list(alone) == list(sums) == cfg.run.methods
+            for m in cfg.run.methods:
+                assert alone[m].tobytes() == sums[m].tobytes(), (M, m)
+        assert Ms == [9, 12]
