@@ -50,11 +50,15 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def check_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> None:
-    """The central block serves both groups: it needs K1 + K2 columns.
+    """The central block serves both groups: it needs K1 + K2 columns.  The
+    side blocks have one shape, M/3 antennas by K/2 users, so they stack.
 
     Blocks may carry leading trial dimensions, the same for all three.
     """
     K1, K, K2 = B1.shape[-1], Bc.shape[-1], B2.shape[-1]
+    if B1.shape[-2:] != B2.shape[-2:]:
+        raise AssemblyError(
+            f"side blocks differ in shape: {B1.shape[-2:]}, {B2.shape[-2:]}")
     if K != K1 + K2:
         raise AssemblyError(
             f"central block has {K} columns, expected K1+K2 = {K1 + K2}")

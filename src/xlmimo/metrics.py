@@ -8,12 +8,11 @@ The three Monte-Carlo pipelines run on one batch driver, `monte_carlo`.
 Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
 (SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A batch is drawn
 with one `scenario.draw_batch` call, each trial from its own stream, and a
-pipeline's kernel gets the stacked draws and makes one precoder, solver and
-SINR call per batch.  A batch holds what `BATCH_BYTES` holds of the trials'
-working set, so memory stays bounded as M and K grow.
+pipeline's kernel gets the stacked draws and makes one precoder pass
+(`precoder.precode_each`) per batch.  A batch holds what `BATCH_BYTES`
+holds of the trials' working set, so memory stays bounded as M and K grow.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .config import PowerConfig
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, herm, solve
-from .precoder import build_precoder, gram_regularized
+from .precoder import gram_regularized, precode_each
 from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
@@ -49,10 +48,11 @@ def trial_batches(trials: int, trial_bytes: int) -> list:
 
 
 def precoding_bytes(scenario) -> int:
-    """One trial's working set while precoding: its channel and precoder
-    blocks (at most M x K complex entries each) and about eight K x K
-    solver arrays.  BER's QPSK chain, run trial by trial after the
-    precoders, is not counted."""
+    """One trial's working set while precoding: its channel blocks, a
+    stacked copy of the side blocks and one method's precoder blocks (under
+    2 M K complex entries together), and about eight K x K arrays: the
+    shared Grams and one solve's.  BER's QPSK chain, run trial by trial
+    after the precoders, is not counted."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
 
@@ -74,13 +74,18 @@ def monte_carlo(cfg, kernel, points, trials: int):
             for (scenario, key, arg, _), batches in zip(points, per_point)
             for batch in batches]
     workers = min(cfg.run.workers, len(jobs))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    with _pool(workers) if workers > 1 else nullcontext() as pool:
         outputs = (pool.map if pool else map)(_run_batch, jobs)
         for batches in per_point:
             outs = [next(outputs) for _ in batches]
             yield {name: np.concatenate([o[name] for o in outs])
                    for name in outs[0]}
+
+
+def _pool(workers: int):
+    """A process pool, imported only here: a serial run never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_batch(job):
@@ -181,9 +186,9 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     """Bit errors of each trial of the batch, per method, at `snr_db`."""
     power, sol = PowerConfig(snr_db=snr_db), cfg.solver
     K, nsym = real.K, cfg.run.symbols_per_channel
-    couplings = {m: coupling_matrix(real, build_precoder(
-        real, power.xi, power.tx_power_watts, m, sol.T, sol.omega))
-        for m in cfg.run.methods}
+    couplings = precode_each(real, power.xi, power.tx_power_watts,
+                             cfg.run.methods, sol.T, sol.omega,
+                             lambda pre: coupling_matrix(real, pre))
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
     # Bits and noise follow each trial's channel on its stream, trial by
     # trial: stacked over the batch, the chain adds memory and saves no time.
@@ -272,9 +277,7 @@ def se_trial(cfg, scenario, trials) -> dict:
 
 def _sum_se_kernel(cfg, real, rngs, arg) -> dict:
     """Per method, the sum SE of each trial of the batch."""
-    xi, power = cfg.power.xi, cfg.power.tx_power_watts
-    sol = cfg.solver
-    return {m: sinr_eq9(real, build_precoder(real, xi, power, m, sol.T,
-                                             sol.omega),
-                        cfg.power.sigma2_watts).sum_se
-            for m in cfg.run.methods}
+    pw, sol = cfg.power, cfg.solver
+    return precode_each(real, pw.xi, pw.tx_power_watts, cfg.run.methods,
+                        sol.T, sol.omega,
+                        lambda pre: sinr_eq9(real, pre, pw.sigma2_watts).sum_se)

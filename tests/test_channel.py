@@ -90,6 +90,16 @@ class TestBlockAssembly:
             ChannelRealization(np.zeros((3, 2)), np.zeros((3, 5)),
                                np.zeros((3, 2)))
 
+    def test_side_block_shape_mismatch(self):
+        # The side blocks solve as one stack: each has M/3 antennas and K/2
+        # users, although K = K1 + K2 would also hold with 1 + 2.
+        with pytest.raises(AssemblyError):
+            ChannelRealization(np.zeros((4, 1)), np.zeros((4, 3)),
+                               np.zeros((4, 2)))
+        with pytest.raises(AssemblyError):
+            ChannelRealization(np.zeros((2, 3, 2)), np.zeros((2, 3, 4)),
+                               np.zeros((2, 4, 2)))
+
     def test_reference_shapes(self):
         real = ChannelRealization(np.zeros((33, 16)), np.zeros((33, 32)),
                                   np.zeros((33, 16)))

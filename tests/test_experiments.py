@@ -85,16 +85,18 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
         monkeypatch.setitem(linsolve.ITERATIVE_SOLVERS, method,
                             _counting(counts, method, fn))
 
-    # se_vs_m: one solve per method, channel block and batch of trials; at
-    # this size the trials of an M point make one batch.
+    # se_vs_m: per batch of trials, one Gram per block group (the stacked
+    # side blocks, the central block), shared by every method, and one solve
+    # per method and group; at this size the trials of an M point make one
+    # batch.
     cfg = _small("se_vs_m")
     assert all(len(metrics.trial_batches(
         TRIALS, metrics.precoding_bytes(build_scenario(cfg, M)))) == 1
         for M in M_GRID)
     run_experiment(cfg, str(tmp_path / "se.csv"))
-    solves = 3 * len(M_GRID)
+    solves = 2 * len(M_GRID)
     assert counts == Counter({**{m: solves for m in linsolve.METHODS},
-                              "gram": solves * len(linsolve.METHODS)})
+                              "gram": solves})
 
     # convergence: one Gram stack per batch, one solve per iterative method.
     counts.clear()
@@ -209,7 +211,7 @@ def test_one_pool_no_larger_than_the_batch_count(tmp_path, monkeypatch,
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(metrics, "_pool", SerialPool)
     sizes = _fix_batch_size(monkeypatch, 2)
     assert (_golden_sha256(tmp_path, experiment, "run.workers=64")
             == GOLDEN[experiment])

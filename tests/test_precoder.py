@@ -8,9 +8,10 @@ from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
+from xlmimo.linsolve import HpdSystem, solve, sq_norms
 from xlmimo.metrics import sinr_eq9
 from xlmimo.precoder import BlockPrecoder, build_precoder, gram_regularized
-from xlmimo.scenario import build_scenario, draw_trial
+from xlmimo.scenario import build_scenario, draw_batch, draw_trial
 from xlmimo.seeding import seed_stream
 
 
@@ -195,3 +196,50 @@ class TestBuildPrecoder:
                 for a, b in zip((lib.G1, lib.Gc, lib.G2),
                                 (ref.G1, ref.Gc, ref.G2)):
                     np.testing.assert_array_equal(a, b)
+
+
+def _per_block_oracle(real, xi, power, method, T, omega):
+    """(G1, Gc, G2) made block by block: the Gram, a solve with the identity
+    rhs, F = H W and the power scaling, with G = 0 where tr(F^H F) = 0."""
+    out = []
+    for H in real.blocks():
+        H = np.asarray(H, dtype=complex)
+        P = gram_regularized(H, xi)
+        eye = np.broadcast_to(np.eye(P.shape[-1], dtype=complex), P.shape)
+        F = H @ solve(HpdSystem(P=P, rhs=eye), method, T, omega,
+                      trace=False).w
+        tr = sq_norms(F)
+        live = tr > 0
+        beta = np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
+        out.append(beta[..., None, None] * F)
+    return out
+
+
+def _reference_batch():
+    """Four trials of the reference setup (M = 99, K = 32) as one stack."""
+    cfg = ExperimentConfig()
+    scenario = build_scenario(cfg)
+    rngs = [seed_stream(cfg.run.seed, t) for t in range(4)]
+    return draw_batch(scenario, rngs).realization
+
+
+def _dead_side_stack():
+    """Four trials; in the third, group 2 sees none of its side subarray."""
+    reals = [_random_realization(seed) for seed in range(10, 14)]
+    H1, Hc, H2 = reals[2].blocks()
+    reals[2] = ChannelRealization(H1, Hc, np.zeros_like(H2))
+    return stacked(reals)
+
+
+@pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
+@pytest.mark.parametrize("make", [lambda: _random_realization(4),
+                                  _reference_batch, _dead_side_stack],
+                         ids=["one-trial", "reference-stack", "dead-side"])
+def test_shared_pass_rounds_as_each_block_alone(method, make):
+    # The side blocks solve as one stack with Grams shared across methods;
+    # each block must still round as its own solve.
+    real = make()
+    pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
+    for G, ref in zip(_blocks(pre),
+                      _per_block_oracle(real, 0.05, 2.0, method, 3, 0.5)):
+        assert np.array_equal(G, ref)

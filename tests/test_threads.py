@@ -59,13 +59,25 @@ def test_cli_blas_threads_and_bytes(tmp_path, extra_env, threads):
     assert hashlib.sha256(csv).hexdigest() == GOLDEN["se_vs_m"]
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    # The package needs numpy alone; an import of scipy.linalg would make up
-    # most of every launch's set-up time.
+def _loaded_after_serial_run(tmp_path, packages):
+    """The modules of `packages` that a serial CLI run has loaded."""
     script = ("import sys\n"
               "from xlmimo import cli\n"
               f"code = cli.main({_cli_args(tmp_path / 'se.csv')!r})\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              f"print(sorted(m for m in sys.modules for p in {packages!r}\n"
+              "             if m == p or m.startswith(p + '.')))\n"
               "raise SystemExit(code)")
-    stdout = _run(tmp_path, {}, ["-c", script])
-    assert stdout.splitlines()[-1] == "[]"
+    return _run(tmp_path, {}, ["-c", script]).splitlines()[-1]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # The package needs numpy alone; an import of scipy.linalg would make up
+    # most of every launch's set-up time.
+    assert _loaded_after_serial_run(tmp_path, ("scipy",)) == "[]"
+
+
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # Only run.workers > 1 starts a pool; loading it would add to every
+    # serial launch's set-up time.
+    assert _loaded_after_serial_run(
+        tmp_path, ("multiprocessing", "concurrent.futures.process")) == "[]"
