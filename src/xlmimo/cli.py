@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import ExperimentConfig, apply_overrides, read_config
 from .errors import XlMimoError
 from .experiments import TABLES, run_experiment
 
@@ -39,7 +39,8 @@ def _resolve_out(args) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
+        # Validated once, by the overrides, with the file and flags applied.
+        cfg = read_config(args.config) if args.config else ExperimentConfig()
         overrides = list(args.overrides)
         overrides.append(f"run.experiment={args.experiment}")
         if args.seed is not None:

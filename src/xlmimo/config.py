@@ -147,8 +147,7 @@ def _set(cfg: ExperimentConfig, section, values) -> None:
                 _coerce(value, types[key], f"{section}.{key}"))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a YAML config document; empty text yields the full default config."""
+def _parse(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     data = _load_yaml(text, "malformed YAML")
     if data is None:
@@ -157,17 +156,27 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"config document must be a mapping, got {type(data)}")
     for section, values in data.items():
         _set(cfg, section, values)
-    validate(cfg)
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a YAML config document; empty text yields the full default config."""
+    return validate(_parse(text))
+
+
+def read_config(path: str) -> ExperimentConfig:
+    """The config a YAML file sets, not yet validated: for a caller that
+    applies further overrides (which validate) before using it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_config(text)
+    return _parse(text)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return validate(read_config(path))
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
@@ -183,11 +192,11 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         section, key = parts
         value = _load_yaml(raw, f"{path}: cannot parse {raw!r}")
         _set(cfg, section, {key: value})
-    validate(cfg)
-    return cfg
+    return validate(cfg)
 
 
-def validate(cfg: ExperimentConfig) -> None:
+def validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg`, once every setting is checked; else `ConfigurationError`."""
     g, u, s, r = cfg.geometry, cfg.users, cfg.solver, cfg.run
     if u.K <= 0 or u.K % GROUPS != 0:
         raise ConfigurationError(
@@ -239,6 +248,7 @@ def validate(cfg: ExperimentConfig) -> None:
     _check_snr("power.snr_db", cfg.power.snr_db, max(g.M, *r.m_grid))
     for snr in r.snr_grid_db:
         _check_snr("run.snr_grid_db entry", snr, g.M)
+    return cfg
 
 
 def _check_snr(name: str, snr: float, M: int) -> None:

@@ -7,8 +7,8 @@ Monte-Carlo trial), and no leading dimension is one system.  The rhs has the
 same leading dimensions and is one vector per system, (..., n), or several,
 (..., n, m); one dimension fewer than P means vectors.  Unless called with
 `trace=False`, the solvers record a per-iteration least-square error trace
-||P w^(t) - s||_F^2 / ||s||_F^2 per system.  The iterative schemes are step
-generators run by one driver, `_iterate`.
+||P w^(t) - s||_F^2 / ||s||_F^2 per system.  Every method is a step
+generator run by one driver, `_iterate`; direct takes one step.
 
 Element-wise steps, stacked matrix products, numpy's stacked
 `cholesky`/`inv` (one LAPACK call per system) and `np.vecdot` norms (one
@@ -63,11 +63,12 @@ class HpdSystem:
 class SolverOutcome:
     """Solutions, iteration count, residual telemetry, and convergence flags.
 
-    `w` has the rhs's shape.  `residual_trace` (..., iterations + 1), index 0
-    the starting point w = 0, and `converged` (...), true where the final LS
-    error does not exceed the initial one, are None when the trace is off.
-    A system whose Krylov residual vanishes before the others' holds its
-    final iterate and error.
+    `w` has the rhs's shape.  `iterations` is T, fewer once every Krylov
+    residual has vanished, or 1 for direct.  `residual_trace` (...,
+    iterations + 1), index 0 the starting point w = 0, and `converged`
+    (...), true where the final LS error does not exceed the initial one,
+    are None when the trace is off.  A system whose Krylov residual
+    vanishes before the others' holds its final iterate and error.
     """
 
     w: np.ndarray
@@ -94,96 +95,73 @@ def sq_norms(X: np.ndarray) -> np.ndarray:
     return np.vecdot(f, f).real
 
 
-def _prepare(sys: HpdSystem):
-    """Promote the rhs to a (..., n, m) working array."""
-    s = np.asarray(sys.rhs, dtype=complex)
-    is_vec = s.ndim < np.ndim(sys.P)
-    return (s[..., None] if is_vec else s), is_vec
-
-
-def _ls_error(P, w, s2, snorm2) -> np.ndarray:
-    r = P @ w
-    r -= s2
-    return sq_norms(r) / snorm2
-
-
-def _rhs_norms(s2) -> np.ndarray:
-    snorm2 = sq_norms(s2)
-    return np.where(snorm2 > 0, snorm2, 1.0)
-
-
-def _finish(w, is_vec, iterations, trace, iterates):
-    """The outcome; `trace` (..., iterations + 1) LS errors or None."""
-    if is_vec:
-        w = w[..., 0]
-        iterates = [x[..., 0] for x in iterates]
-    converged = None if trace is None else trace[..., -1] <= trace[..., 0]
-    return SolverOutcome(w=w, iterations=iterations, residual_trace=trace,
-                         converged=converged, iterates=iterates)
-
-
 def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
     """Exact solve via Cholesky P = L L^H; reference oracle for the iterative paths.
 
-    Computes what `flops.flops_direct` charges: the Cholesky factor, the
-    triangular inverse L^{-1}, and w = L^{-H} (L^{-1} s).
+    Its one step of the driver `_iterate` computes what `flops.flops_direct`
+    charges: the Cholesky factor, the triangular inverse L^{-1}, and
+    w = L^{-H} (L^{-1} s).
     """
-    P = np.asarray(sys.P, dtype=complex)
-    s2, is_vec = _prepare(sys)
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError as exc:
-        raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
-    Linv = np.linalg.inv(L)
-    w = herm(Linv) @ (Linv @ s2)
-    errors = _ls_error(P, w, s2, _rhs_norms(s2))[..., None] if trace else None
-    return _finish(w, is_vec, 0, errors, [])
+    def steps(P, s):
+        try:
+            L = np.linalg.cholesky(P)
+        except np.linalg.LinAlgError as exc:
+            raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
+        Linv = np.linalg.inv(L)
+        yield herm(Linv) @ (Linv @ s)
+
+    return _iterate(sys, 1, False, trace, steps)
 
 
 def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
              steps) -> SolverOutcome:
-    """Run at most T iterations of `steps(P, s, w)`, a generator of iterates,
-    from w = 0.
+    """Run at most T steps of `steps(P, s)`, a generator of iterates that
+    starts from w = 0; the one driver of every method.
 
-    Stops early only when the generator ends (a Krylov method whose
-    residuals have all vanished).  With `trace`, records the LS error of
-    every iterate in one stacked pass; converged means the final error does
-    not exceed the initial.  Overflow warnings are off: a diverged iterate
-    stays non-finite, so an inf or NaN in the final iterate or the trace
-    raises `NonFiniteError`.
+    A vector rhs steps as one column, read back by `col`.  Stops early
+    only when the generator ends (a Krylov method whose residuals have all
+    vanished; with none taken, w = 0).  With `trace`, records the LS error
+    of w = 0 and every iterate in one stacked pass.  Overflow warnings are
+    off: a diverged iterate stays non-finite, so an inf or NaN in the final
+    iterate or the trace raises `NonFiniteError`.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
-    P = np.asarray(sys.P, dtype=complex)
-    s2, is_vec = _prepare(sys)
-    # ws[t] holds iterate t of every system, when any but the last is read.
-    keep = trace or keep_iterates
-    ws = np.zeros((T + 1 if keep else 1, *s2.shape), dtype=complex)
-    w, iterations = ws[0], 0
+    P, s = np.asarray(sys.P, dtype=complex), np.asarray(sys.rhs, dtype=complex)
+    s, col = (s[..., None], (..., 0)) if s.ndim < P.ndim else (s, ...)
+    # w = 0 and every iterate, kept only when the trace or the caller reads them.
+    ws = [np.zeros_like(s)] if trace or keep_iterates else None
+    w, iterations, errors = None, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in islice(steps(P, s2, w), T):
-            iterations += 1
-            if keep:
-                ws[iterations] = w
-        ws = ws[:iterations + 1]
-        # P broadcasts over the leading iteration axis, moved last after.
-        errors = (np.moveaxis(_ls_error(P, ws, s2, _rhs_norms(s2)), 0, -1)
-                  if trace else None)
+        for iterations, w in enumerate(islice(steps(P, s), T), 1):
+            if ws is not None:
+                ws.append(w)
+        w = np.zeros_like(s) if w is None else w
+        if trace:
+            # P broadcasts over the leading iteration axis, moved last after.
+            # Per iterate: a broadcast subtraction takes a 128 KiB ufunc buffer.
+            ws = np.array(ws)
+            r = P @ ws
+            for r_t in r:
+                r_t -= s
+            snorm2 = sq_norms(s)
+            errors = np.moveaxis(
+                sq_norms(r) / np.where(snorm2 > 0, snorm2, 1.0), 0, -1)
     if not np.isfinite(w).all() or trace and not np.isfinite(errors).all():
-        raise NonFiniteError(f"iterate diverged to inf or NaN in {iterations} steps")
-    return _finish(w, is_vec, iterations, errors,
-                   list(ws[1:]) if keep_iterates else [])
+        raise NonFiniteError(f"solution is inf or NaN after {iterations} steps")
+    return SolverOutcome(
+        w=w[col], iterations=iterations, residual_trace=errors,
+        converged=None if errors is None else errors[..., -1] <= errors[..., 0],
+        iterates=[x[col] for x in ws[1:]] if keep_iterates else [])
 
 
-def _check_diag(d) -> np.ndarray:
+def _diag(P) -> np.ndarray:
+    """The diagonal of each matrix; a zero entry raises `NotHpdError`."""
+    d = np.diagonal(P, axis1=-2, axis2=-1)
     if np.any(d == 0):
         where = tuple(int(i) for i in np.argwhere(d == 0)[0])
         raise NotHpdError(f"zero diagonal entry at {where}")
     return d
-
-
-def _diag(P) -> np.ndarray:
-    return np.diagonal(P, axis1=-2, axis2=-1)
 
 
 def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
@@ -193,9 +171,10 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
     Computes what `flops.flop_model("gs", K, T)` charges: (D + Lo)^{-1}
     formed once, then one dense matrix product per sweep.
     """
-    def steps(P, s, w):
-        _check_diag(_diag(P))
+    def steps(P, s):
+        _diag(P)
         DLinv, Up = np.linalg.inv(np.tril(P)), np.triu(P, 1)
+        w = np.zeros_like(s)
         while True:
             w = DLinv @ (s - Up @ w)
             yield w
@@ -209,8 +188,9 @@ def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA,
     if omega <= 0:
         raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
 
-    def steps(P, s, w):
-        d = _check_diag(_diag(P))[..., None]
+    def steps(P, s):
+        d = _diag(P)[..., None]
+        w = np.zeros_like(s)
         while True:
             w = w + omega * ((s - P @ w) / d)
             yield w
@@ -231,7 +211,8 @@ def _pcg_steps(c):
     after convergence) takes zero steps from then on, so it holds its iterate
     while the other columns go on.
     """
-    def steps(P, s, w):
+    def steps(P, s):
+        w = np.zeros_like(s)
         r = s - P @ w
         z = r if c is None else r / c
         m = z.copy()
@@ -271,8 +252,11 @@ def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,
     Pass `precond_diag` ((n,) or (..., n)) to override the preconditioner;
     C = I gives CG.  C must be positive, else `NotHpdError`.
     """
-    c = _diag(np.asarray(sys.P)).real if precond_diag is None else precond_diag
-    c = np.asarray(c, dtype=float)
+    d = _diag(np.asarray(sys.P)).real
+    c = d if precond_diag is None else np.asarray(precond_diag, dtype=float)
+    if c.shape != d.shape[d.ndim - c.ndim:]:
+        raise NotHpdError(f"precond_diag shape {c.shape} incompatible with "
+                          f"P shape {np.shape(sys.P)}")
     if not np.all(c > 0):
         raise NotHpdError("nonpositive preconditioner entry; P is not HPD")
     return _iterate(sys, T, keep_iterates, trace, _pcg_steps(c[..., None]))
@@ -291,7 +275,8 @@ METHODS = ("direct", *ITERATIVE_SOLVERS)
 
 def solve(sys: HpdSystem, method: str, T: int = DEFAULT_T,
           omega: float = DEFAULT_OMEGA, trace: bool = True) -> SolverOutcome:
-    """Solve every system of P w = s with the named method; T iterations unless direct.
+    """Solve every system of P w = s with the named method: T iterations, or
+    direct's one step.
 
     omega goes to JOR only.  `trace=False` skips the LS-error trace (and
     `converged`).  The solvers are looked up at call time, so a replaced

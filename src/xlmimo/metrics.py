@@ -29,11 +29,11 @@ BATCH_BYTES = 3 << 19
 """Working memory one batched kernel call may hold, in bytes (1.5 MiB).
 
 Trials per batch are this over one trial's working set, which counts
-the draw and the precoders.  BER's per-trial QPSK chain, about 0.8 MB at
-K = 32 and 512 symbols and growing with `run.symbols_per_channel`, lies
-outside it, so a BER batch may exceed it.  Larger batches save little
-more time and add to peak memory: the benchmark's `peak_rss_mb` has a 5%
-bound, about 3 MB."""
+the draw and the precoders, or the convergence solves' iterates.  BER's
+per-trial QPSK chain, about 0.8 MB at K = 32 and 512 symbols, growing
+with `run.symbols_per_channel`, lies outside it, so a BER batch may
+exceed it.  Larger batches save little more time and add to peak
+memory: the benchmark's `peak_rss_mb` has a 5% bound, about 3 MB."""
 
 
 def trial_batches(trials: int, trial_bytes: int) -> list:
@@ -231,10 +231,13 @@ def convergence_trace(cfg) -> dict:
     if cfg.run.t_max < 1:
         raise ConfigurationError(f"T_max must be >= 1, got {cfg.run.t_max}")
     scenario = build_scenario(cfg)
-    # One trial's working set peaks in its draw, at the 2 M K complex
-    # entries of `precoding_bytes`: the (K, M) rows, complex and real.  The
-    # kernel's central block and K x K arrays come after the rows are gone.
-    trial_bytes = 32 * scenario.geometry.M * scenario.K
+    # A trial's working set is the larger of its draw's, the (K, M) rows
+    # complex and real (2 M K complex entries), and its kernel's after them:
+    # the blocks and Gram (under M K + K^2) and, per step, one solve's
+    # iterate and residual (2 K) and each method's trace and padded copy.
+    M, K, steps = scenario.geometry.M, scenario.K, cfg.run.t_max + 1
+    trial_bytes = max(32 * M * K,
+                      16 * (M * K + K * K + steps * (2 * K + len(methods))))
     point = (scenario, (CONVERGENCE,), methods, trial_bytes)
     traces, = monte_carlo(cfg, _ls_error_kernel, [point], cfg.run.trials)
     return {m: np.median(traces[m], axis=0) for m in methods}

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from xlmimo import channel, cli, config, experiments, flops, geometry, metrics
+from xlmimo import (channel, cli, config, experiments, flops, geometry,
+                    metrics, precoder)
 from xlmimo.config import (ExperimentConfig, apply_overrides, config_to_dict,
                            parse_config)
 from xlmimo.errors import ConfigurationError
@@ -327,6 +328,24 @@ class TestCli:
             f"{TRUNCATION_MARKER},NonFiniteError")
         assert "nan" not in text.lower()
 
+    def test_non_finite_direct_solve_truncates_the_run(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # Solving a Gram of 1e-320 I overflows; the direct precoder stops
+        # the run as a diverging iteration does.
+        monkeypatch.setattr(
+            precoder, "gram_regularized",
+            lambda H, xi: np.broadcast_to(1e-320 * np.eye(H.shape[-1]),
+                                          (*H.shape[:-2], H.shape[-1],
+                                           H.shape[-1])))
+        out = tmp_path / "out.csv"
+        argv = ["se_vs_m", "--out", str(out)]
+        for item in ["run.methods=[direct]", "run.trials=2", "run.m_grid=[99]"]:
+            argv += ["--set", item]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteError"
+        assert out.read_text(encoding="utf-8").splitlines()[-1].startswith(
+            f"{TRUNCATION_MARKER},NonFiniteError")
+
     @pytest.mark.parametrize("experiment, item", [
         ("se_vs_m", "run.m_grid=[99.0]"), ("ber", "run.snr_grid_db=[a]"),
         ("convergence", "power.snr_db=true"),
@@ -393,6 +412,21 @@ class TestCli:
         manifest = json.loads((tmp_path / "se.csv.manifest.json").read_text())
         assert manifest["config"]["run"]["experiment"] == "se_vs_m"
         assert TRUNCATION_MARKER not in out.read_text()
+
+    def test_config_file_is_validated_with_the_flags(self, tmp_path):
+        # 160 dB lies above the bound at the default grid's M = 264, and
+        # below it at the M = 9 the flags set.
+        path = tmp_path / "hi.yaml"
+        path.write_text("power: {snr_db: 160}\n", encoding="utf-8")
+        items = ["geometry.M=9", "users.K=4", "run.m_grid=[9]",
+                 "run.trials=2", "channel.vr_mu_frac=3"]
+        argv = ["se_vs_m"] + [a for item in items for a in ("--set", item)]
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert cli.main([*argv, "--config", str(path),
+                         "--out", str(from_file)]) == 0
+        assert cli.main([*argv, "--set", "power.snr_db=160",
+                         "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
 
     def test_negative_seed_rejected_before_any_csv(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

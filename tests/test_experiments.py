@@ -113,9 +113,11 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     ("ber", ["run.bits_per_point=262144"], [4, 4] * 6),
     ("convergence", ["run.t_max=20", "run.trials=15"], [15]),
     ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=20"],
-     [5] * 4)],
+     [5] * 4),
+    # Far past convergence the iterate history outgrows the draw.
+    ("convergence", ["run.t_max=300", "run.trials=6"], [3, 3])],
     ids=["se_vs_m-M99", "se_vs_m-M264", "ber-qpsk", "convergence-M99",
-         "convergence-M264"])
+         "convergence-M264", "convergence-tmax300"])
 def test_batch_peak_within_budget(experiment, items, sizes, tmp_path,
                                   monkeypatch):
     # Every batch holds at most BATCH_BYTES at once, draw and kernel

@@ -52,7 +52,9 @@ class TestDirectSolve:
     def test_identity(self):
         out = direct_solve(_sys(np.eye(3), [1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.w, [1.0, 0.0, 0.0])
-        assert out.iterations == 0 and out.converged
+        # One step of the driver: the trace holds w = 0 and the solution.
+        assert out.iterations == 1 and out.converged
+        np.testing.assert_array_equal(out.residual_trace, [1.0, 0.0])
 
     def test_diagonal(self):
         out = direct_solve(_sys(np.diag([2.0, 4.0]), [2.0, 8.0]))
@@ -214,6 +216,20 @@ class TestJacPcg:
             jacpcg_solve(_sys(np.eye(2), [1.0, 1.0]), T=1,
                          precond_diag=[1.0, -1.0])
 
+    @pytest.mark.parametrize("diag", [np.ones(3), np.ones((2, 2))])
+    def test_preconditioner_shape_mismatch_rejected(self, diag):
+        with pytest.raises(NotHpdError, match=r"\(2, 2\)"):
+            jacpcg_solve(HpdSystem(P=np.eye(2), rhs=np.ones(2)), T=1,
+                         precond_diag=diag)
+
+    def test_one_preconditioner_for_a_stack(self):
+        rng = np.random.default_rng(12)
+        P = np.stack([random_hpd(rng, 4), random_hpd(rng, 4)])
+        sys = HpdSystem(P=P, rhs=random_rhs(rng, 2, 4))
+        np.testing.assert_array_equal(
+            jacpcg_solve(sys, T=3, precond_diag=np.ones(4)).w,
+            cg_solve(sys, T=3).w)
+
     def test_multi_rhs_matches_column_solves(self):
         rng = np.random.default_rng(11)
         P = random_hpd(rng, 8)
@@ -321,6 +337,16 @@ class TestStacks:
         s[1, 0] = bad
         with pytest.raises(NonFiniteError):
             solve(_sys(P, s), method, T=1)
+
+    @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg"])
+    def test_non_finite_solution_raises(self, method):
+        # 1/1e-320 overflows: the solution of every system but the
+        # identity is inf, and the driver raises instead of returning it.
+        # Jac-PCG is left out: its first r^H z is NaN here, which its
+        # recurrence reads as converged, so it returns w = 0.
+        P = np.stack([np.eye(2), 1e-320 * np.eye(2)])
+        with pytest.raises(NonFiniteError):
+            solve(_sys(P, np.ones((2, 2))), method, T=3)
 
     @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
     def test_zero_diagonal_system_rejects_the_stack(self, method):

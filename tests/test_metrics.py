@@ -5,8 +5,10 @@ import pytest
 
 from helpers import sinr_scalar_oracle, small_config, small_draw, stacked
 from xlmimo.channel import ChannelRealization
+from xlmimo import metrics
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
+from xlmimo.linsolve import solve
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
                             qpsk_detect, qpsk_modulate, se_montecarlo,
                             se_trial, sinr_eq9, sum_se)
@@ -178,6 +180,43 @@ class TestConvergenceTrace:
     def test_needs_iterative_method(self):
         with pytest.raises(ConfigurationError):
             convergence_trace(small_config(**{"run.methods": "[direct]"}))
+
+    @pytest.mark.parametrize("M", [99, 264])
+    def test_krylov_errors_within_the_condition_bound(self, M, monkeypatch):
+        # ||e_t||_P <= 2 q^t ||e_0||_P, q = (sqrt(k) - 1) / (sqrt(k) + 1),
+        # with k = kappa(P) for CG and kappa(D^-1/2 P D^-1/2) for Jacobi
+        # PCG (Saad, Iterative Methods for Sparse Linear Systems, 6.11 and
+        # 9.2), and lambda_min ||e||_P^2 <= ||r||^2 <= lambda_max ||e||_P^2
+        # give LS error_t <= 4 kappa(P) q^(2t), per trial.
+        solves = []
+
+        def recording(sys, method, *args):
+            out = solve(sys, method, *args)
+            solves.append((method, sys.P, out.residual_trace))
+            return out
+
+        monkeypatch.setattr(metrics, "solve", recording)
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["run.experiment=convergence", f"geometry.M={M}",
+                              "run.methods=[cg, jacpcg]", "run.t_max=20"])
+        convergence_trace(cfg)
+        checked = {"cg": 0, "jacpcg": 0}
+        for method, P, trace in solves:
+            kappa_P = _kappa(P)
+            if method == "jacpcg":
+                d = np.sqrt(np.diagonal(P, axis1=-2, axis2=-1).real)
+                P = P / (d[..., :, None] * d[..., None, :])
+            k = np.sqrt(_kappa(P))[:, None]
+            t = np.arange(trace.shape[-1])
+            bound = 4 * kappa_P[:, None] * ((k - 1) / (k + 1)) ** (2 * t)
+            assert np.all(trace <= bound), method
+            checked[method] += trace.size
+        assert checked == {"cg": 50 * 21, "jacpcg": 50 * 21}
+
+
+def _kappa(P):
+    vals = np.linalg.eigvalsh(P)
+    return vals[..., -1] / vals[..., 0]
 
 
 class TestSeTrial:
