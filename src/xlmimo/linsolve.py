@@ -203,6 +203,17 @@ def _col_dot(a, b) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a.conj(), b).real[..., None, :]
 
 
+def _live(rz) -> np.ndarray:
+    """The PCG columns still iterating: r^H z at least `RZ_FLOOR`.
+
+    A NaN r^H z means a non-finite residual, not convergence, and raises
+    `NonFiniteError`.
+    """
+    if np.isnan(rz).any():
+        raise NonFiniteError("r^H z is NaN: the preconditioned residual is not finite")
+    return rz >= RZ_FLOOR
+
+
 def _pcg_steps(c):
     """PCG recurrence with diagonal preconditioner C (..., n, 1); None is CG.
 
@@ -217,7 +228,7 @@ def _pcg_steps(c):
         z = r if c is None else r / c
         m = z.copy()
         rz = _col_dot(r, z)
-        live = rz >= RZ_FLOOR
+        live = _live(rz)
         while np.any(live):
             q = P @ m
             curv = _col_dot(m, q)
@@ -232,7 +243,7 @@ def _pcg_steps(c):
             beta = np.where(live, rz_new / np.where(live, rz, 1.0), 0.0)
             m = z + beta * m
             rz = rz_new
-            live = rz >= RZ_FLOOR
+            live = _live(rz)
             yield w
 
     return steps

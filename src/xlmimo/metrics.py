@@ -30,10 +30,12 @@ BATCH_BYTES = 3 << 19
 
 Trials per batch are this over one trial's working set, which counts
 the draw and the precoders, or the convergence solves' iterates.  BER's
-per-trial QPSK chain, about 0.8 MB at K = 32 and 512 symbols, growing
-with `run.symbols_per_channel`, lies outside it, so a BER batch may
-exceed it.  Larger batches save little more time and add to peak
-memory: the benchmark's `peak_rss_mb` has a 5% bound, about 3 MB."""
+QPSK chain, 54 bytes per user and symbol (864 KiB at K = 32 and 512
+symbols, growing with `run.symbols_per_channel`), lies outside it, so a
+BER batch may exceed it: at M = 99 one batch peaks under tracemalloc at
+1405 KiB at the ber-qpsk settings and 3577 KiB with 2048 symbols.
+Larger batches save little more time and add to peak memory: the
+benchmark's `peak_rss_mb` has a 5% bound, about 3 MB."""
 
 
 def trial_batches(trials: int, trial_bytes: int) -> list:
@@ -141,17 +143,32 @@ def sum_se(per_trial_sums) -> tuple[float, float]:
 
 # --- QPSK with Gray mapping ------------------------------------------------
 
+# Re and Im of every symbol of the formula below are +-_QPSK_LEVEL: the
+# formula's 1/sqrt(2), as numpy's complex division by sqrt(2) rounds it.
+_QPSK_LEVEL = ((1.0 + 1j) / np.sqrt(2.0)).real
+
+
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Bit pairs (..., 2) -> unit-power symbols ((1-2b0) + j(1-2b1))/sqrt(2)."""
+    """Bit pairs (..., 2) -> unit-power symbols ((1-2b0) + j(1-2b1))/sqrt(2).
+
+    Each bit b becomes one float of its symbol, _QPSK_LEVEL - 2 _QPSK_LEVEL b,
+    which is exact for b in {0, 1}.
+    """
     bits = np.asarray(bits)
-    return ((1.0 - 2.0 * bits[..., 0]) + 1j * (1.0 - 2.0 * bits[..., 1])) / np.sqrt(2.0)
+    symbols = np.empty(bits.shape[:-1], dtype=complex)
+    levels = symbols.reshape(-1).view(float).reshape(bits.shape)
+    np.multiply(bits, -2.0 * _QPSK_LEVEL, out=levels)
+    levels += _QPSK_LEVEL
+    return symbols
 
 
 def qpsk_detect(y: np.ndarray) -> np.ndarray:
-    """Hard decisions back to bit pairs (..., 2)."""
-    b0 = (y.real < 0).astype(np.int8)
-    b1 = (y.imag < 0).astype(np.int8)
-    return np.stack([b0, b1], axis=-1)
+    """Hard decisions back to bit pairs (..., 2): the signs of Re y and Im y.
+
+    A C-contiguous complex `y` is read in place, as (..., 2) floats.
+    """
+    y = np.asarray(y, dtype=complex, order="C")
+    return (y.reshape(-1).view(float).reshape(*y.shape, 2) < 0).view(np.int8)
 
 
 def ber_montecarlo(cfg) -> BerReport:
@@ -183,32 +200,45 @@ def ber_montecarlo(cfg) -> BerReport:
 
 
 def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
-    """Bit errors of each trial of the batch, per method, at `snr_db`."""
+    """Bit errors of each trial of the batch, per method, at `snr_db`.
+
+    Detection is genie-aided: user k's decisions are the signs of Re and Im
+    of y conj(g_k), g_k = B[k, k].  In exact arithmetic they are those of
+    y / g_k, since |g_k|^2 > 0; after rounding they may differ only where
+    Re or Im of y conj(g_k) lies within an ulp or so of zero, so byte
+    identity with the division is checked on the benchmark's configs, not
+    proved.  A dead user (g_k = 0) decides on y itself, a coin flip.
+    """
     power, sol = PowerConfig(snr_db=snr_db), cfg.solver
     K, nsym = real.K, cfg.run.symbols_per_channel
     couplings = precode_each(real, power.xi, power.tx_power_watts,
                              cfg.run.methods, sol.T, sol.omega,
                              lambda pre: coupling_matrix(real, pre))
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
+    # conj(g) per trial and user, (batch, K, 1); a dead user's g = 0 is 1.
+    gains = {m: np.diagonal(B, axis1=-2, axis2=-1).conj()[..., None]
+             for m, B in couplings.items()}
+    for g in gains.values():
+        g[g == 0] = 1.0
     # Bits and noise follow each trial's channel on its stream, trial by
     # trial: stacked over the batch, the chain adds memory and saves no time.
-    # Y is built in place and each trial's arrays are released before the
-    # next trial's, so the chain adds one trial's arrays to the batch peak.
+    # The noise and every method's received block Y are formed in two
+    # workspaces for the batch.  A trial's symbols are formed after its
+    # noise, so the draw's standard normals are gone by then; its bits and
+    # symbols are released before the next trial's are drawn.
+    noise, Y = np.empty((2, K, nsym), dtype=complex)
     for i, rng in enumerate(rngs):
         bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
+        noise.real = rng.standard_normal((K, nsym))
+        noise.imag = rng.standard_normal((K, nsym))
+        noise *= np.sqrt(power.sigma2_watts / 2.0)
         symbols = qpsk_modulate(bits)
-        noise = np.sqrt(power.sigma2_watts / 2.0) * (
-            rng.standard_normal((K, nsym))
-            + 1j * rng.standard_normal((K, nsym)))
         for m, B in couplings.items():
-            gain = np.diag(B[i]).copy()
-            gain[gain == 0] = 1.0  # dead user: decisions become coin flips
-            Y = B[i] @ symbols
+            np.matmul(B[i], symbols, out=Y)
             Y += noise
-            Y /= gain[:, None]
+            Y *= gains[m][i]
             errors[m][i] = np.count_nonzero(qpsk_detect(Y) != bits)
-            del Y
-        del bits, symbols, noise
+        del bits, symbols
     return errors
 
 
@@ -255,8 +285,8 @@ def _ls_error_kernel(cfg, real, rngs, methods) -> dict:
         tr = solve(sys, m, T_max, cfg.solver.omega).residual_trace
         # Krylov methods stop once every residual has vanished; hold the
         # final error so every trace spans t = 0..T_max.
-        traces[m] = np.pad(tr, ((0, 0), (0, T_max + 1 - tr.shape[-1])),
-                           mode="edge")
+        short = T_max + 1 - tr.shape[-1]
+        traces[m] = np.pad(tr, ((0, 0), (0, short)), mode="edge") if short else tr
     return traces
 
 

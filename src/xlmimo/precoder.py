@@ -86,7 +86,8 @@ def _scaled(H, W, power):
     tr = sq_norms(F)
     live = tr > 0
     beta = np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
-    return beta[..., None, None] * F, live
+    F *= beta[..., None, None]
+    return F, live
 
 
 def build_precoder(realization, xi: float, power: float, method: str,

@@ -338,15 +338,16 @@ class TestStacks:
         with pytest.raises(NonFiniteError):
             solve(_sys(P, s), method, T=1)
 
-    @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_solution_raises(self, method):
         # 1/1e-320 overflows: the solution of every system but the
         # identity is inf, and the driver raises instead of returning it.
-        # Jac-PCG is left out: its first r^H z is NaN here, which its
-        # recurrence reads as converged, so it returns w = 0.
-        P = np.stack([np.eye(2), 1e-320 * np.eye(2)])
-        with pytest.raises(NonFiniteError):
-            solve(_sys(P, np.ones((2, 2))), method, T=3)
+        # Alone, Jac-PCG's first r^H z is NaN, with no other system to step.
+        tiny = 1e-320 * np.eye(2)
+        for P, s in [(np.stack([np.eye(2), tiny]), np.ones((2, 2))),
+                     (tiny, np.ones(2))]:
+            with pytest.raises(NonFiniteError):
+                solve(_sys(P, s), method, T=3)
 
     @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
     def test_zero_diagonal_system_rejects_the_stack(self, method):
@@ -418,6 +419,21 @@ class TestTrace:
         assert len(out.iterates) == out.iterations
         np.testing.assert_array_equal(out.residual_trace,
                                       ls_error_oracle(P, rhs, out.iterates))
+
+    @pytest.mark.parametrize("method", ITERATIVE_SOLVERS)
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_kept_iterates_equal_fresh_solves(self, method, columns):
+        # Iterate t, kept by the driver, must be the w of a solve stopped at
+        # T = t: a step that updated its iterate in place would break it.
+        rng = np.random.default_rng(23)
+        sys = HpdSystem(P=np.stack([random_hpd(rng, 6) for _ in range(2)]),
+                        rhs=np.stack([random_rhs(rng, 6, columns)
+                                      for _ in range(2)]))
+        solver = ITERATIVE_SOLVERS[method]
+        out = solver(sys, 5, keep_iterates=True)
+        assert len(out.iterates) == 5
+        for t, w in enumerate(out.iterates, 1):
+            np.testing.assert_array_equal(w, solver(sys, t, trace=False).w)
 
     @pytest.mark.parametrize("method", ["cg", "jacpcg"])
     def test_krylov_early_stop(self, method):

@@ -1,12 +1,14 @@
 """Metrics: SINR/SE evaluation, QPSK chain, BER Monte Carlo, convergence traces."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from helpers import sinr_scalar_oracle, small_config, small_draw, stacked
 from xlmimo.channel import ChannelRealization
 from xlmimo import metrics
-from xlmimo.config import ExperimentConfig, apply_overrides
+from xlmimo.config import ExperimentConfig, PowerConfig, apply_overrides
 from xlmimo.errors import ConfigurationError
 from xlmimo.linsolve import solve
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
@@ -109,8 +111,79 @@ class TestQpsk:
         sym = qpsk_modulate(bits)
         assert np.mean(np.abs(sym) ** 2) == pytest.approx(1.0)
 
+    def test_levels_round_as_the_formula(self):
+        bits = np.random.default_rng(3).integers(0, 2, size=(6, 40, 2),
+                                                 dtype=np.int8)
+        formula = ((1.0 - 2.0 * bits[..., 0])
+                   + 1j * (1.0 - 2.0 * bits[..., 1])) / np.sqrt(2.0)
+        assert qpsk_modulate(bits).tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("view", ["strided", "transposed", "real", "scalar"])
+    def test_detect_on_views(self, view):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((8, 30)) + 1j * rng.standard_normal((8, 30))
+        y = {"strided": y[:, ::3], "transposed": y.T, "real": y.real,
+             "scalar": -y[0, 0].conj()}[view]
+        two_arrays = np.stack([(y.real < 0).astype(np.int8),
+                               (y.imag < 0).astype(np.int8)], axis=-1)
+        out = qpsk_detect(y)
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, two_arrays)
+
+
+def _coupling(rng, batch, K, gains):
+    B = rng.standard_normal((batch, K, K)) + 1j * rng.standard_normal((batch, K, K))
+    B[:, range(K), range(K)] = gains
+    return B
+
 
 class TestBer:
+    def test_kernel_decides_as_dividing_by_the_gain(self, monkeypatch):
+        # The kernel decides on the signs of y conj(g); the reference divides
+        # y by g with numpy's (Smith's) complex division and tests the signs
+        # of Re and Im apart.  Couplings on the noise's scale keep decisions
+        # noisy; the gains take both of Smith's branches, and one is zero.
+        cfg = small_config()
+        K, nsym, batch = cfg.users.K, cfg.run.symbols_per_channel, 3
+        sigma2 = PowerConfig().sigma2_watts
+        rng = np.random.default_rng(5)
+        big, small = rng.uniform(0.1, 1.0, (2, batch, K))
+        signs = rng.choice([-1.0, 1.0], (2, batch, K))
+        couplings = {
+            "re": _coupling(rng, batch, K,
+                            signs[0] * (big + small) + 1j * signs[1] * small),
+            "im": _coupling(rng, batch, K,
+                            signs[0] * small + 1j * signs[1] * (big + small)),
+            "zero": _coupling(rng, batch, K, np.array([0.0, 1.0, 1j, -1.0]))}
+        for B in couplings.values():
+            B *= np.sqrt(sigma2)
+        monkeypatch.setattr(metrics, "precode_each", lambda *args: couplings)
+        decided, detect = [], metrics.qpsk_detect
+        monkeypatch.setattr(metrics, "qpsk_detect",
+                            lambda y: decided.append(detect(y).copy()) or decided[-1])
+        errors = metrics._ber_kernel(cfg, SimpleNamespace(K=K),
+                                     [np.random.default_rng(s) for s in range(batch)],
+                                     0.0)
+        expected, counts = [], {m: [] for m in couplings}
+        for i in range(batch):
+            rng = np.random.default_rng(i)
+            bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
+            noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal((K, nsym))
+                                             + 1j * rng.standard_normal((K, nsym)))
+            for m, B in couplings.items():
+                g = np.diag(B[i]).copy()
+                g[g == 0] = 1.0
+                y = (B[i] @ qpsk_modulate(bits) + noise) / g[:, None]
+                d = np.stack([y.real < 0, y.imag < 0], axis=-1).astype(np.int8)
+                expected.append(d)
+                counts[m].append(np.count_nonzero(d != bits))
+        assert len(decided) == len(expected)
+        for got, want in zip(decided, expected):
+            np.testing.assert_array_equal(got, want)
+        for m in couplings:
+            np.testing.assert_array_equal(errors[m], counts[m])
+            assert 0 < sum(counts[m]) < batch * K * nsym
+
     def test_smoke_and_report_fields(self):
         cfg = small_config(**{"run.methods": "[direct, cg]",
                               "run.snr_grid_db": "[10.0]"})
