@@ -17,7 +17,7 @@ alone.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -63,12 +63,11 @@ class HpdSystem:
 class SolverOutcome:
     """Solutions, iteration count, residual telemetry, and convergence flags.
 
-    `w` has the rhs's shape.  `iterations` is T, fewer once every Krylov
-    residual has vanished, or 1 for direct.  `residual_trace` (...,
-    iterations + 1), index 0 the starting point w = 0, and `converged`
-    (...), true where the final LS error does not exceed the initial one,
-    are None when the trace is off.  A system whose Krylov residual
-    vanishes before the others' holds its final iterate and error.
+    `w` has the rhs's shape.  `iterations` is T, or 1 for direct.
+    `residual_trace` (..., iterations + 1), index 0 the starting point
+    w = 0, and `converged` (...), true where the final LS error does not
+    exceed the initial one, are None when the trace is off.  A system whose
+    Krylov residual vanishes holds its final iterate and error.
     """
 
     w: np.ndarray
@@ -115,15 +114,13 @@ def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
 
 def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
              steps) -> SolverOutcome:
-    """Run at most T steps of `steps(P, s)`, a generator of iterates that
-    starts from w = 0; the one driver of every method.
+    """Run T steps of `steps(P, s)`, a generator of iterates that starts
+    from w = 0 and never ends before T; the one driver of every method.
 
-    A vector rhs steps as one column, read back by `col`.  Stops early
-    only when the generator ends (a Krylov method whose residuals have all
-    vanished; with none taken, w = 0).  With `trace`, records the LS error
-    of w = 0 and every iterate in one stacked pass.  Overflow warnings are
-    off: a diverged iterate stays non-finite, so an inf or NaN in the final
-    iterate or the trace raises `NonFiniteError`.
+    A vector rhs steps as one column, read back by `col`.  With `trace`,
+    records the LS error of w = 0 and every iterate in one stacked pass.
+    Overflow warnings are off: a diverged iterate stays non-finite, so an
+    inf or NaN in the final iterate or the trace raises `NonFiniteError`.
     """
     if T < 1:
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
@@ -131,12 +128,11 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
     s, col = (s[..., None], (..., 0)) if s.ndim < P.ndim else (s, ...)
     # w = 0 and every iterate, kept only when the trace or the caller reads them.
     ws = [np.zeros_like(s)] if trace or keep_iterates else None
-    w, iterations, errors = None, 0, None
+    errors = None
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations, w in enumerate(islice(steps(P, s), T), 1):
             if ws is not None:
                 ws.append(w)
-        w = np.zeros_like(s) if w is None else w
         if trace:
             # P broadcasts over the leading iteration axis, moved last after.
             # Per iterate: a broadcast subtraction takes a 128 KiB ufunc buffer.
@@ -220,7 +216,8 @@ def _pcg_steps(c):
     The search direction is built from z = C^{-1} r, with r^H z inner
     products.  A column whose r^H z is below `RZ_FLOOR` (zero, or underflowed
     after convergence) takes zero steps from then on, so it holds its iterate
-    while the other columns go on.
+    while the other columns go on.  Once no column is live, the generator
+    yields the held iterate without stepping.
     """
     def steps(P, s):
         w = np.zeros_like(s)
@@ -245,6 +242,7 @@ def _pcg_steps(c):
             rz = rz_new
             live = _live(rz)
             yield w
+        yield from repeat(w)
 
     return steps
 

@@ -264,7 +264,8 @@ def convergence_trace(cfg) -> dict:
     # A trial's working set is the larger of its draw's, the (K, M) rows
     # complex and real (2 M K complex entries), and its kernel's after them:
     # the blocks and Gram (under M K + K^2) and, per step, one solve's
-    # iterate and residual (2 K) and each method's trace and padded copy.
+    # iterate and residual (2 K) and each method's float trace, counted at
+    # 16 bytes.
     M, K, steps = scenario.geometry.M, scenario.K, cfg.run.t_max + 1
     trial_bytes = max(32 * M * K,
                       16 * (M * K + K * K + steps * (2 * K + len(methods))))
@@ -275,19 +276,12 @@ def convergence_trace(cfg) -> dict:
 
 def _ls_error_kernel(cfg, real, rngs, methods) -> dict:
     """Per method, the (trials, t_max + 1) LS-error traces of the batch."""
-    T_max = cfg.run.t_max
     bits = np.stack([rng.integers(0, 2, size=(real.K, 2), dtype=np.int8)
                      for rng in rngs])
     sys = HpdSystem(P=gram_regularized(real.Hc, cfg.power.xi),
                     rhs=qpsk_modulate(bits))
-    traces = {}
-    for m in methods:
-        tr = solve(sys, m, T_max, cfg.solver.omega).residual_trace
-        # Krylov methods stop once every residual has vanished; hold the
-        # final error so every trace spans t = 0..T_max.
-        short = T_max + 1 - tr.shape[-1]
-        traces[m] = np.pad(tr, ((0, 0), (0, short)), mode="edge") if short else tr
-    return traces
+    return {m: solve(sys, m, cfg.run.t_max, cfg.solver.omega).residual_trace
+            for m in methods}
 
 
 def se_montecarlo(cfg):

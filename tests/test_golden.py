@@ -22,7 +22,18 @@ GOLDEN = {
     "convergence": "aea629f02c237bda8c7a3d6b03e383f430ec507fd8f83cd3990725f15f37b20b",
     "se_vs_m": "0ac3a8eb5092cbeb0f85753bece4b8c2ef196e46043b0e1beecd9711e4eddad8",
     "ber": "8dddc70441023304c3556fbfad1dff8fa55543323e9d727b4d60ec6741e3af72",
+    "convergence-t40": "daab916564874aff73aa19e477cbe94bfb781e179e5d4fd9578c5b4377cae5f1",
 }
+
+# A golden case is its experiment's small-config run; these cases add
+# overrides.  At T_max = 40 the CG and Jac-PCG residuals vanish after 30 or
+# more steps, and every converged column holds its iterate up to T_max.
+CASES = {"convergence-t40": ("convergence", ("run.t_max=40",))}
+
+
+def golden_case(name):
+    """(experiment, extra overrides) of the golden case `name`."""
+    return CASES.get(name, (name, ()))
 
 # The benchmark workloads' overrides, copied from perfbench/xlbench/workloads.py
 # (perfbench/ is not importable from the tier-1 suite).
@@ -50,10 +61,11 @@ def _csv_bytes(path, experiment, *extra):
     return _run_bytes(path, experiment, [*SMALL, *extra])
 
 
-@pytest.mark.parametrize("experiment", sorted(GOLDEN))
-def test_csv_sha256(tmp_path, experiment):
-    csv = _csv_bytes(tmp_path / "out.csv", experiment)
-    assert hashlib.sha256(csv).hexdigest() == GOLDEN[experiment]
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_csv_sha256(tmp_path, case):
+    experiment, extra = golden_case(case)
+    csv = _csv_bytes(tmp_path / "out.csv", experiment, *extra)
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN[case]
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_GOLDEN))

@@ -171,8 +171,11 @@ def test_long_runs_hold_the_converged_iterate(solver):
     rng = np.random.default_rng(10)
     for _ in range(20):
         sys = _sys(diag_scaled_hpd(rng, 16), random_rhs(rng, 16))
-        np.testing.assert_array_equal(solver(sys, T=400).w,
-                                      solver(sys, T=100).w)
+        long, short = solver(sys, T=400), solver(sys, T=100)
+        np.testing.assert_array_equal(long.w, short.w)
+        np.testing.assert_array_equal(
+            long.residual_trace,
+            np.append(short.residual_trace, [short.residual_trace[-1]] * 300))
 
 
 class TestJacPcg:
@@ -264,12 +267,6 @@ class TestSolve:
             solve(self.sys, "sor")
 
 
-def _held(trace, length):
-    """A trace padded to `length` with its final error, as a finished
-    system of a stack reports it."""
-    return np.concatenate([trace, np.full(length - trace.size, trace[-1])])
-
-
 @st.composite
 def _stacks(draw):
     """A stack of 1-5 HPD systems of size 1-8, some of them the identity
@@ -297,14 +294,15 @@ class TestStacks:
         singles = [solve(HpdSystem(P=p, rhs=s), method, T, omega=0.7)
                    for p, s in zip(P, rhs)]
         out = solve(HpdSystem(P=P, rhs=rhs), method, T, omega=0.7)
+        steps = 1 if method == "direct" else T
         assert out.w.shape == rhs.shape
-        assert out.residual_trace.shape == (len(P), out.iterations + 1)
-        assert out.iterations == max(one.iterations for one in singles)
+        assert out.iterations == steps
+        assert out.residual_trace.shape == (len(P), steps + 1)
         for i, one in enumerate(singles):
+            assert one.iterations == steps
             np.testing.assert_array_equal(out.w[i], one.w)
-            np.testing.assert_array_equal(
-                out.residual_trace[i],
-                _held(one.residual_trace, out.iterations + 1))
+            np.testing.assert_array_equal(out.residual_trace[i],
+                                          one.residual_trace)
 
     @pytest.mark.parametrize("method", ["cg", "jacpcg"])
     def test_one_system_finishes_before_the_others(self, method):
@@ -313,10 +311,11 @@ class TestStacks:
         rhs = random_rhs(rng, 3, 4)
         out = solve(HpdSystem(P=P, rhs=rhs), method, T=4)
         alone = solve(HpdSystem(P=P[1], rhs=rhs[1]), method, T=4)
-        assert alone.iterations == 1 and alone.residual_trace[-1] == 0.0
-        assert out.iterations == 4
+        assert alone.iterations == out.iterations == 4
+        np.testing.assert_array_equal(alone.residual_trace, [1.0] + [0.0] * 4)
         np.testing.assert_array_equal(out.w[1], alone.w)
-        np.testing.assert_array_equal(out.residual_trace[1], [1.0] + [0.0] * 4)
+        np.testing.assert_array_equal(out.residual_trace[1],
+                                      alone.residual_trace)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("bad", [np.nan, "asymmetric"])
@@ -436,17 +435,21 @@ class TestTrace:
             np.testing.assert_array_equal(w, solver(sys, t, trace=False).w)
 
     @pytest.mark.parametrize("method", ["cg", "jacpcg"])
-    def test_krylov_early_stop(self, method):
-        # The identity's residual vanishes after one step, in every system.
+    def test_krylov_hold(self, method):
+        # The identity's residual vanishes after one step, in every system:
+        # the solve still takes all T steps, each holding the first iterate.
         rng = np.random.default_rng(24)
         P = np.stack([np.eye(5, dtype=complex)] * 3)
         rhs = random_rhs(rng, 3, 5)
-        out = ITERATIVE_SOLVERS[method](HpdSystem(P=P, rhs=rhs), 6,
-                                        keep_iterates=True)
-        assert out.iterations == 1 and out.residual_trace.shape == (3, 2)
+        sys, solver = HpdSystem(P=P, rhs=rhs), ITERATIVE_SOLVERS[method]
+        out = solver(sys, 6, keep_iterates=True)
+        assert out.iterations == 6 and out.residual_trace.shape == (3, 7)
         np.testing.assert_array_equal(out.residual_trace,
                                       ls_error_oracle(P, rhs, out.iterates))
-        np.testing.assert_array_equal(out.residual_trace[:, -1], 0.0)
+        np.testing.assert_array_equal(out.residual_trace[:, 1:], 0.0)
+        first = solver(sys, 1, trace=False).w
+        for w in out.iterates:
+            np.testing.assert_array_equal(w, first)
 
 
 class TestConditionNumber:
