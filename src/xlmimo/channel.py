@@ -29,7 +29,7 @@ GAIN_EXPONENT = 2.0
 def path_loss(d) -> np.ndarray:
     """Per-antenna large-scale power gain w = OMEGA * d^(-NU)."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ConfigurationError("all distances must be positive")
     w = d ** (-NU)
     w *= OMEGA

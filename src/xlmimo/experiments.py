@@ -134,6 +134,11 @@ def _write_manifest(cfg: ExperimentConfig, out_path: str, elapsed: float) -> Non
         },
         "output": out_path,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+    path = out_path + ".manifest.json"
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write manifest {path!r}: {exc}") from exc
+    with fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

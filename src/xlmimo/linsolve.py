@@ -10,6 +10,13 @@ same leading dimensions and is one vector per system, (..., n), or several,
 ||P w^(t) - s||_F^2 / ||s||_F^2 per system.  Every method is a step
 generator run by one driver, `_iterate`; direct takes one step.
 
+Each check has one home.  `HpdSystem` checks the input: P square, Hermitian
+with a positive diagonal, and a finite rhs, so all five methods reject a
+nonpositive diagonal before any step.  `_iterate` checks the output: an inf or NaN
+in any method's final iterate or trace raises `NonFiniteError`.  The methods
+keep only what a positive diagonal does not rule out: Cholesky's breakdown,
+CG's nonpositive curvature, and a custom Jacobi preconditioner's checks.
+
 Element-wise steps, stacked matrix products, numpy's stacked
 `cholesky`/`inv` (one LAPACK call per system) and `np.vecdot` norms (one
 BLAS dot per system) round every system exactly as a solve of that system
@@ -57,6 +64,13 @@ class HpdSystem:
             raise NotHpdError("P is not Hermitian to machine precision")
         if not np.isfinite(rhs).all():
             raise NonFiniteError("right-hand side holds an inf or NaN")
+        # An HPD matrix has a real, positive diagonal; GS, JOR and Jac-PCG
+        # divide by it.  `not > 0` also rejects a NaN.
+        bad = ~(np.diagonal(P, axis1=-2, axis2=-1).real > 0)
+        if bad.any():
+            where = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise NotHpdError(
+                f"P is not HPD: diagonal entry at {where} is not positive")
 
 
 @dataclass
@@ -151,15 +165,6 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
         iterates=[x[col] for x in ws[1:]] if keep_iterates else [])
 
 
-def _diag(P) -> np.ndarray:
-    """The diagonal of each matrix; a zero entry raises `NotHpdError`."""
-    d = np.diagonal(P, axis1=-2, axis2=-1)
-    if np.any(d == 0):
-        where = tuple(int(i) for i in np.argwhere(d == 0)[0])
-        raise NotHpdError(f"zero diagonal entry at {where}")
-    return d
-
-
 def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
              trace: bool = True) -> SolverOutcome:
     """Gauss-Seidel sweeps w <- (D + Lo)^{-1} (s - Up w), P = Lo + D + Up.
@@ -168,7 +173,6 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
     formed once, then one dense matrix product per sweep.
     """
     def steps(P, s):
-        _diag(P)
         DLinv, Up = np.linalg.inv(np.tril(P)), np.triu(P, 1)
         w = np.zeros_like(s)
         while True:
@@ -181,11 +185,11 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
 def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA,
               keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
     """Jacobi over-relaxation: w <- w + omega * D^{-1} (s - P w)."""
-    if omega <= 0:
+    if not omega > 0:
         raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
 
     def steps(P, s):
-        d = _diag(P)[..., None]
+        d = np.diagonal(P, axis1=-2, axis2=-1)[..., None]
         w = np.zeros_like(s)
         while True:
             w = w + omega * ((s - P @ w) / d)
@@ -199,17 +203,6 @@ def _col_dot(a, b) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a.conj(), b).real[..., None, :]
 
 
-def _live(rz) -> np.ndarray:
-    """The PCG columns still iterating: r^H z at least `RZ_FLOOR`.
-
-    A NaN r^H z means a non-finite residual, not convergence, and raises
-    `NonFiniteError`.
-    """
-    if np.isnan(rz).any():
-        raise NonFiniteError("r^H z is NaN: the preconditioned residual is not finite")
-    return rz >= RZ_FLOOR
-
-
 def _pcg_steps(c):
     """PCG recurrence with diagonal preconditioner C (..., n, 1); None is CG.
 
@@ -217,7 +210,8 @@ def _pcg_steps(c):
     products.  A column whose r^H z is below `RZ_FLOOR` (zero, or underflowed
     after convergence) takes zero steps from then on, so it holds its iterate
     while the other columns go on.  Once no column is live, the generator
-    yields the held iterate without stepping.
+    yields the held iterate without stepping.  A NaN r^H z stays live: the
+    NaN reaches w through alpha, and the driver raises `NonFiniteError`.
     """
     def steps(P, s):
         w = np.zeros_like(s)
@@ -225,8 +219,7 @@ def _pcg_steps(c):
         z = r if c is None else r / c
         m = z.copy()
         rz = _col_dot(r, z)
-        live = _live(rz)
-        while np.any(live):
+        while np.any(live := ~(rz < RZ_FLOOR)):
             q = P @ m
             curv = _col_dot(m, q)
             if np.any((curv <= 0) & live):
@@ -240,7 +233,6 @@ def _pcg_steps(c):
             beta = np.where(live, rz_new / np.where(live, rz, 1.0), 0.0)
             m = z + beta * m
             rz = rz_new
-            live = _live(rz)
             yield w
         yield from repeat(w)
 
@@ -261,7 +253,7 @@ def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,
     Pass `precond_diag` ((n,) or (..., n)) to override the preconditioner;
     C = I gives CG.  C must be positive, else `NotHpdError`.
     """
-    d = _diag(np.asarray(sys.P)).real
+    d = np.diagonal(np.asarray(sys.P), axis1=-2, axis2=-1).real
     c = d if precond_diag is None else np.asarray(precond_diag, dtype=float)
     if c.shape != d.shape[d.ndim - c.ndim:]:
         raise NotHpdError(f"precond_diag shape {c.shape} incompatible with "

@@ -4,7 +4,8 @@ The SINR of user k in group i combines the own-subarray and central-subarray
 signal terms, intra-group interference through both, cross-group interference
 through the central subarray only, and the noise floor.
 
-The three Monte-Carlo pipelines run on one batch driver, `monte_carlo`.
+The three Monte-Carlo pipelines check their config with `config.validate`
+on entry, as the CLI does, and run on one batch driver, `monte_carlo`.
 Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
 (SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A batch is drawn
 with one `scenario.draw_batch` call, each trial from its own stream, and a
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PowerConfig
+from .config import PowerConfig, validate
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, herm, solve
 from .precoder import gram_regularized, precode_each
@@ -122,7 +123,7 @@ def coupling_matrix(realization, precoder) -> np.ndarray:
 
 def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
     """Per-user SINR from the block channel and block precoder, per trial."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ConfigurationError(f"noise power must be positive, got {sigma2}")
     B = coupling_matrix(realization, precoder)
     signal = np.abs(np.diagonal(B, axis1=-2, axis2=-1)) ** 2
@@ -179,15 +180,11 @@ def ber_montecarlo(cfg) -> BerReport:
     scaling by the effective gain at the receiver, hard detection.  Bits,
     channels, and noise are shared across methods so comparisons are paired.
     """
+    validate(cfg)
     grid = np.asarray(cfg.run.snr_grid_db, dtype=float)
-    if grid.size == 0:
-        raise ConfigurationError("SNR grid must be non-empty")
-    bits_min = cfg.run.bits_per_point
-    if bits_min < 1:
-        raise ConfigurationError("bits per point must be >= 1")
     scenario = build_scenario(cfg)
     bits_per_draw = 2 * scenario.K * cfg.run.symbols_per_channel
-    draws = -(-bits_min // bits_per_draw)  # ceil: at least bits_min bits
+    draws = -(-cfg.run.bits_per_point // bits_per_draw)  # ceil
     points = [(scenario, (BER, ig), snr_db, precoding_bytes(scenario))
               for ig, snr_db in enumerate(grid)]
     counts = list(monte_carlo(cfg, _ber_kernel, points, draws))
@@ -257,9 +254,8 @@ def convergence_trace(cfg) -> dict:
     vector per trial, for `run.trials` trials; returns {method: array of
     length run.t_max + 1} for the iterative methods of `run.methods`.
     """
+    validate(cfg)
     methods = iterative_methods(cfg)
-    if cfg.run.t_max < 1:
-        raise ConfigurationError(f"T_max must be >= 1, got {cfg.run.t_max}")
     scenario = build_scenario(cfg)
     # A trial's working set is the larger of its draw's, the (K, M) rows
     # complex and real (2 M K complex entries), and its kernel's after them:
@@ -287,6 +283,7 @@ def _ls_error_kernel(cfg, real, rngs, methods) -> dict:
 def se_montecarlo(cfg):
     """Per M of `run.m_grid`, in order: (M, {method: sum SE of each of the
     `run.trials` trials}) for every method of `run.methods`."""
+    validate(cfg)
     scenarios = [build_scenario(cfg, M=M) for M in cfg.run.m_grid]
     points = [(s, (SE_VS_M, s.geometry.M), None, precoding_bytes(s))
               for s in scenarios]

@@ -45,7 +45,7 @@ class BlockPrecoder:
 
 def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
     """P = H^H H + xi I per trial, symmetrized: (..., M, K) -> (..., K, K)."""
-    if xi <= 0:
+    if not xi > 0:
         raise ConfigurationError(f"regularization xi must be positive, got {xi}")
     H = np.asarray(H, dtype=complex)
     P = herm(H) @ H + xi * np.eye(H.shape[-1])
@@ -60,6 +60,8 @@ def precode_each(realization, xi: float, power: float, methods, T: int,
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
     """
+    if not power > 0:
+        raise ConfigurationError(f"transmit power must be positive, got {power}")
     groups = []
     for H in (np.stack((realization.H1, realization.H2)), realization.Hc):
         P = gram_regularized(H, xi)

@@ -517,6 +517,17 @@ class TestCli:
         assert json.loads(err[0])["error"] == "ConfigurationError"
         assert list(dst.iterdir()) == []
 
+    def test_unwritable_manifest_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "flops.csv"
+        manifest = tmp_path / "flops.csv.manifest.json"
+        manifest.mkdir()
+        assert cli.main(["flops", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigurationError"
+        assert str(manifest) in record["message"]
+
     def test_default_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.DEFAULT_OUT_ENV, str(tmp_path))
         rc = cli.main(["flops"])

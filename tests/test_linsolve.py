@@ -42,6 +42,20 @@ class TestHpdSystem:
         with pytest.raises(NotHpdError):
             HpdSystem(P=P, rhs=np.zeros(2))
 
+    # Zero, indefinite and negative-definite: each has a diagonal entry
+    # that is not positive, and every method rejects it before any step.
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("P, where", [
+        ([[0.0, 1.0], [1.0, 0.0]], 0),
+        ([[2.0, 1.0], [1.0, -1.0]], 1),
+        ([[-2.0, 0.5], [0.5, -1.0]], 0),
+    ])
+    def test_every_method_rejects_a_nonpositive_diagonal(self, method, P,
+                                                          where):
+        with pytest.raises(NotHpdError,
+                           match=rf"diagonal entry at \({where},\)"):
+            solve(_sys(P, [1.0, 1.0]), method, T=3)
+
     def test_accepts_asymmetry_within_tolerance(self):
         P = np.eye(2, dtype=complex)
         P[0, 1] = 0.5 * HERMITIAN_RTOL
@@ -211,10 +225,11 @@ class TestJacPcg:
             jacpcg_solve(HpdSystem(P=P, rhs=np.ones(2)), T=1)
 
     def test_indefinite_preconditioner_rejected(self):
-        # r^H C^{-1} r < 0 here: PCG must not skip its loop and return w = 0.
-        sys = _sys(np.diag([2.0, -1.0]), [1.0, 1.0])
+        # r^H C^{-1} r <= 0 for either C: PCG must not skip its loop and
+        # return w = 0.  HpdSystem rejects diag(P) = (2, -1) on construction,
+        # and jacpcg_solve a custom C = (1, -1).
         with pytest.raises(NotHpdError):
-            jacpcg_solve(sys, T=1)
+            jacpcg_solve(_sys(np.diag([2.0, -1.0]), [1.0, 1.0]), T=1)
         with pytest.raises(NotHpdError):
             jacpcg_solve(_sys(np.eye(2), [1.0, 1.0]), T=1,
                          precond_diag=[1.0, -1.0])
@@ -341,14 +356,15 @@ class TestStacks:
     def test_non_finite_solution_raises(self, method):
         # 1/1e-320 overflows: the solution of every system but the
         # identity is inf, and the driver raises instead of returning it.
-        # Alone, Jac-PCG's first r^H z is NaN, with no other system to step.
+        # Alone, Jac-PCG's first r^H z is NaN: the column stays live, and
+        # the NaN reaches w.
         tiny = 1e-320 * np.eye(2)
         for P, s in [(np.stack([np.eye(2), tiny]), np.ones((2, 2))),
                      (tiny, np.ones(2))]:
             with pytest.raises(NonFiniteError):
                 solve(_sys(P, s), method, T=3)
 
-    @pytest.mark.parametrize("method", ["gs", "jor", "jacpcg"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_zero_diagonal_system_rejects_the_stack(self, method):
         P = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
         with pytest.raises(NotHpdError):

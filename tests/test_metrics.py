@@ -204,8 +204,8 @@ class TestBer:
 
     def test_empty_grid_rejected(self):
         cfg = small_config()
-        cfg.run.snr_grid_db = []  # past validation, which rejects it too
-        with pytest.raises(ConfigurationError, match="SNR grid"):
+        cfg.run.snr_grid_db = []  # set after validation; the pipeline validates
+        with pytest.raises(ConfigurationError, match="run.snr_grid_db"):
             ber_montecarlo(cfg)
 
     def test_channel_scale_invariance(self):
@@ -246,8 +246,8 @@ class TestConvergenceTrace:
 
     def test_tmax_validation(self):
         cfg = small_config()
-        cfg.run.t_max = 0  # past validation, which rejects it too
-        with pytest.raises(ConfigurationError, match="T_max"):
+        cfg.run.t_max = 0  # set after validation; the pipeline validates
+        with pytest.raises(ConfigurationError, match="run.t_max"):
             convergence_trace(cfg)
 
     def test_needs_iterative_method(self):

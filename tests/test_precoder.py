@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_rhs, small_config, small_draw, stacked
-from xlmimo.channel import ChannelRealization
+from xlmimo.channel import ChannelRealization, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError)
-from xlmimo.linsolve import HpdSystem, solve, sq_norms
+from xlmimo.linsolve import HpdSystem, jor_solve, solve, sq_norms
 from xlmimo.metrics import sinr_eq9
 from xlmimo.precoder import BlockPrecoder, build_precoder, gram_regularized
 from xlmimo.scenario import build_scenario, draw_batch, draw_trial
@@ -243,3 +243,20 @@ def test_shared_pass_rounds_as_each_block_alone(method, make):
     for G, ref in zip(_blocks(pre),
                       _per_block_oracle(real, 0.05, 2.0, method, 3, 0.5)):
         assert np.array_equal(G, ref)
+
+
+# A NaN fails each positivity check as zero does, instead of flowing into a
+# NaN result or a misleading error further on.
+@pytest.mark.parametrize("call", [
+    lambda real: sinr_eq9(real, build_precoder(real, 0.5, 1.0, "direct"),
+                          np.nan),
+    lambda real: gram_regularized(real.Hc, np.nan),
+    lambda real: path_loss(np.array([1.0, np.nan])),
+    lambda real: build_precoder(real, 0.5, np.nan, "direct"),
+    lambda real: build_precoder(real, np.nan, 1.0, "direct"),
+    lambda real: jor_solve(HpdSystem(P=np.eye(2), rhs=np.ones(2)), T=1,
+                           omega=np.nan),
+], ids=["sigma2", "gram-xi", "distance", "power", "precoder-xi", "omega"])
+def test_nan_is_not_positive(call):
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        call(_random_realization(5))
