@@ -29,8 +29,8 @@ GAIN_EXPONENT = 2.0
 def path_loss(d) -> np.ndarray:
     """Per-antenna large-scale power gain w = OMEGA * d^(-NU)."""
     d = np.asarray(d, dtype=float)
-    if not np.all(d > 0):
-        raise ConfigurationError("all distances must be positive")
+    if not np.all((0 < d) & (d < np.inf)):
+        raise ConfigurationError("all distances must be positive and finite")
     w = d ** (-NU)
     w *= OMEGA
     return w

@@ -10,12 +10,12 @@ same leading dimensions and is one vector per system, (..., n), or several,
 ||P w^(t) - s||_F^2 / ||s||_F^2 per system.  Every method is a step
 generator run by one driver, `_iterate`; direct takes one step.
 
-Each check has one home.  `HpdSystem` checks the input: P square, Hermitian
-with a positive diagonal, and a finite rhs, so all five methods reject a
-nonpositive diagonal before any step.  `_iterate` checks the output: an inf or NaN
+Each check has one home.  `HpdSystem` checks the input: P square, Hermitian,
+with a Cholesky factor, and a finite rhs, so all five methods reject a system
+that is not HPD before any step.  `_iterate` checks the output: an inf or NaN
 in any method's final iterate or trace raises `NonFiniteError`.  The methods
-keep only what a positive diagonal does not rule out: Cholesky's breakdown,
-CG's nonpositive curvature, and a custom Jacobi preconditioner's checks.
+keep only CG's nonpositive curvature, a safety check that rounding could
+still fire, and a custom Jacobi preconditioner's checks.
 
 Element-wise steps, stacked matrix products, numpy's stacked
 `cholesky`/`inv` (one LAPACK call per system) and `np.vecdot` norms (one
@@ -42,7 +42,11 @@ DEFAULT_OMEGA = 1.0                # JOR relaxation (1 = classical Jacobi)
 
 @dataclass(frozen=True)
 class HpdSystem:
-    """Hermitian positive-definite matrices (..., n, n) with finite right-hand sides."""
+    """Hermitian positive-definite matrices (..., n, n) with finite right-hand sides.
+
+    P is certified by its Cholesky factor, which exists exactly when P is HPD
+    (Golub & Van Loan, Matrix Computations, 4.2); direct forms its own.
+    """
 
     P: np.ndarray
     rhs: np.ndarray
@@ -64,13 +68,10 @@ class HpdSystem:
             raise NotHpdError("P is not Hermitian to machine precision")
         if not np.isfinite(rhs).all():
             raise NonFiniteError("right-hand side holds an inf or NaN")
-        # An HPD matrix has a real, positive diagonal; GS, JOR and Jac-PCG
-        # divide by it.  `not > 0` also rejects a NaN.
-        bad = ~(np.diagonal(P, axis1=-2, axis2=-1).real > 0)
-        if bad.any():
-            where = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise NotHpdError(
-                f"P is not HPD: diagonal entry at {where} is not positive")
+        try:
+            np.linalg.cholesky(np.asarray(P, dtype=complex))
+        except np.linalg.LinAlgError as exc:
+            raise NotHpdError(f"P is not HPD: no Cholesky factor ({exc})") from exc
 
 
 @dataclass
@@ -116,11 +117,7 @@ def direct_solve(sys: HpdSystem, trace: bool = True) -> SolverOutcome:
     w = L^{-H} (L^{-1} s).
     """
     def steps(P, s):
-        try:
-            L = np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise NotHpdError(f"Cholesky breakdown: {exc}") from exc
-        Linv = np.linalg.inv(L)
+        Linv = np.linalg.inv(np.linalg.cholesky(P))
         yield herm(Linv) @ (Linv @ s)
 
     return _iterate(sys, 1, False, trace, steps)
@@ -185,8 +182,8 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
 def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA,
               keep_iterates: bool = False, trace: bool = True) -> SolverOutcome:
     """Jacobi over-relaxation: w <- w + omega * D^{-1} (s - P w)."""
-    if not omega > 0:
-        raise ConfigurationError(f"relaxation omega must be positive, got {omega}")
+    if not 0 < omega < np.inf:
+        raise ConfigurationError(f"omega must be positive and finite, got {omega}")
 
     def steps(P, s):
         d = np.diagonal(P, axis1=-2, axis2=-1)[..., None]
@@ -251,15 +248,16 @@ def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,
     """Standard PCG with the Jacobi preconditioner C = diag(P) by default.
 
     Pass `precond_diag` ((n,) or (..., n)) to override the preconditioner;
-    C = I gives CG.  C must be positive, else `NotHpdError`.
+    C = I gives CG.  A custom C must be positive and finite, else
+    `NotHpdError`; the default diag(P) is, since `HpdSystem` certified P.
     """
     d = np.diagonal(np.asarray(sys.P), axis1=-2, axis2=-1).real
     c = d if precond_diag is None else np.asarray(precond_diag, dtype=float)
     if c.shape != d.shape[d.ndim - c.ndim:]:
         raise NotHpdError(f"precond_diag shape {c.shape} incompatible with "
                           f"P shape {np.shape(sys.P)}")
-    if not np.all(c > 0):
-        raise NotHpdError("nonpositive preconditioner entry; P is not HPD")
+    if precond_diag is not None and not np.all((0 < c) & (c < np.inf)):
+        raise NotHpdError("precond_diag must be positive and finite")
     return _iterate(sys, T, keep_iterates, trace, _pcg_steps(c[..., None]))
 
 

@@ -123,8 +123,8 @@ def coupling_matrix(realization, precoder) -> np.ndarray:
 
 def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
     """Per-user SINR from the block channel and block precoder, per trial."""
-    if not sigma2 > 0:
-        raise ConfigurationError(f"noise power must be positive, got {sigma2}")
+    if not 0 < sigma2 < np.inf:
+        raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
     B = coupling_matrix(realization, precoder)
     signal = np.abs(np.diagonal(B, axis1=-2, axis2=-1)) ** 2
     interference = np.sum(np.abs(B) ** 2, axis=-1) - signal

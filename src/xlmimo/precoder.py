@@ -45,8 +45,8 @@ class BlockPrecoder:
 
 def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
     """P = H^H H + xi I per trial, symmetrized: (..., M, K) -> (..., K, K)."""
-    if not xi > 0:
-        raise ConfigurationError(f"regularization xi must be positive, got {xi}")
+    if not 0 < xi < np.inf:
+        raise ConfigurationError(f"xi must be positive and finite, got {xi}")
     H = np.asarray(H, dtype=complex)
     P = herm(H) @ H + xi * np.eye(H.shape[-1])
     return (P + herm(P)) / 2.0
@@ -60,8 +60,8 @@ def precode_each(realization, xi: float, power: float, methods, T: int,
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
     """
-    if not power > 0:
-        raise ConfigurationError(f"transmit power must be positive, got {power}")
+    if not 0 < power < np.inf:
+        raise ConfigurationError(f"power must be positive and finite, got {power}")
     groups = []
     for H in (np.stack((realization.H1, realization.H2)), realization.Hc):
         P = gram_regularized(H, xi)

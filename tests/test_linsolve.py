@@ -42,18 +42,23 @@ class TestHpdSystem:
         with pytest.raises(NotHpdError):
             HpdSystem(P=P, rhs=np.zeros(2))
 
-    # Zero, indefinite and negative-definite: each has a diagonal entry
-    # that is not positive, and every method rejects it before any step.
+    # Zero, indefinite and negative-definite, each with a diagonal entry
+    # that is not positive, and indefinite with a positive diagonal.  None
+    # is HPD: its leading principal minor of order where + 1 is the first
+    # that is not positive (Sylvester's criterion), so Cholesky breaks down
+    # at that pivot, and every method rejects the system before any step.
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("P, where", [
         ([[0.0, 1.0], [1.0, 0.0]], 0),
         ([[2.0, 1.0], [1.0, -1.0]], 1),
         ([[-2.0, 0.5], [0.5, -1.0]], 0),
+        ([[1.0, 2.0], [2.0, 1.0]], 1),
     ])
     def test_every_method_rejects_a_nonpositive_diagonal(self, method, P,
                                                           where):
-        with pytest.raises(NotHpdError,
-                           match=rf"diagonal entry at \({where},\)"):
+        minors = [np.linalg.det(np.asarray(P)[:k, :k]) for k in (1, 2)]
+        assert min(minors[:where], default=1.0) > 0 >= minors[where]
+        with pytest.raises(NotHpdError, match="no Cholesky factor"):
             solve(_sys(P, [1.0, 1.0]), method, T=3)
 
     def test_accepts_asymmetry_within_tolerance(self):

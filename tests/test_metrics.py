@@ -47,9 +47,13 @@ class TestSinr:
         full = draw.realization.H.conj().T @ pre.G
         np.testing.assert_allclose(B, full, atol=1e-12)
 
-    def test_vectorized_matches_scalar_oracle(self):
+    # Each block term of a direct precoder's coupling matrix is Hermitian,
+    # so its row and column sums agree; CG stopped at T=3 tells apart the
+    # interference a user receives from the interference it causes.
+    @pytest.mark.parametrize("method, T", [("direct", 1), ("cg", 3)])
+    def test_vectorized_matches_scalar_oracle(self, method, T):
         _, draw = small_draw()
-        pre = build_precoder(draw.realization, 0.5, 1.0, "direct")
+        pre = build_precoder(draw.realization, 0.5, 1.0, method, T=T)
         report = sinr_eq9(draw.realization, pre, 1e-9)
         oracle = sinr_scalar_oracle(draw.realization, pre, 1e-9)
         np.testing.assert_allclose(report.gamma, oracle, rtol=1e-12)
@@ -253,6 +257,26 @@ class TestConvergenceTrace:
     def test_needs_iterative_method(self):
         with pytest.raises(ConfigurationError):
             convergence_trace(small_config(**{"run.methods": "[direct]"}))
+
+    def test_reduces_the_trials_by_the_median(self, monkeypatch):
+        # Three trials' traces per method, whose mean differs from their
+        # median at every t > 0.
+        traces = {"gs": np.array([[1.0, 0.5, 0.1],
+                                  [1.0, 0.2, 0.001],
+                                  [1.0, 0.9, 0.7]]),
+                  "cg": np.array([[1.0, 1e-3, 1e-9],
+                                  [1.0, 1e-1, 1e-6],
+                                  [1.0, 1e-2, 1e-12]])}
+
+        def hand_built(cfg, kernel, points, trials):
+            assert trials == 3
+            return iter([traces])
+
+        monkeypatch.setattr(metrics, "monte_carlo", hand_built)
+        cfg = small_config(**{"run.methods": "[gs, cg]", "run.t_max": 2})
+        out = convergence_trace(cfg)
+        np.testing.assert_array_equal(out["gs"], [1.0, 0.5, 0.1])
+        np.testing.assert_array_equal(out["cg"], [1.0, 1e-2, 1e-9])
 
     @pytest.mark.parametrize("M", [99, 264])
     def test_krylov_errors_within_the_condition_bound(self, M, monkeypatch):

@@ -7,8 +7,9 @@ from helpers import random_rhs, small_config, small_draw, stacked
 from xlmimo.channel import ChannelRealization, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
-                           DegenerateChannelError)
-from xlmimo.linsolve import HpdSystem, jor_solve, solve, sq_norms
+                           DegenerateChannelError, NotHpdError)
+from xlmimo.linsolve import (HpdSystem, jacpcg_solve, jor_solve, solve,
+                             sq_norms)
 from xlmimo.metrics import sinr_eq9
 from xlmimo.precoder import BlockPrecoder, build_precoder, gram_regularized
 from xlmimo.scenario import build_scenario, draw_batch, draw_trial
@@ -245,18 +246,36 @@ def test_shared_pass_rounds_as_each_block_alone(method, make):
         assert np.array_equal(G, ref)
 
 
+# Each check of a setting that must be positive, as a call on that setting.
+_POSITIVE_SETTINGS = {
+    "sigma2": lambda real, x: sinr_eq9(
+        real, build_precoder(real, 0.5, 1.0, "direct"), x),
+    "gram-xi": lambda real, x: gram_regularized(real.Hc, x),
+    "distance": lambda real, x: path_loss(np.array([1.0, x])),
+    "power": lambda real, x: build_precoder(real, 0.5, x, "direct"),
+    "precoder-xi": lambda real, x: build_precoder(real, x, 1.0, "direct"),
+    "omega": lambda real, x: jor_solve(
+        HpdSystem(P=np.eye(2), rhs=np.ones(2)), T=1, omega=x),
+    "precond_diag": lambda real, x: jacpcg_solve(
+        HpdSystem(P=np.eye(2), rhs=np.ones(2)), T=1, precond_diag=[x, 1.0]),
+}
+
+
+def _check_rejects(setting, value, match):
+    error = NotHpdError if setting == "precond_diag" else ConfigurationError
+    with pytest.raises(error, match=match):
+        _POSITIVE_SETTINGS[setting](_random_realization(5), value)
+
+
 # A NaN fails each positivity check as zero does, instead of flowing into a
 # NaN result or a misleading error further on.
-@pytest.mark.parametrize("call", [
-    lambda real: sinr_eq9(real, build_precoder(real, 0.5, 1.0, "direct"),
-                          np.nan),
-    lambda real: gram_regularized(real.Hc, np.nan),
-    lambda real: path_loss(np.array([1.0, np.nan])),
-    lambda real: build_precoder(real, 0.5, np.nan, "direct"),
-    lambda real: build_precoder(real, np.nan, 1.0, "direct"),
-    lambda real: jor_solve(HpdSystem(P=np.eye(2), rhs=np.ones(2)), T=1,
-                           omega=np.nan),
-], ids=["sigma2", "gram-xi", "distance", "power", "precoder-xi", "omega"])
-def test_nan_is_not_positive(call):
-    with pytest.raises(ConfigurationError, match="must be positive"):
-        call(_random_realization(5))
+@pytest.mark.parametrize("setting", _POSITIVE_SETTINGS)
+def test_nan_is_not_positive(setting):
+    _check_rejects(setting, np.nan, "must be positive")
+
+
+# +inf passes a bare `x > 0`, and then turns into NaN entries, a zero gain
+# or a non-finite precoder.
+@pytest.mark.parametrize("setting", _POSITIVE_SETTINGS)
+def test_inf_is_not_positive(setting):
+    _check_rejects(setting, np.inf, "must be positive and finite")
