@@ -68,10 +68,23 @@ class HpdSystem:
             raise NotHpdError("P is not Hermitian to machine precision")
         if not np.isfinite(rhs).all():
             raise NonFiniteError("right-hand side holds an inf or NaN")
+        P = np.asarray(P, dtype=complex)
         try:
-            np.linalg.cholesky(np.asarray(P, dtype=complex))
+            np.linalg.cholesky(P)
         except np.linalg.LinAlgError as exc:
-            raise NotHpdError(f"P is not HPD: no Cholesky factor ({exc})") from exc
+            where = f"system {_first_without_factor(P)} of " if P.ndim > 2 else ""
+            raise NotHpdError(
+                f"{where}P is not HPD: no Cholesky factor ({exc})") from exc
+
+
+def _first_without_factor(P: np.ndarray) -> tuple:
+    """Index of the first system of the stack P with no Cholesky factor:
+    searched on the error path only, since numpy's error names none."""
+    for i in np.ndindex(P.shape[:-2]):
+        try:
+            np.linalg.cholesky(P[i])
+        except np.linalg.LinAlgError:
+            return i
 
 
 @dataclass
@@ -129,7 +142,9 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
     from w = 0 and never ends before T; the one driver of every method.
 
     A vector rhs steps as one column, read back by `col`.  With `trace`,
-    records the LS error of w = 0 and every iterate in one stacked pass.
+    records the LS error of w = 0 and every distinct iterate in one stacked
+    pass; a step that yields the array of the step before (a held iterate)
+    repeats that array's error.
     Overflow warnings are off: a diverged iterate stays non-finite, so an
     inf or NaN in the final iterate or the trace raises `NonFiniteError`.
     """
@@ -137,13 +152,16 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
         raise ConfigurationError(f"iteration count T must be >= 1, got {T}")
     P, s = np.asarray(sys.P, dtype=complex), np.asarray(sys.rhs, dtype=complex)
     s, col = (s[..., None], (..., 0)) if s.ndim < P.ndim else (s, ...)
-    # w = 0 and every iterate, kept only when the trace or the caller reads them.
+    # w = 0 and every distinct iterate, kept only when the trace or the
+    # caller reads them; step t's iterate is ws[at[t]].
     ws = [np.zeros_like(s)] if trace or keep_iterates else None
-    errors = None
+    at, errors = [0], None
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations, w in enumerate(islice(steps(P, s), T), 1):
             if ws is not None:
-                ws.append(w)
+                if w is not ws[-1]:
+                    ws.append(w)
+                at.append(len(ws) - 1)
         if trace:
             # P broadcasts over the leading iteration axis, moved last after.
             # Per iterate: a broadcast subtraction takes a 128 KiB ufunc buffer.
@@ -153,13 +171,13 @@ def _iterate(sys: HpdSystem, T: int, keep_iterates, trace,
                 r_t -= s
             snorm2 = sq_norms(s)
             errors = np.moveaxis(
-                sq_norms(r) / np.where(snorm2 > 0, snorm2, 1.0), 0, -1)
+                sq_norms(r) / np.where(snorm2 > 0, snorm2, 1.0), 0, -1)[..., at]
     if not np.isfinite(w).all() or trace and not np.isfinite(errors).all():
         raise NonFiniteError(f"solution is inf or NaN after {iterations} steps")
     return SolverOutcome(
         w=w[col], iterations=iterations, residual_trace=errors,
         converged=None if errors is None else errors[..., -1] <= errors[..., 0],
-        iterates=[x[col] for x in ws[1:]] if keep_iterates else [])
+        iterates=[ws[i][col] for i in at[1:]] if keep_iterates else [])
 
 
 def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import PowerConfig, validate
 from .errors import ConfigurationError
-from .linsolve import HpdSystem, herm, solve
+from .linsolve import HpdSystem, solve
 from .precoder import gram_regularized, precode_each
 from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
@@ -51,11 +51,13 @@ def trial_batches(trials: int, trial_bytes: int) -> list:
 
 
 def precoding_bytes(scenario) -> int:
-    """One trial's working set while precoding: its channel blocks, a
-    stacked copy of the side blocks and one method's precoder blocks (under
-    2 M K complex entries together), and about eight K x K arrays: the
-    shared Grams and one solve's.  BER's QPSK chain, run trial by trial
-    after the precoders, is not counted."""
+    """One trial's working set: its draw's (K, M) rows, complex and real,
+    2 M K complex entries (32 M K bytes), which bound the channel blocks and
+    the stacked copy of the side blocks that precoding keeps after them,
+    and about eight K x K arrays.  After the Gram, precoding holds only
+    K x K arrays: the shared Grams, each size class's system and Gram less
+    xi I, one solve's, and one method's coupling blocks.  BER's QPSK chain,
+    run trial by trial after the precoders, is not counted."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
 
@@ -113,11 +115,15 @@ class BerReport:
 
 
 def coupling_matrix(realization, precoder) -> np.ndarray:
-    """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k."""
+    """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k.
+
+    B adds the precoder's coupling blocks H_i^H G_i: the central one over
+    every user, each side one over its group's users.
+    """
     K1 = realization.K1
-    B = herm(realization.Hc) @ precoder.Gc
-    B[..., :K1, :K1] += herm(realization.H1) @ precoder.G1
-    B[..., K1:, K1:] += herm(realization.H2) @ precoder.G2
+    B = precoder.Cc.copy()
+    B[..., :K1, :K1] += precoder.C1
+    B[..., K1:, K1:] += precoder.C2
     return B
 
 

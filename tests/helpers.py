@@ -6,6 +6,7 @@ import numpy as np
 from xlmimo.channel import ChannelRealization
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import ConfigurationError, NotHpdError
+from xlmimo.precoder import BlockPrecoder
 from xlmimo.scenario import build_scenario, draw_trial
 from xlmimo.seeding import seed_stream
 
@@ -71,6 +72,15 @@ def stacked(realizations) -> ChannelRealization:
     """One realization whose blocks stack `realizations` on a leading axis."""
     return ChannelRealization(*(np.stack(blocks) for blocks in
                                 zip(*(r.blocks() for r in realizations))))
+
+
+def explicit_precoder(channel_blocks, G_blocks) -> BlockPrecoder:
+    """The precoder with blocks G_blocks = (G1, Gc, G2) on the channel blocks
+    (H1, Hc, H2): its coupling blocks are the products H_i^H G_i."""
+    G_blocks = tuple(G_blocks)
+    return BlockPrecoder(*(np.swapaxes(np.conj(H), -1, -2) @ G
+                           for H, G in zip(channel_blocks, G_blocks)),
+                         blocks=lambda: G_blocks)
 
 
 def ls_error_oracle(P, rhs, iterates) -> np.ndarray:

@@ -87,7 +87,9 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
 
     # se_vs_m: per batch of trials, one Gram per block group (the stacked
     # side blocks, the central block), shared by every method, and one solve
-    # per method and group; at this size the trials of an M point make one
+    # per method and size class of visible users.  At this size every user
+    # sees every antenna, so the side blocks make one class (K/2) and the
+    # central block another (K), and the trials of an M point make one
     # batch.
     cfg = _small("se_vs_m")
     assert all(len(metrics.trial_batches(

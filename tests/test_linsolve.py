@@ -1,5 +1,7 @@
 """Linear solvers: direct Cholesky oracle, GS, JOR, CG, Jac-PCG."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,16 @@ class TestHpdSystem:
         assert min(minors[:where], default=1.0) > 0 >= minors[where]
         with pytest.raises(NotHpdError, match="no Cholesky factor"):
             solve(_sys(P, [1.0, 1.0]), method, T=3)
+
+    # numpy's error names no system of a stack; the message does.
+    @pytest.mark.parametrize("P, index", [
+        (np.stack([np.eye(2), [[1, 2], [2, 1]]]), "(1,)"),
+        (np.stack([np.eye(2), np.eye(2), [[1, 2], [2, 1]], [[0, 1], [1, 0]]])
+         .reshape(2, 2, 2, 2), "(1, 0)"),
+    ])
+    def test_names_the_first_system_without_a_factor(self, P, index):
+        with pytest.raises(NotHpdError, match=re.escape(f"system {index} of P")):
+            HpdSystem(P=P, rhs=np.zeros(P.shape[:-1]))
 
     def test_accepts_asymmetry_within_tolerance(self):
         P = np.eye(2, dtype=complex)

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import sinr_scalar_oracle, small_config, small_draw, stacked
+from helpers import (explicit_precoder, sinr_scalar_oracle, small_config,
+                     small_draw, stacked)
 from xlmimo.channel import ChannelRealization
 from xlmimo import metrics
 from xlmimo.config import ExperimentConfig, PowerConfig, apply_overrides
@@ -14,13 +15,14 @@ from xlmimo.linsolve import solve
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
                             qpsk_detect, qpsk_modulate, se_montecarlo,
                             se_trial, sinr_eq9, sum_se)
-from xlmimo.precoder import BlockPrecoder, build_precoder
+from xlmimo.precoder import build_precoder
 from xlmimo.scenario import build_scenario
+from xlmimo.seeding import BER
 
 
 def _zero_precoder(real):
-    return BlockPrecoder(G1=np.zeros_like(real.H1), Gc=np.zeros_like(real.Hc),
-                         G2=np.zeros_like(real.H2))
+    return explicit_precoder(real.blocks(),
+                             (np.zeros_like(H) for H in real.blocks()))
 
 
 class TestSinr:
@@ -66,7 +68,8 @@ class TestSinr:
         real = ChannelRealization(H1, np.zeros((3, 2), complex), H2)
         G1 = H1 / np.linalg.norm(H1)
         G2 = H2 / np.linalg.norm(H2)
-        pre = BlockPrecoder(G1=G1, Gc=np.zeros((3, 2), complex), G2=G2)
+        pre = explicit_precoder(real.blocks(),
+                                (G1, np.zeros((3, 2), complex), G2))
         report = sinr_eq9(real, pre, 0.5)
         expected = np.array([np.linalg.norm(H1) ** 2,
                              np.linalg.norm(H2) ** 2]) / 0.5
@@ -358,3 +361,46 @@ class TestSeTrial:
             for m in cfg.run.methods:
                 assert alone[m].tobytes() == sums[m].tobytes(), (M, m)
         assert Ms == [9, 12]
+
+
+class TestReferenceBatches:
+    """A batch at the reference size rounds as its trials alone.
+
+    At K = 32 the users a block sees vary from trial to trial, so the
+    blocks' systems fall in different size classes; a system's class is its
+    own, whatever batch it is in.  One size per batch would not do: BLAS and
+    LAPACK rounding depends on the matrix size.
+    """
+
+    @pytest.mark.parametrize("M", [99, 264])
+    def test_se_batch_equals_single_trials(self, M):
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["power.snr_db=25"])
+        scenario = build_scenario(cfg, M=M)
+        batch = se_trial(cfg, scenario, range(6))
+        for t in range(6):
+            one = se_trial(cfg, scenario, range(t, t + 1))
+            for m in cfg.run.methods:
+                assert batch[m][t] == one[m][0], (m, t)
+
+    def test_ber_batch_equals_single_trials(self, monkeypatch):
+        # The bit errors, and the couplings that the QPSK chain reads.
+        couplings = []
+        monkeypatch.setattr(metrics, "coupling_matrix", lambda real, pre: (
+            couplings.append(coupling_matrix(real, pre)) or couplings[-1]))
+        cfg = ExperimentConfig()
+        scenario = build_scenario(cfg)
+
+        def run(trials):
+            couplings.clear()
+            errors = metrics._run_batch((metrics._ber_kernel, cfg, scenario,
+                                         (BER, 3), trials, 6.0))
+            return errors, list(couplings)
+
+        batch, batch_B = run(range(4))
+        for t in range(4):
+            one, one_B = run(range(t, t + 1))
+            for m in cfg.run.methods:
+                assert batch[m][t] == one[m][0], (m, t)
+            for B, B_one in zip(batch_B, one_B):
+                assert B[t].tobytes() == B_one[0].tobytes(), t

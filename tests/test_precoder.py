@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_rhs, small_config, small_draw, stacked
+from helpers import (explicit_precoder, random_rhs, small_config, small_draw,
+                     stacked)
 from xlmimo.channel import ChannelRealization, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError, NotHpdError)
-from xlmimo.linsolve import (HpdSystem, jacpcg_solve, jor_solve, solve,
-                             sq_norms)
+from xlmimo.linsolve import HpdSystem, jacpcg_solve, jor_solve, solve
 from xlmimo.metrics import sinr_eq9
-from xlmimo.precoder import BlockPrecoder, build_precoder, gram_regularized
+from xlmimo.precoder import CLASS_STEP, build_precoder, gram_regularized
 from xlmimo.scenario import build_scenario, draw_batch, draw_trial
 from xlmimo.seeding import seed_stream
 
@@ -151,7 +151,7 @@ class TestAssembly:
         side = np.ones((3, 2))
         with pytest.raises(AssemblyError):
             # central block with 2 columns cannot serve K1 + K2 = 4 users
-            BlockPrecoder(G1=side, Gc=side, G2=side)
+            explicit_precoder((side,) * 3, (side,) * 3)
 
 
 class TestBuildPrecoder:
@@ -200,8 +200,37 @@ class TestBuildPrecoder:
 
 
 def _per_block_oracle(real, xi, power, method, T, omega):
-    """(G1, Gc, G2) made block by block: the Gram, a solve with the identity
-    rhs, F = H W and the power scaling, with G = 0 where tr(F^H F) = 0."""
+    """Per block, (G, C) made trial by trial: the system's visible users,
+    padded with its dead users to its size class; the Gram on those users;
+    a solve with the identity rhs; A = (P - xi I) W and tr(F^H F) =
+    Re <W, A>; then G = beta H W on those users' columns and the coupling
+    block C = beta A on those users, both zero elsewhere and where tr = 0."""
+    out = []
+    for H in real.blocks():
+        H = np.asarray(H, dtype=complex)
+        G = np.zeros(H.shape, dtype=complex)
+        C = np.zeros((*H.shape[:-2], H.shape[-1], H.shape[-1]), dtype=complex)
+        for t in np.ndindex(H.shape[:-2]):
+            h, K = H[t], H.shape[-1]
+            visible = [k for k in range(K) if np.any(h[:, k] != 0)]
+            dead = [k for k in range(K) if k not in visible]
+            n = min(K, max(CLASS_STEP, -(-len(visible) // CLASS_STEP) * CLASS_STEP))
+            users = (visible + dead)[:n]
+            P = gram_regularized(h, xi)[np.ix_(users, users)]
+            eye = np.eye(n, dtype=complex)
+            W = solve(HpdSystem(P=P, rhs=eye), method, T, omega, trace=False).w
+            A = (P - xi * eye) @ W
+            tr = np.vdot(W, A).real
+            if tr > 0:
+                G[t][:, users] = np.sqrt(power / tr) * (h[:, users] @ W)
+                C[t][np.ix_(users, users)] = np.sqrt(power / tr) * A
+        out.append((G, C))
+    return out
+
+
+def _full_solve_oracle(real, xi, power, method, T, omega):
+    """(G1, Gc, G2) from full K_i x K_i solves on every user: F = H W and
+    G = beta F with beta = sqrt(power / tr(F^H F)), zero where tr = 0."""
     out = []
     for H in real.blocks():
         H = np.asarray(H, dtype=complex)
@@ -209,7 +238,7 @@ def _per_block_oracle(real, xi, power, method, T, omega):
         eye = np.broadcast_to(np.eye(P.shape[-1], dtype=complex), P.shape)
         F = H @ solve(HpdSystem(P=P, rhs=eye), method, T, omega,
                       trace=False).w
-        tr = sq_norms(F)
+        tr = np.sum(np.abs(F) ** 2, axis=(-2, -1))
         live = tr > 0
         beta = np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
         out.append(beta[..., None, None] * F)
@@ -232,18 +261,66 @@ def _dead_side_stack():
     return stacked(reals)
 
 
+def _every_user_visible():
+    """Three trials at K = 16 in which every user sees every antenna: each
+    system's size class is its block's K_i, 8 or 16."""
+    cfg = small_config(**{"users.K": 16})
+    rngs = [seed_stream(cfg.run.seed, t) for t in range(3)]
+    real = draw_batch(build_scenario(cfg), rngs).realization
+    assert all(np.all(H != 0) for H in real.blocks())
+    return real
+
+
+_STACKS = {"one-trial": lambda: _random_realization(4),
+           "reference-stack": _reference_batch,
+           "dead-side": _dead_side_stack,
+           "every-user-visible": _every_user_visible}
+
+
 @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
-@pytest.mark.parametrize("make", [lambda: _random_realization(4),
-                                  _reference_batch, _dead_side_stack],
-                         ids=["one-trial", "reference-stack", "dead-side"])
-def test_shared_pass_rounds_as_each_block_alone(method, make):
-    # The side blocks solve as one stack with Grams shared across methods;
-    # each block must still round as its own solve.
-    real = make()
+@pytest.mark.parametrize("stack", _STACKS)
+def test_shared_pass_rounds_as_each_block_alone(method, stack):
+    # One size class's systems, side and central blocks of every trial,
+    # solve as one stack with Grams shared across methods; each system
+    # must still round as its own solve.
+    real = _STACKS[stack]()
     pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
-    for G, ref in zip(_blocks(pre),
-                      _per_block_oracle(real, 0.05, 2.0, method, 3, 0.5)):
-        assert np.array_equal(G, ref)
+    oracle = _per_block_oracle(real, 0.05, 2.0, method, 3, 0.5)
+    for G, C, (G_ref, C_ref) in zip(_blocks(pre), (pre.C1, pre.Cc, pre.C2),
+                                    oracle):
+        assert np.array_equal(G, G_ref)
+        assert np.array_equal(C, C_ref)
+
+
+# The reference stack has users that a block cannot see; the others have
+# every user visible (dead-side: but in one block), in blocks of K_i < 8
+# users or of K_i = 8 and 16.  Entries agree to 1e-12 relative, or to 1e-12
+# of the block's largest entry where they are near zero.
+@pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
+@pytest.mark.parametrize("stack", _STACKS)
+def test_visible_users_solve_as_the_full_system(method, stack):
+    real = _STACKS[stack]()
+    pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
+    full = _full_solve_oracle(real, 0.05, 2.0, method, 3, 0.5)
+    for H, G, C, ref in zip(real.blocks(), _blocks(pre),
+                            (pre.C1, pre.Cc, pre.C2), full):
+        np.testing.assert_allclose(G, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+        dead = np.all(H == 0, axis=-2)
+        assert np.all(G.swapaxes(-1, -2)[dead] == 0)
+        # The coupling block is H^H G, found without touching M.
+        HG = np.swapaxes(np.conj(H), -1, -2) @ G
+        np.testing.assert_allclose(C, HG, rtol=1e-12,
+                                   atol=1e-12 * np.abs(HG).max())
+
+
+def test_block_without_visible_users_gets_no_power():
+    real = _dead_side_stack()
+    pre = build_precoder(real, 0.05, 2.0, "cg", T=3)
+    np.testing.assert_array_equal(pre.G2[2], 0.0)
+    np.testing.assert_array_equal(pre.C2[2], 0.0)
+    for i in (0, 1, 3):
+        assert float(np.vdot(pre.G2[i], pre.G2[i]).real) == pytest.approx(2.0)
 
 
 # Each check of a setting that must be positive, as a call on that setting.
