@@ -51,7 +51,9 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def check_blocks(B1: np.ndarray, Bc: np.ndarray, B2: np.ndarray) -> None:
     """The central block serves both groups: it needs K1 + K2 columns.  The
-    side blocks have one shape, M/3 antennas by K/2 users, so they stack.
+    side blocks have one shape, M/3 antennas by K/2 users, as the S = 3,
+    L = 2 layout splits the array and the users: a side pair of two shapes
+    is not that layout.
 
     Blocks may carry leading trial dimensions, the same for all three.
     """

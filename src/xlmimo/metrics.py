@@ -52,12 +52,12 @@ def trial_batches(trials: int, trial_bytes: int) -> list:
 
 def precoding_bytes(scenario) -> int:
     """One trial's working set: its draw's (K, M) rows, complex and real,
-    2 M K complex entries (32 M K bytes), which bound the channel blocks and
-    the stacked copy of the side blocks that precoding keeps after them,
-    and about eight K x K arrays.  After the Gram, precoding holds only
-    K x K arrays: the shared Grams, each size class's system and Gram less
-    xi I, one solve's, and one method's coupling blocks.  BER's QPSK chain,
-    run trial by trial after the precoders, is not counted."""
+    2 M K complex entries (32 M K bytes), which bound the channel blocks
+    that precoding keeps after them, and about eight K x K arrays.  After
+    the Gram, precoding holds only K x K arrays: the shared Grams, each size
+    class's Gram and system with xi I, one solve's, and one method's
+    coupling blocks.  BER's QPSK chain, run trial by trial after the
+    precoders, is not counted."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
 

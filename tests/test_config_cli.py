@@ -330,13 +330,13 @@ class TestCli:
 
     def test_non_finite_direct_solve_truncates_the_run(self, tmp_path,
                                                       capsys, monkeypatch):
-        # Solving a Gram of 1e-320 I overflows; the direct precoder stops
+        # Solving systems of 1e-320 I overflows; the direct precoder stops
         # the run as a diverging iteration does.
+        hpd = precoder.HpdSystem
         monkeypatch.setattr(
-            precoder, "gram_regularized",
-            lambda H, xi: np.broadcast_to(1e-320 * np.eye(H.shape[-1]),
-                                          (*H.shape[:-2], H.shape[-1],
-                                           H.shape[-1])))
+            precoder, "HpdSystem",
+            lambda P, rhs: hpd(P=np.broadcast_to(1e-320 * np.eye(P.shape[-1]),
+                                                 P.shape), rhs=rhs))
         out = tmp_path / "out.csv"
         argv = ["se_vs_m", "--out", str(out)]
         for item in ["run.methods=[direct]", "run.trials=2", "run.m_grid=[99]"]:

@@ -4,6 +4,7 @@ tracer (perfbench/xlbench/layers.py) counts by swapping module attributes
 and solver-table entries."""
 
 import hashlib
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -80,17 +81,17 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, "direct", linsolve.direct_solve)
     _count_calls(monkeypatch, counts, "gram", precoder.gram_regularized)
+    _count_calls(monkeypatch, counts, "block_gram", precoder._gram)
     # The tracer swaps the iterative solvers in the dispatch table only.
     for method, fn in list(linsolve.ITERATIVE_SOLVERS.items()):
         monkeypatch.setitem(linsolve.ITERATIVE_SOLVERS, method,
                             _counting(counts, method, fn))
 
-    # se_vs_m: per batch of trials, one Gram per block group (the stacked
-    # side blocks, the central block), shared by every method, and one solve
-    # per method and size class of visible users.  At this size every user
-    # sees every antenna, so the side blocks make one class (K/2) and the
-    # central block another (K), and the trials of an M point make one
-    # batch.
+    # se_vs_m: per batch of trials, one Gram H^H H per block (side, central,
+    # side), shared by every method, and one solve per method and size class
+    # of visible users.  At this size every user sees every antenna, so the
+    # side blocks make one class (K/2) and the central block another (K),
+    # and the trials of an M point make one batch.
     cfg = _small("se_vs_m")
     assert all(len(metrics.trial_batches(
         TRIALS, metrics.precoding_bytes(build_scenario(cfg, M)))) == 1
@@ -98,13 +99,14 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     run_experiment(cfg, str(tmp_path / "se.csv"))
     solves = 2 * len(M_GRID)
     assert counts == Counter({**{m: solves for m in linsolve.METHODS},
-                              "gram": solves})
+                              "block_gram": 3 * len(M_GRID)})
 
-    # convergence: one Gram stack per batch, one solve per iterative method.
+    # convergence: one regularized Gram stack per batch, one solve per
+    # iterative method.
     counts.clear()
     run_experiment(_small("convergence"), str(tmp_path / "conv.csv"))
     assert counts == Counter({**{m: 1 for m in linsolve.ITERATIVE_SOLVERS},
-                              "gram": 1})
+                              "gram": 1, "block_gram": 1})
 
 
 # Each pipeline at both ends of the M grid, or at the benchmark's ber-qpsk
@@ -294,3 +296,19 @@ def test_pipelines_draw_from_disjoint_streams(tmp_path, monkeypatch):
         seen.append(set(starts))
     assert all(seen)
     assert sum(len(s) for s in seen) == len(set.union(*seen))
+
+
+# At -200 dB, xi = 1e20 dwarfs every Gram entry and RZF tends to the matched
+# filter: each pipeline still finishes, with a finite value in every row.
+@pytest.mark.parametrize("experiment, item", [
+    ("se_vs_m", "power.snr_db=-200"), ("ber", "run.snr_grid_db=[-200.0]")])
+def test_pipelines_finish_at_low_snr(tmp_path, experiment, item):
+    cfg = ExperimentConfig()
+    apply_overrides(cfg, [f"run.experiment={experiment}", *SMALL, item])
+    out = tmp_path / "out.csv"
+    run_experiment(cfg, str(out))
+    _, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == len(cfg.run.methods) * (
+        len(cfg.run.m_grid) if experiment == "se_vs_m" else 1)
+    assert all(math.isfinite(float(v)) for row in rows
+               for v in row.split(",")[2:])

@@ -201,8 +201,8 @@ class TestBuildPrecoder:
 
 def _per_block_oracle(real, xi, power, method, T, omega):
     """Per block, (G, C) made trial by trial: the system's visible users,
-    padded with its dead users to its size class; the Gram on those users;
-    a solve with the identity rhs; A = (P - xi I) W and tr(F^H F) =
+    padded with its dead users to its size class; the Gram S = H^H H on
+    those users; a solve of (S + xi I) W = I; A = S W and tr(F^H F) =
     Re <W, A>; then G = beta H W on those users' columns and the coupling
     block C = beta A on those users, both zero elsewhere and where tr = 0."""
     out = []
@@ -216,10 +216,12 @@ def _per_block_oracle(real, xi, power, method, T, omega):
             dead = [k for k in range(K) if k not in visible]
             n = min(K, max(CLASS_STEP, -(-len(visible) // CLASS_STEP) * CLASS_STEP))
             users = (visible + dead)[:n]
-            P = gram_regularized(h, xi)[np.ix_(users, users)]
+            S = h.conj().T @ h
+            S = ((S + S.conj().T) / 2.0)[np.ix_(users, users)]
             eye = np.eye(n, dtype=complex)
-            W = solve(HpdSystem(P=P, rhs=eye), method, T, omega, trace=False).w
-            A = (P - xi * eye) @ W
+            W = solve(HpdSystem(P=S + xi * eye, rhs=eye), method, T, omega,
+                      trace=False).w
+            A = S @ W
             tr = np.vdot(W, A).real
             if tr > 0:
                 G[t][:, users] = np.sqrt(power / tr) * (h[:, users] @ W)
@@ -295,13 +297,16 @@ def test_shared_pass_rounds_as_each_block_alone(method, stack):
 # The reference stack has users that a block cannot see; the others have
 # every user visible (dead-side: but in one block), in blocks of K_i < 8
 # users or of K_i = 8 and 16.  Entries agree to 1e-12 relative, or to 1e-12
-# of the block's largest entry where they are near zero.
+# of the block's largest entry where they are near zero.  xi = 1e12 and 1e20
+# (-120 and -200 dB) dwarf H^H H: the coupling block must still be H^H G.
 @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
-@pytest.mark.parametrize("stack", _STACKS)
-def test_visible_users_solve_as_the_full_system(method, stack):
+@pytest.mark.parametrize("stack, xi", [
+    pytest.param(stack, xi, id=stack if xi == 0.05 else f"{stack}-xi{xi:g}")
+    for xi in (0.05, 1e12, 1e20) for stack in _STACKS])
+def test_visible_users_solve_as_the_full_system(method, stack, xi):
     real = _STACKS[stack]()
-    pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
-    full = _full_solve_oracle(real, 0.05, 2.0, method, 3, 0.5)
+    pre = build_precoder(real, xi, 2.0, method, T=3, omega=0.5)
+    full = _full_solve_oracle(real, xi, 2.0, method, 3, 0.5)
     for H, G, C, ref in zip(real.blocks(), _blocks(pre),
                             (pre.C1, pre.Cc, pre.C2), full):
         np.testing.assert_allclose(G, ref, rtol=1e-12,
