@@ -35,8 +35,12 @@ QPSK chain, 54 bytes per user and symbol (864 KiB at K = 32 and 512
 symbols, growing with `run.symbols_per_channel`), lies outside it, so a
 BER batch may exceed it: at M = 99 one batch peaks under tracemalloc at
 1405 KiB at the ber-qpsk settings and 3577 KiB with 2048 symbols.
-Larger batches save little more time and add to peak memory: the
-benchmark's `peak_rss_mb` has a 5% bound, about 3 MB."""
+Larger batches would make the precoder pass faster, since its numpy calls
+cost about the same whatever the stack: precoding and SINR for five
+methods at M = 99 and 25 dB took 4.05 ms per trial alone and 0.89 ms in a
+stack of 48 (one BLAS thread, numpy 2.4).  But a batch also holds its
+draw's rows, which grow with M, and the benchmark's `peak_rss_mb` has a 5%
+bound, about 2 MB."""
 
 
 def trial_batches(trials: int, trial_bytes: int) -> list:
@@ -54,10 +58,13 @@ def precoding_bytes(scenario) -> int:
     """One trial's working set: its draw's (K, M) rows, complex and real,
     2 M K complex entries (32 M K bytes), which bound the channel blocks
     that precoding keeps after them, and about eight K x K arrays.  After
-    the Gram, precoding holds only K x K arrays: the shared Grams, each size
-    class's Gram and system with xi I, one solve's, and one method's
-    coupling blocks.  BER's QPSK chain, run trial by trial after the
-    precoders, is not counted."""
+    the Gram, precoding holds only K x K arrays: the Gram stack, one K x K
+    Gram per block with the side blocks' K/2 x K/2 ones zero-padded, until
+    the size classes are gathered from it; each class's Gram and system
+    with xi I; one solve's; and one method's coupling stack, padded the
+    same way.  At M = 99 an se_vs_m batch peaks at about ten K x K arrays
+    per trial besides its channel blocks, within `BATCH_BYTES`.  BER's QPSK
+    chain, run trial by trial after the precoders, is not counted."""
     M, K = scenario.geometry.M, scenario.K
     return 16 * (2 * M * K + 8 * K * K)
 

@@ -22,13 +22,19 @@ up to its size class: the next multiple of `CLASS_STEP`, at least
 matrix size, and a system's class depends on that system alone, so a trial
 rounds the same in every batch; one size for a whole batch would not.
 
-`precode_each` makes one pass for several methods: one Gram H_i^H H_i per
-block, as drawn and without xi, then one `HpdSystem` per size class, holding
-that class's systems of every block and trial with xi I added and shared by
-all methods, and one solve per class and method.  The Gram is never undone:
-at low SNR, xi far above ||H_i^H H_i||, subtracting xi I again would cancel
-H_i^H H_i away.  A stacked system rounds as if solved alone, so the
-precoders equal those of a solve per block and trial.
+`precode_each` makes one pass for several methods.  It forms one Gram
+H_i^H H_i per block, as drawn and without xi, and puts every system of the
+batch on one trial-major axis: row 3 t + i is block i of trial t, its Gram
+and visible-user mask zero-padded with dead users up to K.  A padded user
+sits past its block's K_i, which no class exceeds, so it never enters a
+class.  A size class is rows of that stack, each with its n users; its
+`HpdSystem`, with xi I added, is shared by all methods, and each method
+solves once per class.  The coupling blocks, and G when read, are
+scattered into stacks of the same layout and cut back into the three
+blocks.  The Gram is never undone: at low SNR, xi far above
+||H_i^H H_i||, subtracting xi I again would cancel H_i^H H_i away.  A
+stacked system rounds as if solved alone, so the precoders equal those of
+a solve per block and trial.
 """
 
 from dataclasses import dataclass, field
@@ -100,14 +106,13 @@ def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SizeClass:
-    """The systems of one size class n, each on n users of its block."""
+    """The systems of one size class n: rows of the batch's system stack,
+    each on n users of its block."""
 
-    sys: HpdSystem       # (S, n, n) H^H H + xi I on the users, rhs I
-    gram: np.ndarray     # (S, n, n) the Grams H^H H it was built from
-    # Per block with systems in the class: (block, its systems, their (s, n)
-    # users, the (s, n, n) flat indices of their Gram entries in the block's
-    # (systems, K_i, K_i) stack, their rows of the class).
-    members: tuple
+    rows: np.ndarray     # (s,) the systems' rows of the stack
+    users: np.ndarray    # (s, n) each system's visible users, then dead ones
+    gram: np.ndarray     # (s, n, n) the Grams H^H H on those users
+    sys: HpdSystem       # (s, n, n) gram + xi I, rhs I
 
 
 def precode_each(realization, xi: float, power: float, methods, T: int,
@@ -122,54 +127,56 @@ def precode_each(realization, xi: float, power: float, methods, T: int,
         raise ConfigurationError(f"xi must be positive and finite, got {xi}")
     if not 0 < power < np.inf:
         raise ConfigurationError(f"power must be positive and finite, got {power}")
-    lead = realization.Hc.shape[:-2]
-    # The blocks with their systems on one axis: (systems, M_i, K_i).
-    Hs = [np.asarray(H, dtype=complex).reshape(-1, *H.shape[-2:])
-          for H in realization.blocks()]
-    classes = _size_classes(Hs, xi)
-    return {m: consume(_precoder(Hs, classes, lead, power, m, T, omega))
+    blocks = [np.asarray(H, dtype=complex) for H in realization.blocks()]
+    classes = _size_classes(blocks, xi)
+    return {m: consume(_precoder(blocks, classes, power, m, T, omega))
             for m in methods}
 
 
-def _size_classes(Hs, xi) -> list:
-    """The size classes of the blocks' systems, smallest first.  The full
-    Grams are released on return: the classes hold what they need."""
-    grams, sizes, users = [], [], []
-    for H in Hs:
-        grams.append(_gram(H))
-        visible = np.any(H, axis=-2)
-        count = np.count_nonzero(visible, axis=-1)
-        steps = -(-count // CLASS_STEP)
-        sizes.append(np.minimum(H.shape[-1], CLASS_STEP * np.maximum(steps, 1)))
-        # Each system's visible users in order, then its dead users in order:
-        # user k goes to place rank[k].  (A stable argsort gives the same
-        # order, but its first call maps 64 KiB more of numpy's code.)
-        rank = np.where(visible, np.cumsum(visible, axis=-1),
-                        count[:, None] + np.cumsum(~visible, axis=-1)) - 1
-        order = np.empty_like(rank)
-        order[np.arange(len(rank))[:, None], rank] = np.arange(rank.shape[-1])
-        users.append(order)
-    return [_size_class(n, xi, grams, sizes, users)
-            for n in sorted(set(np.concatenate(sizes).tolist()))]
+def _stack(arrays, dims: int, dtype=complex) -> np.ndarray:
+    """The blocks' arrays (..., *shape_i), shape_i their last `dims` axes, on
+    one system axis: row 3 t + i is block i of trial t, zero-padded up to
+    the largest shape_i."""
+    shape = np.max([a.shape[-dims:] for a in arrays], axis=0)
+    out = np.zeros((*arrays[0].shape[:-dims], len(arrays), *shape), dtype)
+    for i, a in enumerate(arrays):
+        out[(..., i, *map(slice, a.shape[-dims:]))] = a
+    return out.reshape(-1, *shape)
 
 
-def _size_class(n, xi, grams, sizes, users) -> _SizeClass:
-    """The size class n: every system of that size, on its first n users."""
-    members, parts, rows = [], [], 0
-    for g, (S, size, order) in enumerate(zip(grams, sizes, users)):
-        sel = np.flatnonzero(size == n)
-        if sel.size:
-            idx = order[sel, :n]
-            K = S.shape[-1]
-            flat = (sel[:, None, None] * K + idx[:, :, None]) * K + idx[:, None, :]
-            members.append((g, sel, idx, flat, slice(rows, rows + sel.size)))
-            parts.append(np.take(S, flat))
-            rows += sel.size
-    S = np.concatenate(parts) if len(parts) > 1 else parts[0]
+def _cut(stack, shapes) -> tuple:
+    """The blocks' arrays of `shapes` (..., a_i, b_i) out of a stack that
+    `_stack` lays out."""
+    trials = stack.reshape(-1, len(shapes), *stack.shape[1:])
+    return tuple(trials[:, i, :s[-2], :s[-1]].reshape(s)
+                 for i, s in enumerate(shapes))
+
+
+def _size_classes(blocks, xi) -> list:
+    """The size classes of the batch's systems, smallest first.  The Gram
+    stack is released on return: the classes hold what they need."""
+    S = _stack([_gram(H) for H in blocks], 2)
+    visible = _stack([np.any(H, axis=-2) for H in blocks], 1, bool)
+    count = np.count_nonzero(visible, axis=-1)
+    K = np.tile([H.shape[-1] for H in blocks], len(S) // len(blocks))
+    sizes = np.minimum(K, CLASS_STEP * np.maximum(-(-count // CLASS_STEP), 1))
+    # Each system's visible users in order, then its dead users in order.
+    # The padded users, past its block's K_i, come last, and no class
+    # reaches them.
+    order = np.argsort(~visible, axis=-1, kind="stable")
+    # Not np.unique: its first call imports numpy.ma (1.1 MB traced).
+    return [_size_class(S, np.flatnonzero(sizes == n), order, n, xi)
+            for n in sorted(set(sizes.tolist()))]
+
+
+def _size_class(S, rows, order, n, xi) -> _SizeClass:
+    """The systems `rows` of the Gram stack S, each on its first n users."""
+    users = order[rows, :n]
+    gram = S[rows[:, None, None], users[:, :, None], users[:, None, :]]
     eye = np.eye(n, dtype=complex)
-    P = S + xi * eye
-    return _SizeClass(sys=HpdSystem(P=P, rhs=np.broadcast_to(eye, P.shape)),
-                      gram=S, members=tuple(members))
+    P = gram + xi * eye
+    return _SizeClass(rows=rows, users=users, gram=gram,
+                      sys=HpdSystem(P=P, rhs=np.broadcast_to(eye, P.shape)))
 
 
 def _class_solve(c, power, method, T, omega) -> tuple:
@@ -184,39 +191,37 @@ def _class_solve(c, power, method, T, omega) -> tuple:
     return W, A, np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
 
 
-def _precoder(Hs, classes, lead, power, method, T, omega) -> BlockPrecoder:
+def _precoder(blocks, classes, power, method, T, omega) -> BlockPrecoder:
     """One method's precoder: per size class, beta A scattered into the
-    coupling blocks.  G is left to `_blocks`, which solves again when read,
+    coupling stack.  G is left to `_blocks`, which solves again when read,
     so no solve outlives its class's turn."""
-    couplings = [np.zeros((len(H), H.shape[-1], H.shape[-1]), dtype=complex)
-                 for H in Hs]
-    live = [np.zeros(len(H), dtype=bool) for H in Hs]
+    K = max(H.shape[-1] for H in blocks)
+    C = np.zeros((sum(len(c.rows) for c in classes), K, K), dtype=complex)
+    live = np.zeros(len(C), dtype=bool)
     for c in classes:
         _, A, beta = _class_solve(c, power, method, T, omega)
         A *= beta[:, None, None]
-        for g, sel, _, flat, rows in c.members:
-            couplings[g].reshape(-1)[flat] = A[rows]
-            live[g][sel] = beta[rows] > 0
-    if not np.all(np.logical_or.reduce(live)):
+        C[c.rows[:, None, None], c.users[:, :, None], c.users[:, None, :]] = A
+        live[c.rows] = beta > 0
+    if not np.all(np.any(live.reshape(-1, len(blocks)), axis=-1)):
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
-    C1, Cc, C2 = (C.reshape(*lead, *C.shape[-2:]) for C in couplings)
+    C1, Cc, C2 = _cut(C, [H.shape[:-2] + H.shape[-1:] * 2 for H in blocks])
     return BlockPrecoder(C1, Cc, C2, blocks=partial(
-        _blocks, Hs, classes, lead, power, method, T, omega))
+        _blocks, blocks, classes, power, method, T, omega))
 
 
-def _blocks(Hs, classes, lead, power, method, T, omega) -> tuple:
+def _blocks(blocks, classes, power, method, T, omega) -> tuple:
     """(G1, Gc, G2): G = beta H W on each system's class users, zero on the
     columns of the users it leaves out."""
-    G = [np.zeros(H.shape, dtype=complex) for H in Hs]
+    H = _stack(blocks, 2)
+    G = np.zeros_like(H)
     for c in classes:
         W, _, beta = _class_solve(c, power, method, T, omega)
-        for g, sel, idx, _, rows in c.members:
-            H = np.take_along_axis(Hs[g][sel], idx[:, None, :], axis=-1)
-            F = H @ W[rows]
-            F *= beta[rows, None, None]
-            G[g][sel[:, None], :, idx] = np.swapaxes(F, -1, -2)
-    return tuple(B.reshape(*lead, *B.shape[-2:]) for B in G)
+        F = np.take_along_axis(H[c.rows], c.users[:, None, :], axis=-1) @ W
+        F *= beta[:, None, None]
+        G[c.rows[:, None], :, c.users] = np.swapaxes(F, -1, -2)
+    return _cut(G, [B.shape for B in blocks])
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
