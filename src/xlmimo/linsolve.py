@@ -189,10 +189,10 @@ def gs_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
     """
     def steps(P, s):
         DLinv, Up = np.linalg.inv(np.tril(P)), np.triu(P, 1)
-        w = np.zeros_like(s)
+        w = DLinv @ s  # the sweep from w = 0
         while True:
-            w = DLinv @ (s - Up @ w)
             yield w
+            w = DLinv @ (s - Up @ w)
 
     return _iterate(sys, T, keep_iterates, trace, steps)
 
@@ -205,10 +205,10 @@ def jor_solve(sys: HpdSystem, T: int, omega: float = DEFAULT_OMEGA,
 
     def steps(P, s):
         d = np.diagonal(P, axis1=-2, axis2=-1)[..., None]
-        w = np.zeros_like(s)
+        w = omega * (s / d)  # the step from w = 0
         while True:
-            w = w + omega * ((s - P @ w) / d)
             yield w
+            w = w + omega * ((s - P @ w) / d)
 
     return _iterate(sys, T, keep_iterates, trace, steps)
 
@@ -230,7 +230,7 @@ def _pcg_steps(c):
     """
     def steps(P, s):
         w = np.zeros_like(s)
-        r = s - P @ w
+        r = s.copy()  # s - P w at w = 0
         z = r if c is None else r / c
         m = z.copy()
         rz = _col_dot(r, z)

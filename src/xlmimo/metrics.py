@@ -7,11 +7,14 @@ through the central subarray only, and the noise floor.
 The three Monte-Carlo pipelines check their config with `config.validate`
 on entry, as the CLI does, and run on one batch driver, `monte_carlo`.
 Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
-(SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A batch is drawn
-with one `scenario.draw_batch` call, each trial from its own stream, and a
-pipeline's kernel gets the stacked draws and makes one precoder pass
-(`precoder.precode_each`) per batch.  A batch holds what `BATCH_BYTES`
-holds of the trials' working set, so memory stays bounded as M and K grow.
+(SE_VS_M, M), (BER, SNR-grid index) or (CONVERGENCE,).  A batch is one
+pass of its pipeline's kernel, sized by a K-only working set.  It is drawn
+in sub-batches sized by M (`scenario.draw_batch`, each trial from its own
+stream), and each sub-batch is reduced at once to what the kernel reads:
+its `precoder.GramStack`, or for convergence its regularized central Gram.
+The kernel gets the reductions joined in trial order and makes one
+precoder pass (`precoder.precode_each`) or one solve per method, with no
+M x K array left.  Memory stays within `BATCH_BYTES` as M and K grow.
 """
 
 from contextlib import nullcontext
@@ -22,65 +25,96 @@ import numpy as np
 from .config import PowerConfig, validate
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, solve
-from .precoder import gram_regularized, precode_each
+from .precoder import (concat_grams, gram_regularized, gram_stack,
+                       precode_each)
 from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
 BATCH_BYTES = 3 << 19
-"""Working memory one batched kernel call may hold, in bytes (1.5 MiB).
+"""Working memory one batch may hold, in bytes (1.5 MiB), draw and pass
+together.
 
-Trials per batch are this over one trial's working set, which counts
-the draw and the precoders, or the convergence solves' iterates.  BER's
-QPSK chain, 54 bytes per user and symbol (864 KiB at K = 32 and 512
-symbols, growing with `run.symbols_per_channel`), lies outside it, so a
-BER batch may exceed it: at M = 99 one batch peaks under tracemalloc at
-1405 KiB at the ber-qpsk settings and 3577 KiB with 2048 symbols.
-Larger batches would make the precoder pass faster, since its numpy calls
-cost about the same whatever the stack: precoding and SINR for five
-methods at M = 99 and 25 dB took 4.05 ms per trial alone and 0.89 ms in a
-stack of 48 (one BLAS thread, numpy 2.4).  But a batch also holds its
-draw's rows, which grow with M, and the benchmark's `peak_rss_mb` has a 5%
-bound, about 2 MB."""
+Three terms size a batch:
+- the pass, per trial: `precoding_bytes`, K x K arrays only, or the
+  convergence solves' working set;
+- BER's QPSK chain, once per batch: 54 bytes per user and symbol, 864 KiB
+  at K = 32 and 512 symbols.  Above about 900 symbols per channel at
+  K = 32 the chain alone exceeds the budget, and a batch of one trial
+  overruns it;
+- the draw, per trial and per draw call: `draw_bytes`, mostly the (K, M)
+  rows.  A batch draws in sub-batches (`draw_batches`), each of which gets
+  what the budget leaves after the reductions already held, three K x K
+  arrays per trial.
+Larger passes are faster, since a pass's numpy calls cost about the same
+whatever the stack: precoding and SINR for five methods at M = 99 and
+25 dB took 4.05 ms per trial alone, 1.34 ms in a stack of 6, 1.03 ms in
+one of 12 and 0.89 ms in one of 48 (one BLAS thread, numpy 2.4).  The
+benchmark's `peak_rss_mb` has a 5% bound, about 2 MB."""
 
 
-def trial_batches(trials: int, trial_bytes: int) -> list:
-    """Trial indices 0..trials-1 as consecutive ranges of near-equal length.
-
-    Each range holds at most max(1, BATCH_BYTES // trial_bytes) trials.
-    """
-    size = max(1, BATCH_BYTES // trial_bytes)
-    count = -(-trials // size)
+def _split(trials: int, count: int) -> list:
+    """Trial indices 0..trials-1 as `count` consecutive ranges of near-equal
+    length."""
     return [range(i * trials // count, (i + 1) * trials // count)
             for i in range(count)]
 
 
+def trial_batches(trials: int, trial_bytes: int, fixed_bytes: int = 0) -> list:
+    """Trial indices 0..trials-1 as consecutive ranges of near-equal length.
+
+    Each range holds at most max(1, (BATCH_BYTES - fixed_bytes) //
+    trial_bytes) trials.
+    """
+    size = max(1, (BATCH_BYTES - fixed_bytes) // trial_bytes)
+    return _split(trials, -(-trials // size))
+
+
+def draw_batches(scenario, trials: int) -> list:
+    """Sub-batches 0..trials-1 of a batch's draw: the fewest near-equal
+    ranges, at least one trial each, where each range's draw gets what
+    `BATCH_BYTES` leaves after the reductions of the ranges before it."""
+    held = 48 * scenario.K ** 2  # a GramStack's three K x K rows per trial
+    count = next((c for c in range(1, trials) if all(
+        draw_bytes(scenario, len(r)) + r.start * held <= BATCH_BYTES
+        for r in _split(trials, c))), trials)
+    return _split(trials, count)
+
+
+def draw_bytes(scenario, trials: int) -> int:
+    """Peak memory of one `draw_batch` of `trials` trials: per trial its
+    (K, M) rows, the complex channel, its real amplitudes and the VR mask
+    (25 bytes per entry, counted as 26), and per draw 48 M K bytes.  Under
+    tracemalloc a draw of b trials peaks at (25 b + 48) M K bytes for b from
+    2 to 15 at M = 99 and 264.  The channel blocks that follow the rows are
+    smaller, and each sub-batch releases them once reduced."""
+    return scenario.geometry.M * scenario.K * (26 * trials + 48)
+
+
 def precoding_bytes(scenario) -> int:
-    """One trial's working set: its draw's (K, M) rows, complex and real,
-    2 M K complex entries (32 M K bytes), which bound the channel blocks
-    that precoding keeps after them, and about eight K x K arrays.  After
-    the Gram, precoding holds only K x K arrays: the Gram stack, one K x K
-    Gram per block with the side blocks' K/2 x K/2 ones zero-padded, until
-    the size classes are gathered from it; each class's Gram and system
-    with xi I; one solve's; and one method's coupling stack, padded the
-    same way.  At M = 99 an se_vs_m batch peaks at about ten K x K arrays
-    per trial besides its channel blocks, within `BATCH_BYTES`.  BER's QPSK
-    chain, run trial by trial after the precoders, is not counted."""
-    M, K = scenario.geometry.M, scenario.K
-    return 16 * (2 * M * K + 8 * K * K)
+    """One trial's share of a precoder pass: ten K x K complex arrays, 160
+    KiB at K = 32.  The pass holds only K x K arrays: the batch's Gram
+    stack (three per trial, the side blocks' K/2 x K/2 Grams zero-padded),
+    joined from its sub-batches' stacks; each size class's Grams and system
+    with xi I; one solve's; and one method's coupling stack, padded the same
+    way and formed after its solves.  Under tracemalloc a pass peaks at
+    about 9.9 per trial at M = 99 and 264: eight would admit 12 trials at
+    M = 99, which peaked at 1.93 MB.  BER adds its QPSK chain once per batch
+    (see `BATCH_BYTES`)."""
+    return 160 * scenario.K ** 2
 
 
-def monte_carlo(cfg, kernel, points, trials: int):
+def monte_carlo(cfg, kernel, points, trials: int, fixed_bytes: int = 0):
     """Yield, per grid point in order, `kernel`'s outputs on trials
     0..trials-1 of the point, concatenated in trial order.
 
     A point is (scenario, key, arg, trial_bytes); its trials split into
-    `trial_batches(trials, trial_bytes)`.  Per batch, `kernel(cfg, real,
-    rngs, arg)` gets the stacked draws and each trial's stream, past its
-    draw, and returns a dict of arrays over the batch.  Batches run serially
-    or on one pool of at most `run.workers` processes, with the same bytes.
-    The pool pickles the kernel by name: a module-level function that no
-    tracer swaps."""
-    per_point = [trial_batches(trials, trial_bytes)
+    `trial_batches(trials, trial_bytes, fixed_bytes)`.  Per batch,
+    `kernel(cfg, reduced, rngs, arg)` gets the batch's draws reduced (see
+    `_run_batch`) and each trial's stream, past its draw, and returns a
+    dict of arrays over the batch.  Batches run serially or on one pool of
+    at most `run.workers` processes, with the same bytes.  The pool pickles
+    the kernel by name: a module-level function that no tracer swaps."""
+    per_point = [trial_batches(trials, trial_bytes, fixed_bytes)
                  for *_, trial_bytes in points]
     jobs = [(kernel, cfg, scenario, key, batch, arg)
             for (scenario, key, arg, _), batches in zip(points, per_point)
@@ -101,10 +135,17 @@ def _pool(workers: int):
 
 
 def _run_batch(job):
-    """Draw one batch of trials and apply the kernel to it."""
+    """Draw one batch of trials in `draw_batches`, reduce each sub-batch to
+    what the kernel reads as soon as it is drawn, releasing its blocks, and
+    apply the kernel to the reductions joined in trial order."""
     kernel, cfg, scenario, key, trials, arg = job
     rngs = [seed_stream(cfg.run.seed, *key, t) for t in trials]
-    return kernel(cfg, draw_batch(scenario, rngs).realization, rngs, arg)
+    reduce, join = _REDUCTIONS[kernel]
+    parts = [reduce(cfg, draw_batch(scenario, rngs[r.start:r.stop]).realization)
+             for r in draw_batches(scenario, len(rngs))]
+    reduced = parts[0] if len(parts) == 1 else join(parts)
+    del parts  # joined: the pass holds the reductions once
+    return kernel(cfg, reduced, rngs, arg)
 
 
 @dataclass(frozen=True)
@@ -125,7 +166,8 @@ def coupling_matrix(realization, precoder) -> np.ndarray:
     """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k.
 
     B adds the precoder's coupling blocks H_i^H G_i: the central one over
-    every user, each side one over its group's users.
+    every user, each side one over its group's users.  Of `realization`
+    only K1 is read, so its `GramStack` serves as well.
     """
     K1 = realization.K1
     B = precoder.Cc.copy()
@@ -200,7 +242,11 @@ def ber_montecarlo(cfg) -> BerReport:
     draws = -(-cfg.run.bits_per_point // bits_per_draw)  # ceil
     points = [(scenario, (BER, ig), snr_db, precoding_bytes(scenario))
               for ig, snr_db in enumerate(grid)]
-    counts = list(monte_carlo(cfg, _ber_kernel, points, draws))
+    # The QPSK chain, once per batch: per user and symbol, the noise and
+    # received-block workspaces and one trial's symbols (16 bytes each) and
+    # its bits, decisions and their comparison (2 bytes each).
+    chain = 54 * scenario.K * cfg.run.symbols_per_channel
+    counts = list(monte_carlo(cfg, _ber_kernel, points, draws, chain))
     errors = {m: np.array([c[m].sum() for c in counts], dtype=np.int64)
               for m in cfg.run.methods}
     bits_simulated = draws * bits_per_draw
@@ -209,7 +255,7 @@ def ber_montecarlo(cfg) -> BerReport:
                      bits_simulated=bits_simulated)
 
 
-def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
+def _ber_kernel(cfg, grams, rngs, snr_db) -> dict:
     """Bit errors of each trial of the batch, per method, at `snr_db`.
 
     Detection is genie-aided: user k's decisions are the signs of Re and Im
@@ -220,10 +266,10 @@ def _ber_kernel(cfg, real, rngs, snr_db) -> dict:
     proved.  A dead user (g_k = 0) decides on y itself, a coin flip.
     """
     power, sol = PowerConfig(snr_db=snr_db), cfg.solver
-    K, nsym = real.K, cfg.run.symbols_per_channel
-    couplings = precode_each(real, power.xi, power.tx_power_watts,
+    K, nsym = grams.K, cfg.run.symbols_per_channel
+    couplings = precode_each(grams, power.xi, power.tx_power_watts,
                              cfg.run.methods, sol.T, sol.omega,
-                             lambda pre: coupling_matrix(real, pre))
+                             lambda pre: coupling_matrix(grams, pre))
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
     # conj(g) per trial and user, (batch, K, 1); a dead user's g = 0 is 1.
     gains = {m: np.diagonal(B, axis1=-2, axis2=-1).conj()[..., None]
@@ -270,11 +316,12 @@ def convergence_trace(cfg) -> dict:
     validate(cfg)
     methods = iterative_methods(cfg)
     scenario = build_scenario(cfg)
-    # A trial's working set is the larger of its draw's, the (K, M) rows
-    # complex and real (2 M K complex entries), and its kernel's after them:
-    # the blocks and Gram (under M K + K^2) and, per step, one solve's
-    # iterate and residual (2 K) and each method's float trace, counted at
-    # 16 bytes.
+    # A batch's trials: the larger of the draw's (K, M) rows (2 M K complex
+    # entries) and the kernel's working set, counted as the blocks and Gram
+    # (under M K + K^2) and, per step, one solve's iterate and residual
+    # (2 K) and each method's float trace, at 16 bytes.  The kernel holds no
+    # blocks, but these are the batches of one budget for draw and solves:
+    # 27-trial batches at M = 99 overran the budget.
     M, K, steps = scenario.geometry.M, scenario.K, cfg.run.t_max + 1
     trial_bytes = max(32 * M * K,
                       16 * (M * K + K * K + steps * (2 * K + len(methods))))
@@ -283,12 +330,12 @@ def convergence_trace(cfg) -> dict:
     return {m: np.median(traces[m], axis=0) for m in methods}
 
 
-def _ls_error_kernel(cfg, real, rngs, methods) -> dict:
-    """Per method, the (trials, t_max + 1) LS-error traces of the batch."""
-    bits = np.stack([rng.integers(0, 2, size=(real.K, 2), dtype=np.int8)
+def _ls_error_kernel(cfg, P, rngs, methods) -> dict:
+    """Per method, the (trials, t_max + 1) LS-error traces of the batch,
+    on its regularized central Grams P."""
+    bits = np.stack([rng.integers(0, 2, size=(P.shape[-1], 2), dtype=np.int8)
                      for rng in rngs])
-    sys = HpdSystem(P=gram_regularized(real.Hc, cfg.power.xi),
-                    rhs=qpsk_modulate(bits))
+    sys = HpdSystem(P=P, rhs=qpsk_modulate(bits))
     return {m: solve(sys, m, cfg.run.t_max, cfg.solver.omega).residual_trace
             for m in methods}
 
@@ -312,9 +359,20 @@ def se_trial(cfg, scenario, trials) -> dict:
                        (SE_VS_M, scenario.geometry.M), trials, None))
 
 
-def _sum_se_kernel(cfg, real, rngs, arg) -> dict:
+def _sum_se_kernel(cfg, grams, rngs, arg) -> dict:
     """Per method, the sum SE of each trial of the batch."""
     pw, sol = cfg.power, cfg.solver
-    return precode_each(real, pw.xi, pw.tx_power_watts, cfg.run.methods,
+    return precode_each(grams, pw.xi, pw.tx_power_watts, cfg.run.methods,
                         sol.T, sol.omega,
-                        lambda pre: sinr_eq9(real, pre, pw.sigma2_watts).sum_se)
+                        lambda pre: sinr_eq9(grams, pre, pw.sigma2_watts).sum_se)
+
+
+# Per kernel: the reduction of a drawn sub-batch that it reads, and the join
+# of the sub-batches' reductions.
+_REDUCTIONS = {
+    _sum_se_kernel: (lambda cfg, real: gram_stack(real), concat_grams),
+    _ber_kernel: (lambda cfg, real: gram_stack(real), concat_grams),
+    _ls_error_kernel: (lambda cfg, real: gram_regularized(real.Hc,
+                                                          cfg.power.xi),
+                       np.concatenate),
+}

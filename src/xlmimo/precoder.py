@@ -22,19 +22,23 @@ up to its size class: the next multiple of `CLASS_STEP`, at least
 matrix size, and a system's class depends on that system alone, so a trial
 rounds the same in every batch; one size for a whole batch would not.
 
-`precode_each` makes one pass for several methods.  It forms one Gram
-H_i^H H_i per block, as drawn and without xi, and puts every system of the
-batch on one trial-major axis: row 3 t + i is block i of trial t, its Gram
-and visible-user mask zero-padded with dead users up to K.  A padded user
+A precoder pass reads only a `GramStack`: one Gram H_i^H H_i per block,
+as drawn and without xi, and the block's visible users, with every system
+on one trial-major axis: row 3 t + i is block i of trial t, its Gram and
+visible-user mask zero-padded with dead users up to K.  A pipeline reduces
+each drawn sub-batch to its `GramStack` at once, releases the blocks and
+joins the sub-batches' stacks (`concat_grams`), so its pass holds no M x K
+array.  `precode_each` makes one pass for several methods.  A padded user
 sits past its block's K_i, which no class exceeds, so it never enters a
 class.  A size class is rows of that stack, each with its n users; its
 `HpdSystem`, with xi I added, is shared by all methods, and each method
-solves once per class.  The coupling blocks, and G when read, are
-scattered into stacks of the same layout and cut back into the three
-blocks.  The Gram is never undone: at low SNR, xi far above
-||H_i^H H_i||, subtracting xi I again would cancel H_i^H H_i away.  A
-stacked system rounds as if solved alone, so the precoders equal those of
-a solve per block and trial.
+solves once per class.  The coupling blocks are scattered into a stack of
+the same layout and cut back into the three blocks.  `build_precoder`
+alone keeps its realization's blocks, so its precoder can form G when
+read.  The Gram is never undone: at low SNR, xi far above ||H_i^H H_i||,
+subtracting xi I again would cancel H_i^H H_i away.  A stacked system
+rounds as if solved alone, so the precoders equal those of a solve per
+block and trial, whichever trials share the stack.
 """
 
 from dataclasses import dataclass, field
@@ -105,6 +109,50 @@ def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class GramStack:
+    """What a precoder pass reads of a realization (or a stack of B of
+    them): per system, row 3 t + i for block i of trial t, the Gram
+    H_i^H H_i without xi and the users that see the block, both zero-padded
+    with dead users up to K.  The side blocks serve K/2 users each (S = 3,
+    L = 2), so K sets every block's K_i."""
+
+    gram: np.ndarray     # (3 B, K, K) complex
+    visible: np.ndarray  # (3 B, K) bool
+    lead: tuple          # the realization's trial dimensions
+
+    @property
+    def K(self) -> int:
+        return self.gram.shape[-1]
+
+    @property
+    def K1(self) -> int:
+        return self.K // 2
+
+    @property
+    def sizes(self) -> tuple:
+        """K_i of the blocks: side, central, side."""
+        return self.K1, self.K, self.K1
+
+
+def gram_stack(realization) -> GramStack:
+    """The `GramStack` of a realization (or a stack of them): one Gram per
+    block, as drawn."""
+    blocks = [np.asarray(H, dtype=complex) for H in realization.blocks()]
+    return GramStack(gram=_stack([_gram(H) for H in blocks], 2),
+                     visible=_stack([np.any(H, axis=-2) for H in blocks], 1,
+                                    bool),
+                     lead=blocks[1].shape[:-2])
+
+
+def concat_grams(parts) -> GramStack:
+    """The `GramStack`s of consecutive stacks of trials, each with one trial
+    axis, as one, in order."""
+    return GramStack(gram=np.concatenate([p.gram for p in parts]),
+                     visible=np.concatenate([p.visible for p in parts]),
+                     lead=(sum(p.lead[0] for p in parts),))
+
+
+@dataclass(frozen=True)
 class _SizeClass:
     """The systems of one size class n: rows of the batch's system stack,
     each on n users of its block."""
@@ -115,10 +163,12 @@ class _SizeClass:
     sys: HpdSystem       # (s, n, n) gram + xi I, rhs I
 
 
-def precode_each(realization, xi: float, power: float, methods, T: int,
-                 omega: float, consume) -> dict:
-    """{method: consume(precoder)} for each of `methods` on a realization (or
-    a stack of them).  Each precoder is consumed before the next is built.
+def precode_each(grams: GramStack, xi: float, power: float, methods, T: int,
+                 omega: float, consume, blocks=None) -> dict:
+    """{method: consume(precoder)} for each of `methods` on a `GramStack`.
+    Each precoder is consumed before the next is built.  `blocks`, the
+    channel blocks that `grams` reduces, let the precoders form G when
+    read; without them reading G raises `ConfigurationError`.
 
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
@@ -127,9 +177,8 @@ def precode_each(realization, xi: float, power: float, methods, T: int,
         raise ConfigurationError(f"xi must be positive and finite, got {xi}")
     if not 0 < power < np.inf:
         raise ConfigurationError(f"power must be positive and finite, got {power}")
-    blocks = [np.asarray(H, dtype=complex) for H in realization.blocks()]
-    classes = _size_classes(blocks, xi)
-    return {m: consume(_precoder(blocks, classes, power, m, T, omega))
+    classes = _size_classes(grams, xi)
+    return {m: consume(_precoder(grams, classes, power, m, T, omega, blocks))
             for m in methods}
 
 
@@ -152,20 +201,17 @@ def _cut(stack, shapes) -> tuple:
                  for i, s in enumerate(shapes))
 
 
-def _size_classes(blocks, xi) -> list:
-    """The size classes of the batch's systems, smallest first.  The Gram
-    stack is released on return: the classes hold what they need."""
-    S = _stack([_gram(H) for H in blocks], 2)
-    visible = _stack([np.any(H, axis=-2) for H in blocks], 1, bool)
-    count = np.count_nonzero(visible, axis=-1)
-    K = np.tile([H.shape[-1] for H in blocks], len(S) // len(blocks))
+def _size_classes(grams, xi) -> list:
+    """The size classes of the stack's systems, smallest first."""
+    count = np.count_nonzero(grams.visible, axis=-1)
+    K = np.tile(grams.sizes, len(count) // len(grams.sizes))
     sizes = np.minimum(K, CLASS_STEP * np.maximum(-(-count // CLASS_STEP), 1))
     # Each system's visible users in order, then its dead users in order.
     # The padded users, past its block's K_i, come last, and no class
     # reaches them.
-    order = np.argsort(~visible, axis=-1, kind="stable")
+    order = np.argsort(~grams.visible, axis=-1, kind="stable")
     # Not np.unique: its first call imports numpy.ma (1.1 MB traced).
-    return [_size_class(S, np.flatnonzero(sizes == n), order, n, xi)
+    return [_size_class(grams.gram, np.flatnonzero(sizes == n), order, n, xi)
             for n in sorted(set(sizes.tolist()))]
 
 
@@ -191,24 +237,34 @@ def _class_solve(c, power, method, T, omega) -> tuple:
     return W, A, np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
 
 
-def _precoder(blocks, classes, power, method, T, omega) -> BlockPrecoder:
+def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
     """One method's precoder: per size class, beta A scattered into the
-    coupling stack.  G is left to `_blocks`, which solves again when read,
-    so no solve outlives its class's turn."""
-    K = max(H.shape[-1] for H in blocks)
-    C = np.zeros((sum(len(c.rows) for c in classes), K, K), dtype=complex)
-    live = np.zeros(len(C), dtype=bool)
+    coupling stack, which is formed after the solves, their temporaries
+    gone.  G is left to `_blocks`, which solves again when read, so no
+    solve outlives its class's turn."""
+    scaled = []
     for c in classes:
-        _, A, beta = _class_solve(c, power, method, T, omega)
+        A, beta = _class_solve(c, power, method, T, omega)[1:]
         A *= beta[:, None, None]
+        scaled.append((A, beta > 0))
+    C = np.zeros((len(grams.gram), grams.K, grams.K), dtype=complex)
+    live = np.zeros(len(C), dtype=bool)
+    for c, (A, alive) in zip(classes, scaled):
         C[c.rows[:, None, None], c.users[:, :, None], c.users[:, None, :]] = A
-        live[c.rows] = beta > 0
-    if not np.all(np.any(live.reshape(-1, len(blocks)), axis=-1)):
+        live[c.rows] = alive
+    if not np.all(np.any(live.reshape(-1, len(grams.sizes)), axis=-1)):
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
-    C1, Cc, C2 = _cut(C, [H.shape[:-2] + H.shape[-1:] * 2 for H in blocks])
-    return BlockPrecoder(C1, Cc, C2, blocks=partial(
-        _blocks, blocks, classes, power, method, T, omega))
+    C1, Cc, C2 = _cut(C, [grams.lead + (k, k) for k in grams.sizes])
+    return BlockPrecoder(C1, Cc, C2, blocks=_no_blocks if blocks is None else
+                         partial(_blocks, blocks, classes, power, method, T,
+                                 omega))
+
+
+def _no_blocks():
+    raise ConfigurationError(
+        "G needs the channel blocks, which a pass over a GramStack alone "
+        "does not keep: build the precoder with build_precoder")
 
 
 def _blocks(blocks, classes, power, method, T, omega) -> tuple:
@@ -228,6 +284,8 @@ def build_precoder(realization, xi: float, power: float, method: str,
                    T: int = DEFAULT_T,
                    omega: float = DEFAULT_OMEGA) -> BlockPrecoder:
     """All three blocks of Eq.-6 structure for a realization (or a stack of
-    them): the pass of `precode_each` for one method."""
-    return precode_each(realization, xi, power, (method,), T, omega,
-                        lambda pre: pre)[method]
+    them): the pass of `precode_each` for one method on the realization's
+    own `GramStack`, keeping its blocks for G."""
+    blocks = [np.asarray(H, dtype=complex) for H in realization.blocks()]
+    return precode_each(gram_stack(realization), xi, power, (method,), T,
+                        omega, lambda pre: pre, blocks)[method]

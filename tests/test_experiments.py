@@ -110,24 +110,27 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
 
 
 # Each pipeline at both ends of the M grid, or at the benchmark's ber-qpsk
-# settings: the overrides and the batch sizes they give.
-@pytest.mark.parametrize("experiment, items, sizes", [
-    ("se_vs_m", ["run.m_grid=[99]", "run.trials=12"], [6, 6]),
-    ("se_vs_m", ["run.m_grid=[264]", "run.trials=6"], [3, 3]),
-    ("ber", ["run.bits_per_point=262144"], [4, 4] * 6),
-    ("convergence", ["run.t_max=20", "run.trials=15"], [15]),
+# settings: the overrides, the batch sizes they give and, where a batch
+# draws in more than one sub-batch, the sub-batch sizes.
+@pytest.mark.parametrize("experiment, items, sizes, draws", [
+    ("se_vs_m", ["run.m_grid=[99]", "run.trials=12"], [6, 6], None),
+    ("se_vs_m", ["run.m_grid=[264]", "run.trials=6"], [6], [3, 3]),
+    ("se_vs_m", ["run.m_grid=[264]", "run.trials=16"], [8, 8], [4] * 4),
+    ("ber", ["run.bits_per_point=262144"], [4, 4] * 6, None),
+    ("convergence", ["run.t_max=20", "run.trials=15"], [15], None),
     ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=20"],
-     [5] * 4),
+     [5] * 4, None),
     # Far past convergence the iterate history outgrows the draw.
-    ("convergence", ["run.t_max=300", "run.trials=6"], [3, 3])],
-    ids=["se_vs_m-M99", "se_vs_m-M264", "ber-qpsk", "convergence-M99",
-         "convergence-M264", "convergence-tmax300"])
-def test_batch_peak_within_budget(experiment, items, sizes, tmp_path,
+    ("convergence", ["run.t_max=300", "run.trials=6"], [3, 3], None)],
+    ids=["se_vs_m-M99", "se_vs_m-M264", "se_vs_m-M264-passes",
+         "ber-qpsk", "convergence-M99", "convergence-M264",
+         "convergence-tmax300"])
+def test_batch_peak_within_budget(experiment, items, sizes, draws, tmp_path,
                                   monkeypatch):
     # Every batch holds at most BATCH_BYTES at once, draw and kernel
     # together.
-    peaks, seen = [], []
-    run_batch = metrics._run_batch
+    peaks, seen, drawn = [], [], []
+    run_batch, draw_batch = metrics._run_batch, metrics.draw_batch
 
     def traced(job):
         seen.append(len(job[4]))
@@ -138,23 +141,31 @@ def test_batch_peak_within_budget(experiment, items, sizes, tmp_path,
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
+    def draw(scenario, rngs):
+        drawn.append(len(rngs))
+        return draw_batch(scenario, rngs)
+
     monkeypatch.setattr(metrics, "_run_batch", traced)
+    monkeypatch.setattr(metrics, "draw_batch", draw)
     cfg = ExperimentConfig()
     apply_overrides(cfg, [f"run.experiment={experiment}", *items])
     run_experiment(cfg, str(tmp_path / "out.csv"))
     assert seen == sizes
+    assert drawn == (sizes if draws is None else draws)
     assert max(peaks) <= metrics.BATCH_BYTES
 
 
 def _fix_batch_size(monkeypatch, per_batch):
     """Set the byte budget, at each batching decision, to `per_batch` trials'
-    working sets; returns the list of batch sizes used."""
+    working sets and the batch's fixed term; returns the list of batch sizes
+    used."""
     sizes = []
     original = metrics.trial_batches
 
-    def batches(trials, trial_bytes):
-        monkeypatch.setattr(metrics, "BATCH_BYTES", per_batch * trial_bytes)
-        out = original(trials, trial_bytes)
+    def batches(trials, trial_bytes, fixed_bytes=0):
+        monkeypatch.setattr(metrics, "BATCH_BYTES",
+                            per_batch * trial_bytes + fixed_bytes)
+        out = original(trials, trial_bytes, fixed_bytes)
         sizes.extend(len(b) for b in out)
         return out
 
@@ -182,6 +193,51 @@ def test_bytes_do_not_depend_on_batching(tmp_path, monkeypatch, case,
     sizes = _fix_batch_size(monkeypatch, per_batch)
     assert _golden_sha256(tmp_path, experiment, *extra) == GOLDEN[case]
     assert max(sizes) == min(per_batch, 5 if experiment != "ber" else 4)
+
+
+@pytest.mark.parametrize("case", ["se_vs_m", "convergence", "ber",
+                                  "convergence-t40"])
+def test_bytes_do_not_depend_on_draw_sub_batches(tmp_path, monkeypatch,
+                                                 case):
+    # Every trial drawn alone, each a sub-batch of its own, under one batch
+    # of all the trials of a grid point.
+    experiment, extra = golden_case(case)
+    drawn, draw_batch = [], metrics.draw_batch
+
+    def draw(scenario, rngs):
+        drawn.append(len(rngs))
+        return draw_batch(scenario, rngs)
+
+    monkeypatch.setattr(metrics, "draw_batch", draw)
+    monkeypatch.setattr(metrics, "draw_bytes",
+                        lambda scenario, trials: metrics.BATCH_BYTES + 1)
+    sizes = _fix_batch_size(monkeypatch, 1000)
+    assert _golden_sha256(tmp_path, experiment, *extra) == GOLDEN[case]
+    assert min(sizes) > 1 and set(drawn) == {1}
+    assert len(drawn) == sum(sizes)
+
+
+def test_se_sweep_makes_one_pass_per_batch(tmp_path, monkeypatch):
+    # At the benchmark's se-sweep settings each M point's 16 trials make
+    # two batches of 8, and each batch one precoder pass over a GramStack:
+    # K x K arrays only, whatever M.
+    passes, original = [], metrics.precode_each
+
+    def precode(grams, *args):
+        passes.append(grams)
+        return original(grams, *args)
+
+    monkeypatch.setattr(metrics, "precode_each", precode)
+    cfg = ExperimentConfig()
+    apply_overrides(cfg, ["run.experiment=se_vs_m", "power.snr_db=25",
+                          "run.trials=16"])
+    run_experiment(cfg, str(tmp_path / "se.csv"))
+    assert len(passes) == 2 * len(cfg.run.m_grid) == 12
+    K = cfg.users.K
+    for grams in passes:
+        assert isinstance(grams, precoder.GramStack)
+        assert grams.lead == (8,) and grams.gram.shape == (24, K, K)
+        assert grams.visible.shape == (24, K)
 
 
 PIPELINES = ["se_vs_m", "ber", "convergence"]

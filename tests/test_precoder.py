@@ -13,7 +13,8 @@ from xlmimo.errors import (AssemblyError, ConfigurationError,
                            DegenerateChannelError, NotHpdError)
 from xlmimo.linsolve import HpdSystem, jacpcg_solve, jor_solve, solve
 from xlmimo.metrics import se_trial, sinr_eq9
-from xlmimo.precoder import CLASS_STEP, build_precoder, gram_regularized
+from xlmimo.precoder import (CLASS_STEP, build_precoder, concat_grams,
+                             gram_regularized, gram_stack, precode_each)
 from xlmimo.scenario import build_scenario, draw_batch, draw_trial
 from xlmimo.seeding import SE_VS_M, seed_stream
 
@@ -297,6 +298,29 @@ def test_shared_pass_rounds_as_each_block_alone(method, stack):
                                     oracle):
         assert np.array_equal(G, G_ref)
         assert np.array_equal(C, C_ref)
+
+
+@pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
+def test_pass_on_joined_gram_stacks_is_build_precoder(method):
+    # A pipeline reduces each drawn sub-batch to its GramStack and precodes
+    # the joined stacks: the couplings are those of build_precoder on the
+    # whole realization, bit for bit.  Such a precoder keeps no blocks.
+    cfg = ExperimentConfig()
+    scenario = build_scenario(cfg, M=264)
+    rngs = [seed_stream(cfg.run.seed, SE_VS_M, 264, t) for t in range(5)]
+    whole = build_precoder(draw_batch(scenario, rngs).realization, 0.05, 2.0,
+                           method, T=3, omega=0.5)
+    rngs = [seed_stream(cfg.run.seed, SE_VS_M, 264, t) for t in range(5)]
+    grams = concat_grams([gram_stack(draw_batch(scenario, part).realization)
+                          for part in (rngs[:2], rngs[2:3], rngs[3:])])
+    assert grams.gram.shape == (15, 32, 32) and grams.lead == (5,)
+    pre = precode_each(grams, 0.05, 2.0, (method,), 3, 0.5,
+                       lambda pre: pre)[method]
+    for C, C_ref in zip((pre.C1, pre.Cc, pre.C2),
+                        (whole.C1, whole.Cc, whole.C2)):
+        assert C.shape == C_ref.shape and C.tobytes() == C_ref.tobytes()
+    with pytest.raises(ConfigurationError, match="build_precoder"):
+        pre.G
 
 
 # The reference stack has users that a block cannot see; the others have
