@@ -7,11 +7,11 @@ precoding vectors exist for the SINR evaluation; beta is computed from the
 (possibly approximate) solution.  Blocks may carry leading trial dimensions
 (..., M_i, K_i): one call then precodes a stack of trials.
 
-After the Gram nothing touches M.  With A_i = H_i^H H_i W_i = H_i^H F_i,
-formed from the unregularized Gram, tr(F_i^H F_i) = Re <W_i, A_i>, and the
-coupling block that the SINR reads is H_i^H G_i = beta_i A_i.
-`BlockPrecoder` holds the coupling blocks and forms the M x K blocks G_i
-only when they are read.
+After the Gram no step of a pipeline's pass touches M.  With A_i =
+H_i^H H_i W_i = H_i^H F_i, formed from the unregularized Gram,
+tr(F_i^H F_i) = Re <W_i, A_i>, and the coupling block that the SINR reads
+is H_i^H G_i = beta_i A_i.  `BlockPrecoder` holds the coupling blocks, and
+the M x K blocks G_i only when it was built from the channel blocks.
 
 A user outside block i's visibility region has a zero column in H_i, so its
 row and column of P_i are xi e_k: it decouples from the other users, and
@@ -34,16 +34,15 @@ class.  A size class is rows of that stack, each with its n users; its
 `HpdSystem`, with xi I added, is shared by all methods, and each method
 solves once per class.  The coupling blocks are scattered into a stack of
 the same layout and cut back into the three blocks.  `build_precoder`
-alone keeps its realization's blocks, so its precoder can form G when
-read.  The Gram is never undone: at low SNR, xi far above ||H_i^H H_i||,
-subtracting xi I again would cancel H_i^H H_i away.  A stacked system
-rounds as if solved alone, so the precoders equal those of a solve per
-block and trial, whichever trials share the stack.
+alone passes its realization's blocks, so its pass also forms G from the
+same solves.  The Gram is never undone: at low SNR, xi far above
+||H_i^H H_i||, subtracting xi I again would cancel H_i^H H_i away.  A
+stacked system rounds as if solved alone, so the precoders equal those of
+a solve per block and trial, whichever trials share the stack.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,38 +59,28 @@ class BlockPrecoder:
     """Stacked precoder for the S=3, L=2 topology with per-block power control.
 
     Holds the coupling blocks C_i = H_i^H G_i, (..., K_i, K_i), each already
-    scaled by its beta_i, and `blocks`, which returns the precoder blocks
-    (G1, Gc, G2), (..., M_i, K_i), on the first read of one of them.
+    scaled by its beta_i, and, when built from the channel blocks
+    (`build_precoder`), the precoder blocks G1, Gc, G2, (..., M_i, K_i).
     """
 
     C1: np.ndarray
     Cc: np.ndarray
     C2: np.ndarray
-    blocks: Callable = field(repr=False, compare=False)
+    G1: np.ndarray | None = None
+    Gc: np.ndarray | None = None
+    G2: np.ndarray | None = None
 
     def __post_init__(self):
         check_blocks(self.C1, self.Cc, self.C2)
 
     @cached_property
-    def _G(self) -> tuple:
-        return tuple(self.blocks())
-
-    @property
-    def G1(self) -> np.ndarray:
-        return self._G[0]
-
-    @property
-    def Gc(self) -> np.ndarray:
-        return self._G[1]
-
-    @property
-    def G2(self) -> np.ndarray:
-        return self._G[2]
-
-    @cached_property
     def G(self) -> np.ndarray:
         """(..., M, K) stacked precoder with exact zero blocks, built on first use."""
-        return stack_blocks(*self._G)
+        if self.G1 is None:
+            raise ConfigurationError(
+                "G needs the channel blocks, which a pass over a GramStack "
+                "alone does not keep: build the precoder with build_precoder")
+        return stack_blocks(self.G1, self.Gc, self.G2)
 
 
 def _gram(H: np.ndarray) -> np.ndarray:
@@ -166,9 +155,10 @@ class _SizeClass:
 def precode_each(grams: GramStack, xi: float, power: float, methods, T: int,
                  omega: float, consume, blocks=None) -> dict:
     """{method: consume(precoder)} for each of `methods` on a `GramStack`.
-    Each precoder is consumed before the next is built.  `blocks`, the
-    channel blocks that `grams` reduces, let the precoders form G when
-    read; without them reading G raises `ConfigurationError`.
+    Each precoder is consumed before the next is built.  With `blocks`,
+    the channel blocks that `grams` reduces, each pass also forms the
+    precoder's G blocks; without them reading G raises
+    `ConfigurationError`.
 
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
@@ -225,28 +215,30 @@ def _size_class(S, rows, order, n, xi) -> _SizeClass:
                       sys=HpdSystem(P=P, rhs=np.broadcast_to(eye, P.shape)))
 
 
-def _class_solve(c, power, method, T, omega) -> tuple:
-    """(W, A, beta) of the size class c: the solve W, A = H^H H W and
+def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
+    """One method's precoder: per size class, the solve W, A = H^H H W and
     beta = sqrt(power / tr(F^H F)) with tr(F^H F) = Re <W, A>.  A system
     with no energy (every user it serves sees none of its block's antennas)
-    has tr = 0 and gets beta = 0."""
-    W = solve(c.sys, method, T, omega, trace=False).w
-    A = c.gram @ W
-    tr = np.vecdot(W.reshape(len(W), -1), A.reshape(len(A), -1)).real
-    live = tr > 0
-    return W, A, np.where(live, np.sqrt(power / np.where(live, tr, 1.0)), 0.0)
-
-
-def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
-    """One method's precoder: per size class, beta A scattered into the
-    coupling stack, which is formed after the solves, their temporaries
-    gone.  G is left to `_blocks`, which solves again when read, so no
-    solve outlives its class's turn."""
+    has tr = 0 and gets beta = 0.  beta A is scattered into the coupling
+    stack, which is formed after the solves, their temporaries gone.  With
+    the channel `blocks`, G = beta H W is formed from the same W on each
+    system's class users, zero on the columns of the users it leaves out."""
+    H = None if blocks is None else _stack(blocks, 2)
+    G = None if blocks is None else np.zeros_like(H)
     scaled = []
     for c in classes:
-        A, beta = _class_solve(c, power, method, T, omega)[1:]
+        W = solve(c.sys, method, T, omega, trace=False).w
+        A = c.gram @ W
+        tr = np.vecdot(W.reshape(len(W), -1), A.reshape(len(A), -1)).real
+        beta = np.sqrt(power / np.where(tr > 0, tr, np.inf))
         A *= beta[:, None, None]
         scaled.append((A, beta > 0))
+        if H is not None:
+            F = np.take_along_axis(H[c.rows], c.users[:, None, :], axis=-1) @ W
+            F *= beta[:, None, None]
+            G[c.rows[:, None], :, c.users] = np.swapaxes(F, -1, -2)
+        # Not held into the next class's solve.
+        del W, tr
     C = np.zeros((len(grams.gram), grams.K, grams.K), dtype=complex)
     live = np.zeros(len(C), dtype=bool)
     for c, (A, alive) in zip(classes, scaled):
@@ -256,28 +248,8 @@ def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
     C1, Cc, C2 = _cut(C, [grams.lead + (k, k) for k in grams.sizes])
-    return BlockPrecoder(C1, Cc, C2, blocks=_no_blocks if blocks is None else
-                         partial(_blocks, blocks, classes, power, method, T,
-                                 omega))
-
-
-def _no_blocks():
-    raise ConfigurationError(
-        "G needs the channel blocks, which a pass over a GramStack alone "
-        "does not keep: build the precoder with build_precoder")
-
-
-def _blocks(blocks, classes, power, method, T, omega) -> tuple:
-    """(G1, Gc, G2): G = beta H W on each system's class users, zero on the
-    columns of the users it leaves out."""
-    H = _stack(blocks, 2)
-    G = np.zeros_like(H)
-    for c in classes:
-        W, _, beta = _class_solve(c, power, method, T, omega)
-        F = np.take_along_axis(H[c.rows], c.users[:, None, :], axis=-1) @ W
-        F *= beta[:, None, None]
-        G[c.rows[:, None], :, c.users] = np.swapaxes(F, -1, -2)
-    return _cut(G, [B.shape for B in blocks])
+    return BlockPrecoder(C1, Cc, C2, *(
+        () if G is None else _cut(G, [B.shape for B in blocks])))
 
 
 def build_precoder(realization, xi: float, power: float, method: str,
@@ -285,7 +257,7 @@ def build_precoder(realization, xi: float, power: float, method: str,
                    omega: float = DEFAULT_OMEGA) -> BlockPrecoder:
     """All three blocks of Eq.-6 structure for a realization (or a stack of
     them): the pass of `precode_each` for one method on the realization's
-    own `GramStack`, keeping its blocks for G."""
+    own `GramStack`, which also forms G from its blocks."""
     blocks = [np.asarray(H, dtype=complex) for H in realization.blocks()]
     return precode_each(gram_stack(realization), xi, power, (method,), T,
                         omega, lambda pre: pre, blocks)[method]

@@ -80,7 +80,7 @@ def explicit_precoder(channel_blocks, G_blocks) -> BlockPrecoder:
     G_blocks = tuple(G_blocks)
     return BlockPrecoder(*(np.swapaxes(np.conj(H), -1, -2) @ G
                            for H, G in zip(channel_blocks, G_blocks)),
-                         blocks=lambda: G_blocks)
+                         *G_blocks)
 
 
 def ls_error_oracle(P, rhs, iterates) -> np.ndarray:

@@ -383,6 +383,24 @@ class TestReferenceBatches:
             for m in cfg.run.methods:
                 assert batch[m][t] == one[m][0], (m, t)
 
+    def test_se_run_equals_single_trials(self):
+        # The se_vs_m CSV holds each M's mean and SEM, which no order of
+        # the trials changes: every trial of a whole run, its batches
+        # drawn in sub-batches from M = 198 on, must be that trial alone.
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["power.snr_db=25", "run.trials=16"])
+        scenarios = [build_scenario(cfg, M=M) for M in cfg.run.m_grid]
+        assert [any(len(metrics.draw_batches(s, len(b))) > 1 for b in
+                    metrics.trial_batches(cfg.run.trials,
+                                          metrics.precoding_bytes(s)))
+                for s in scenarios] == [M >= 198 for M in cfg.run.m_grid]
+        for scenario, (M, sums) in zip(scenarios, se_montecarlo(cfg)):
+            for t in range(cfg.run.trials):
+                one = se_trial(cfg, scenario, [t])
+                for m in cfg.run.methods:
+                    assert sums[m][t:t + 1].tobytes() == one[m].tobytes(), (
+                        M, m, t)
+
     def test_ber_batch_equals_single_trials(self, monkeypatch):
         # The bit errors, and the couplings that the QPSK chain reads.
         couplings = []

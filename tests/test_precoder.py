@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (explicit_precoder, random_rhs, small_config, small_draw,
                      stacked)
+from xlmimo import precoder
 from xlmimo.channel import ChannelRealization, path_loss
 from xlmimo.config import ExperimentConfig, apply_overrides
 from xlmimo.errors import (AssemblyError, ConfigurationError,
@@ -321,6 +322,21 @@ def test_pass_on_joined_gram_stacks_is_build_precoder(method):
         assert C.shape == C_ref.shape and C.tobytes() == C_ref.tobytes()
     with pytest.raises(ConfigurationError, match="build_precoder"):
         pre.G
+
+
+@pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
+def test_build_precoder_solves_once_per_size_class(method, monkeypatch):
+    # The couplings and G come from the same solves: reading G solves
+    # nothing again.
+    calls = []
+    monkeypatch.setattr(precoder, "solve", lambda *args, **kwargs: (
+        calls.append(args[0].P.shape) or solve(*args, **kwargs)))
+    real = _reference_batch()
+    pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
+    classes = precoder._size_classes(gram_stack(real), 0.05)
+    assert len(calls) == len(classes) > 1
+    assert pre.G.shape == real.H.shape
+    assert calls == [c.sys.P.shape for c in classes]
 
 
 # The reference stack has users that a block cannot see; the others have
