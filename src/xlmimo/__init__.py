@@ -18,8 +18,7 @@ for _var in BLAS_THREAD_VARS:
 __version__ = "0.1.0"
 
 from .channel import ChannelRealization, build_correlation, path_loss
-from .config import (ExperimentConfig, apply_overrides, load_config,
-                     parse_config)
+from .config import ExperimentConfig, apply_overrides, parse_config
 from .errors import (AssemblyError, ConfigurationError, DegenerateChannelError,
                      GeometryInfeasibleError, NotHpdError, XlMimoError)
 from .experiments import run_experiment

@@ -175,10 +175,6 @@ def read_config(path: str) -> ExperimentConfig:
     return _parse(text)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    return validate(read_config(path))
-
-
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply `section.key=value` overrides (values parsed as YAML scalars)."""
     for item in overrides:

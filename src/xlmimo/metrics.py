@@ -11,10 +11,11 @@ Trial t of a grid point draws from `seed_stream(run.seed, *key, t)`, keyed
 pass of its pipeline's kernel, sized by a K-only working set.  It is drawn
 in sub-batches sized by M (`scenario.draw_batch`, each trial from its own
 stream), and each sub-batch is reduced at once to what the kernel reads:
-its `precoder.GramStack`, or for convergence its regularized central Gram.
-The kernel gets the reductions joined in trial order and makes one
-precoder pass (`precoder.precode_each`) or one solve per method, with no
-M x K array left.  Memory stays within `BATCH_BYTES` as M and K grow.
+its `precoder.GramStack`, or for convergence its regularized central Gram
+(three K x K arrays per trial, or one).  The kernel gets the reductions
+joined in trial order and makes one precoder pass (`precoder.precode_each`)
+or one solve per method, with no M x K array left.  Memory stays within
+`BATCH_BYTES` as M and K grow.
 """
 
 from contextlib import nullcontext
@@ -35,16 +36,16 @@ BATCH_BYTES = 3 << 19
 together.
 
 Three terms size a batch:
-- the pass, per trial: `precoding_bytes`, K x K arrays only, or the
-  convergence solves' working set;
+- the pass, per trial: `precoding_bytes`, or for convergence the solves'
+  working set; K x K arrays and per-step K-vectors only;
 - BER's QPSK chain, once per batch: 54 bytes per user and symbol, 864 KiB
   at K = 32 and 512 symbols.  Above about 900 symbols per channel at
   K = 32 the chain alone exceeds the budget, and a batch of one trial
   overruns it;
 - the draw, per trial and per draw call: `draw_bytes`, mostly the (K, M)
   rows.  A batch draws in sub-batches (`draw_batches`), each of which gets
-  what the budget leaves after the reductions already held, three K x K
-  arrays per trial.
+  what the budget leaves after the reductions already held, the K x K
+  arrays per trial that `_REDUCTIONS` states for its kernel.
 Larger passes are faster, since a pass's numpy calls cost about the same
 whatever the stack: precoding and SINR for five methods at M = 99 and
 25 dB took 4.05 ms per trial alone, 1.34 ms in a stack of 6, 1.03 ms in
@@ -69,11 +70,12 @@ def trial_batches(trials: int, trial_bytes: int, fixed_bytes: int = 0) -> list:
     return _split(trials, -(-trials // size))
 
 
-def draw_batches(scenario, trials: int) -> list:
+def draw_batches(scenario, trials: int, grams: int) -> list:
     """Sub-batches 0..trials-1 of a batch's draw: the fewest near-equal
     ranges, at least one trial each, where each range's draw gets what
-    `BATCH_BYTES` leaves after the reductions of the ranges before it."""
-    held = 48 * scenario.K ** 2  # a GramStack's three K x K rows per trial
+    `BATCH_BYTES` leaves after the reductions of the ranges before it,
+    `grams` K x K complex arrays per trial."""
+    held = 16 * grams * scenario.K ** 2
     count = next((c for c in range(1, trials) if all(
         draw_bytes(scenario, len(r)) + r.start * held <= BATCH_BYTES
         for r in _split(trials, c))), trials)
@@ -140,9 +142,9 @@ def _run_batch(job):
     apply the kernel to the reductions joined in trial order."""
     kernel, cfg, scenario, key, trials, arg = job
     rngs = [seed_stream(cfg.run.seed, *key, t) for t in trials]
-    reduce, join = _REDUCTIONS[kernel]
+    reduce, join, grams = _REDUCTIONS[kernel]
     parts = [reduce(cfg, draw_batch(scenario, rngs[r.start:r.stop]).realization)
-             for r in draw_batches(scenario, len(rngs))]
+             for r in draw_batches(scenario, len(rngs), grams)]
     reduced = parts[0] if len(parts) == 1 else join(parts)
     del parts  # joined: the pass holds the reductions once
     return kernel(cfg, reduced, rngs, arg)
@@ -316,15 +318,11 @@ def convergence_trace(cfg) -> dict:
     validate(cfg)
     methods = iterative_methods(cfg)
     scenario = build_scenario(cfg)
-    # A batch's trials: the larger of the draw's (K, M) rows (2 M K complex
-    # entries) and the kernel's working set, counted as the blocks and Gram
-    # (under M K + K^2) and, per step, one solve's iterate and residual
-    # (2 K) and each method's float trace, at 16 bytes.  The kernel holds no
-    # blocks, but these are the batches of one budget for draw and solves:
-    # 27-trial batches at M = 99 overran the budget.
-    M, K, steps = scenario.geometry.M, scenario.K, cfg.run.t_max + 1
-    trial_bytes = max(32 * M * K,
-                      16 * (M * K + K * K + steps * (2 * K + len(methods))))
+    # A batch's trials, by the kernel's working set alone (K only), at 16
+    # bytes per entry: four K x K (the Gram and its check's temporaries) and,
+    # per step, the stacked iterates and residuals (2 K) and each trace.
+    K, steps = scenario.K, cfg.run.t_max + 1
+    trial_bytes = 16 * (4 * K * K + steps * (2 * K + len(methods)))
     point = (scenario, (CONVERGENCE,), methods, trial_bytes)
     traces, = monte_carlo(cfg, _ls_error_kernel, [point], cfg.run.trials)
     return {m: np.median(traces[m], axis=0) for m in methods}
@@ -367,12 +365,13 @@ def _sum_se_kernel(cfg, grams, rngs, arg) -> dict:
                         lambda pre: sinr_eq9(grams, pre, pw.sigma2_watts).sum_se)
 
 
-# Per kernel: the reduction of a drawn sub-batch that it reads, and the join
-# of the sub-batches' reductions.
+# Per kernel: the reduction of a drawn sub-batch that it reads, the join of
+# the sub-batches' reductions, and the K x K complex arrays per trial that a
+# reduction holds: a GramStack's three Grams, or one regularized Gram.
 _REDUCTIONS = {
-    _sum_se_kernel: (lambda cfg, real: gram_stack(real), concat_grams),
-    _ber_kernel: (lambda cfg, real: gram_stack(real), concat_grams),
+    _sum_se_kernel: (lambda cfg, real: gram_stack(real), concat_grams, 3),
+    _ber_kernel: (lambda cfg, real: gram_stack(real), concat_grams, 3),
     _ls_error_kernel: (lambda cfg, real: gram_regularized(real.Hc,
                                                           cfg.power.xi),
-                       np.concatenate),
+                       np.concatenate, 1),
 }

@@ -47,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .channel import check_blocks, stack_blocks
-from .errors import ConfigurationError, DegenerateChannelError
+from .errors import (ConfigurationError, DegenerateChannelError,
+                     NonFiniteError)
 from .linsolve import DEFAULT_OMEGA, DEFAULT_T, HpdSystem, herm, solve
 
 CLASS_STEP = 8
@@ -219,19 +220,24 @@ def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
     """One method's precoder: per size class, the solve W, A = H^H H W and
     beta = sqrt(power / tr(F^H F)) with tr(F^H F) = Re <W, A>.  A system
     with no energy (every user it serves sees none of its block's antennas)
-    has tr = 0 and gets beta = 0.  beta A is scattered into the coupling
-    stack, which is formed after the solves, their temporaries gone.  With
-    the channel `blocks`, G = beta H W is formed from the same W on each
-    system's class users, zero on the columns of the users it leaves out."""
+    has tr = 0 and gets beta = 0; a diverged W, still finite, whose tr or
+    beta A is not raises `NonFiniteError`, as `_iterate` does for W.  beta A
+    is scattered into the coupling stack, which is formed after the solves,
+    their temporaries gone.  With the channel `blocks`, G = beta H W is
+    formed from the same W on each system's class users, zero on the
+    columns of the users it leaves out."""
     H = None if blocks is None else _stack(blocks, 2)
     G = None if blocks is None else np.zeros_like(H)
     scaled = []
     for c in classes:
         W = solve(c.sys, method, T, omega, trace=False).w
-        A = c.gram @ W
-        tr = np.vecdot(W.reshape(len(W), -1), A.reshape(len(A), -1)).real
-        beta = np.sqrt(power / np.where(tr > 0, tr, np.inf))
-        A *= beta[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = c.gram @ W
+            tr = np.vecdot(W.reshape(len(W), -1), A.reshape(len(A), -1)).real
+            beta = np.sqrt(power / np.where(tr > 0, tr, np.inf))
+            A *= beta[:, None, None]
+        if not (np.isfinite(tr).all() and np.isfinite(A).all()):
+            raise NonFiniteError(f"{method}: tr(F^H F) or beta A is inf/NaN")
         scaled.append((A, beta > 0))
         if H is not None:
             F = np.take_along_axis(H[c.rows], c.users[:, None, :], axis=-1) @ W

@@ -8,14 +8,16 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 
+import numpy as np
 import pytest
 
 from helpers import small_config
 from test_golden import GOLDEN, SMALL, golden_case
 from xlmimo import channel, geometry, linsolve, metrics, precoder, scenario
 from xlmimo.config import ExperimentConfig, apply_overrides
-from xlmimo.errors import DegenerateChannelError
+from xlmimo.errors import DegenerateChannelError, NonFiniteError
 from xlmimo.experiments import run_experiment
 from xlmimo.scenario import build_scenario
 
@@ -118,11 +120,13 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     ("se_vs_m", ["run.m_grid=[264]", "run.trials=6"], [6], [3, 3]),
     ("se_vs_m", ["run.m_grid=[264]", "run.trials=16"], [8, 8], [4] * 4),
     ("ber", ["run.bits_per_point=262144"], [4, 4] * 6, None),
-    ("convergence", ["run.t_max=20", "run.trials=15"], [15], None),
-    ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=20"],
-     [5] * 4, None),
-    # Far past convergence the iterate history outgrows the draw.
-    ("convergence", ["run.t_max=300", "run.trials=6"], [3, 3], None)],
+    # A convergence batch holds as many trials at either M; at M = 264 it
+    # draws in sub-batches.
+    ("convergence", ["run.t_max=20", "run.trials=17"], [17], None),
+    ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=17"],
+     [17], [3, 3, 4, 3, 4]),
+    # Far past convergence the stacked iterates outweigh the Grams.
+    ("convergence", ["run.t_max=300", "run.trials=8"], [4, 4], None)],
     ids=["se_vs_m-M99", "se_vs_m-M264", "se_vs_m-M264-passes",
          "ber-qpsk", "convergence-M99", "convergence-M264",
          "convergence-tmax300"])
@@ -156,6 +160,26 @@ def test_batch_peak_within_budget(experiment, items, sizes, draws, tmp_path,
     assert max(peaks) <= metrics.BATCH_BYTES
 
 
+def test_convergence_batches_do_not_depend_on_m(monkeypatch):
+    # The convergence kernel holds K x K arrays and K-vectors only, so a
+    # batch holds as many trials at M = 264 as at M = 99; only its draw
+    # splits by M.
+    seen = Counter()
+
+    def planned(job):
+        kernel, cfg, scenario, key, trials, methods = job
+        seen[scenario.geometry.M, len(trials)] += 1
+        return {m: np.ones((len(trials), cfg.run.t_max + 1)) for m in methods}
+
+    monkeypatch.setattr(metrics, "_run_batch", planned)
+    for M in (99, 264):
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, ["run.experiment=convergence", f"geometry.M={M}",
+                              "run.t_max=20", "run.trials=60"])
+        metrics.convergence_trace(cfg)
+    assert seen == {(99, 15): 4, (264, 15): 4}
+
+
 def _fix_batch_size(monkeypatch, per_batch):
     """Set the byte budget, at each batching decision, to `per_batch` trials'
     working sets and the batch's fixed term; returns the list of batch sizes
@@ -174,12 +198,16 @@ def _fix_batch_size(monkeypatch, per_batch):
     return sizes
 
 
-def _golden_sha256(tmp_path, experiment, *extra):
+def _sha256(tmp_path, overrides):
     cfg = ExperimentConfig()
-    apply_overrides(cfg, [f"run.experiment={experiment}", *SMALL, *extra])
-    out = tmp_path / f"{experiment}.csv"
+    apply_overrides(cfg, overrides)
+    out = tmp_path / f"{cfg.run.experiment}.csv"
     run_experiment(cfg, str(out))
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _golden_sha256(tmp_path, experiment, *extra):
+    return _sha256(tmp_path, [f"run.experiment={experiment}", *SMALL, *extra])
 
 
 @pytest.mark.parametrize("case", ["se_vs_m", "convergence", "ber",
@@ -196,13 +224,19 @@ def test_bytes_do_not_depend_on_batching(tmp_path, monkeypatch, case,
     assert max(sizes) == min(per_batch, 5 if experiment != "ber" else 4)
 
 
+# A convergence run at M = 264 and the default K, which no golden hash pins:
+# its reference is its own run at the default plan, one batch of 6 trials
+# drawn in two sub-batches.
+CONV_M264 = ["run.experiment=convergence", "geometry.M=264", "run.t_max=20",
+             "run.trials=6"]
+
+
 @pytest.mark.parametrize("case", ["se_vs_m", "convergence", "ber",
-                                  "convergence-t40"])
+                                  "convergence-t40", "convergence-M264"])
 def test_bytes_do_not_depend_on_draw_sub_batches(tmp_path, monkeypatch,
                                                  case):
     # Every trial drawn alone, each a sub-batch of its own, under one batch
     # of all the trials of a grid point.
-    experiment, extra = golden_case(case)
     drawn, draw_batch = [], metrics.draw_batch
 
     def draw(scenario, rngs):
@@ -210,10 +244,19 @@ def test_bytes_do_not_depend_on_draw_sub_batches(tmp_path, monkeypatch,
         return draw_batch(scenario, rngs)
 
     monkeypatch.setattr(metrics, "draw_batch", draw)
+    if case == "convergence-M264":
+        run = partial(_sha256, tmp_path, CONV_M264)
+        expected = run()
+        assert drawn == [3, 3]
+        drawn.clear()
+    else:
+        experiment, extra = golden_case(case)
+        run = partial(_golden_sha256, tmp_path, experiment, *extra)
+        expected = GOLDEN[case]
     monkeypatch.setattr(metrics, "draw_bytes",
                         lambda scenario, trials: metrics.BATCH_BYTES + 1)
     sizes = _fix_batch_size(monkeypatch, 1000)
-    assert _golden_sha256(tmp_path, experiment, *extra) == GOLDEN[case]
+    assert run() == expected
     assert min(sizes) > 1 and set(drawn) == {1}
     assert len(drawn) == sum(sizes)
 
@@ -375,6 +418,17 @@ def test_pipelines_finish_at_high_snr(tmp_path):
     apply_overrides(cfg, ["run.experiment=se_vs_m", "run.m_grid=[24]",
                           "power.snr_db=156"])
     _assert_finite_rows(cfg, tmp_path)
+
+
+def test_diverged_precoder_raises():
+    # ROADMAP item 22: JOR at omega = 1 diverges on most central Grams.
+    # After 1300 steps W is still finite, but tr(F^H F) = Re <W, H^H H W>
+    # overflows; that must raise, not give the block beta = 0.
+    cfg = ExperimentConfig()
+    apply_overrides(cfg, ["geometry.M=66", "run.m_grid=[66]", "run.trials=1",
+                          "run.methods=[jor]", "solver.T=1300"])
+    with pytest.raises(NonFiniteError, match="tr"):
+        list(metrics.se_montecarlo(cfg))
 
 
 def _assert_finite_rows(cfg, tmp_path):

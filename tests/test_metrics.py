@@ -390,7 +390,8 @@ class TestReferenceBatches:
         cfg = ExperimentConfig()
         apply_overrides(cfg, ["power.snr_db=25", "run.trials=16"])
         scenarios = [build_scenario(cfg, M=M) for M in cfg.run.m_grid]
-        assert [any(len(metrics.draw_batches(s, len(b))) > 1 for b in
+        # A GramStack holds three K x K complex arrays per trial.
+        assert [any(len(metrics.draw_batches(s, len(b), 3)) > 1 for b in
                     metrics.trial_batches(cfg.run.trials,
                                           metrics.precoding_bytes(s)))
                 for s in scenarios] == [M >= 198 for M in cfg.run.m_grid]

@@ -339,17 +339,36 @@ def test_build_precoder_solves_once_per_size_class(method, monkeypatch):
     assert calls == [c.sys.P.shape for c in classes]
 
 
+# ROADMAP item 19 at 80 and 100 dB (xi = 1e-8 and 1e-10): where a block is
+# nearly singular (more users than antennas, or nearly so), direct RZF's
+# Gram-domain power and couplings lose the small singular values of H, by
+# 1e-6 to 0.4 relative.  Jac-PCG's, on one such stack, miss by 3e-12 to
+# 2e-11 and pass on some BLAS kernels, so that case is not strict.
+_ITEM_19 = "ROADMAP item 19: the Gram-domain power is inaccurate at high SNR"
+
+
+def _full_system_marks(stack, xi, method):
+    if xi >= 0.05:
+        return ()
+    if method == "direct" and stack not in ("one-trial", "dead-side"):
+        return pytest.mark.xfail(strict=True, reason=_ITEM_19)
+    if method == "jacpcg" and stack == "every-user-visible":
+        return pytest.mark.xfail(strict=False, reason=_ITEM_19)
+    return ()
+
+
 # The reference stack has users that a block cannot see; the others have
 # every user visible (dead-side: but in one block), in blocks of K_i < 8
 # users, of K_i = 8 and 16, or of K_i = 10 and 20.  Entries agree to 1e-12
 # relative, or to 1e-12 of the block's largest entry where they are near
 # zero.  xi = 1e12 and 1e20 (-120 and -200 dB) dwarf H^H H: the coupling
 # block must still be H^H G.
-@pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
-@pytest.mark.parametrize("stack, xi", [
-    pytest.param(stack, xi, id=stack if xi == 0.05 else f"{stack}-xi{xi:g}")
-    for xi in (0.05, 1e12, 1e20) for stack in _STACKS])
-def test_visible_users_solve_as_the_full_system(method, stack, xi):
+@pytest.mark.parametrize("stack, xi, method", [
+    pytest.param(stack, xi, method, marks=_full_system_marks(stack, xi, method),
+                 id=f"{stack if xi == 0.05 else f'{stack}-xi{xi:g}'}-{method}")
+    for xi in (0.05, 1e12, 1e20, 1e-8, 1e-10) for stack in _STACKS
+    for method in ["direct", "gs", "jor", "cg", "jacpcg"]])
+def test_visible_users_solve_as_the_full_system(stack, xi, method):
     real = _STACKS[stack]()
     pre = build_precoder(real, xi, 2.0, method, T=3, omega=0.5)
     full = _full_solve_oracle(real, xi, 2.0, method, 3, 0.5)
