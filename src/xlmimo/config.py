@@ -5,8 +5,9 @@ largest array within the paper's 23.0610 m aperture), K = 32 users,
 T = 5 iterations.  The rest of the paper's system model is constants, not
 settings: S = 3, L = 2, the carrier, antenna spacing, cell, minimum distance
 and VR length spread (`geometry`), the path loss and correlation (`channel`),
-the flops table's user grid (`flops.K_GRID`) and the noise power
-`SIGMA2_DBM`.  M must divide by 3, K by 2.
+JOR's relaxation (`linsolve.DEFAULT_OMEGA`), the flops table's user grid
+(`flops.K_GRID`) and the noise power `SIGMA2_DBM`.  M must divide by 3, K
+by 2.
 """
 
 import dataclasses
@@ -66,7 +67,12 @@ class PowerConfig:
 @dataclass
 class SolverConfig:
     T: int = DEFAULT_T
-    omega: float = DEFAULT_OMEGA  # JOR relaxation (1 = classical Jacobi)
+
+    @property
+    def omega(self) -> float:
+        """JOR relaxation, fixed at `linsolve.DEFAULT_OMEGA` (classical
+        Jacobi)."""
+        return DEFAULT_OMEGA
 
 
 @dataclass
@@ -201,8 +207,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigurationError("channel.vr_mu_frac must be positive")
     if s.T < 1:
         raise ConfigurationError(f"solver.T must be >= 1, got {s.T}")
-    if s.omega <= 0:
-        raise ConfigurationError(f"solver.omega must be positive, got {s.omega}")
     if r.seed < 0:
         raise ConfigurationError(f"run.seed must be >= 0, got {r.seed}")
     if r.trials < 1 or r.workers < 1 or r.t_max < 1:

@@ -219,7 +219,7 @@ def _col_dot(a, b) -> np.ndarray:
 
 
 def _pcg_steps(c):
-    """PCG recurrence with diagonal preconditioner C (..., n, 1); None is CG.
+    """PCG recurrence with diagonal preconditioner C, (..., n, 1) or a scalar.
 
     The search direction is built from z = C^{-1} r, with r^H z inner
     products.  A column whose r^H z is below `RZ_FLOOR` (zero, or underflowed
@@ -231,7 +231,7 @@ def _pcg_steps(c):
     def steps(P, s):
         w = np.zeros_like(s)
         r = s.copy()  # s - P w at w = 0
-        z = r if c is None else r / c
+        z = r / c
         m = z.copy()
         rz = _col_dot(r, z)
         while np.any(live := ~(rz < RZ_FLOOR)):
@@ -243,7 +243,7 @@ def _pcg_steps(c):
             alpha = np.where(live, rz / np.where(curv > 0, curv, 1.0), 0.0)
             w = w + alpha * m
             r = r - alpha * q
-            z = r if c is None else r / c
+            z = r / c
             rz_new = _col_dot(r, z)
             beta = np.where(live, rz_new / np.where(live, rz, 1.0), 0.0)
             m = z + beta * m
@@ -256,8 +256,9 @@ def _pcg_steps(c):
 
 def cg_solve(sys: HpdSystem, T: int, keep_iterates: bool = False,
              trace: bool = True) -> SolverOutcome:
-    """Classical conjugate gradient; exact within n iterations in exact arithmetic."""
-    return _iterate(sys, T, keep_iterates, trace, _pcg_steps(None))
+    """Classical conjugate gradient, PCG with C = 1 (r / 1.0 is r, bit for
+    bit); exact within n iterations in exact arithmetic."""
+    return _iterate(sys, T, keep_iterates, trace, _pcg_steps(1.0))
 
 
 def jacpcg_solve(sys: HpdSystem, T: int, precond_diag=None,

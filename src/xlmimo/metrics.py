@@ -26,8 +26,8 @@ import numpy as np
 from .config import PowerConfig, validate
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, solve
-from .precoder import (concat_grams, gram_regularized, gram_stack,
-                       precode_each)
+from .precoder import (CLASS_STEP, concat_grams, gram_regularized,
+                       gram_stack, precode_each)
 from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
@@ -35,7 +35,8 @@ BATCH_BYTES = 3 << 19
 """Working memory one batch may hold, in bytes (1.5 MiB), draw and pass
 together.
 
-Three terms size a batch:
+Four terms size a batch:
+- each trial's stream, `STREAM_BYTES`, held for the whole batch;
 - the pass, per trial: `precoding_bytes`, or for convergence the solves'
   working set; K x K arrays and per-step K-vectors only;
 - BER's QPSK chain, once per batch: 54 bytes per user and symbol, 864 KiB
@@ -43,14 +44,20 @@ Three terms size a batch:
   K = 32 the chain alone exceeds the budget, and a batch of one trial
   overruns it;
 - the draw, per trial and per draw call: `draw_bytes`, mostly the (K, M)
-  rows.  A batch draws in sub-batches (`draw_batches`), each of which gets
-  what the budget leaves after the reductions already held, the K x K
-  arrays per trial that `_REDUCTIONS` states for its kernel.
+  rows, or the reduction that follows it while the blocks are still held,
+  whichever is larger.  A batch draws in sub-batches (`draw_batches`), each
+  of which gets what the budget leaves after the streams and the
+  reductions already held, the K x K arrays per trial that `_REDUCTIONS`
+  states for its kernel.
 Larger passes are faster, since a pass's numpy calls cost about the same
 whatever the stack: precoding and SINR for five methods at M = 99 and
 25 dB took 4.05 ms per trial alone, 1.34 ms in a stack of 6, 1.03 ms in
 one of 12 and 0.89 ms in one of 48 (one BLAS thread, numpy 2.4).  The
 benchmark's `peak_rss_mb` has a 5% bound, about 2 MB."""
+
+STREAM_BYTES = 1024
+"""A trial's seed stream: its generator and seed sequence, 0.9 KB under
+tracemalloc."""
 
 
 def _split(trials: int, count: int) -> list:
@@ -73,36 +80,52 @@ def trial_batches(trials: int, trial_bytes: int, fixed_bytes: int = 0) -> list:
 def draw_batches(scenario, trials: int, grams: int) -> list:
     """Sub-batches 0..trials-1 of a batch's draw: the fewest near-equal
     ranges, at least one trial each, where each range's draw gets what
-    `BATCH_BYTES` leaves after the reductions of the ranges before it,
-    `grams` K x K complex arrays per trial."""
-    held = 16 * grams * scenario.K ** 2
+    `BATCH_BYTES` leaves after the batch's streams and the reductions of the
+    ranges before it, `grams` K x K complex arrays per trial.
+
+    A range's draw peaks in `draw_bytes`, or in its reduction, formed while
+    its channel blocks (2/3 M K entries per trial, counted as 11 M K bytes)
+    are still held: per trial the reduction's `grams` K x K and 1.5 more it
+    is formed from (a `GramStack`'s three unpadded block Grams, or a Gram
+    and its conjugate transpose), and the 128 KiB buffer numpy takes to add
+    that transpose.  Eight trials reduced to their `GramStack` at M = 99,
+    K = 32 peak at 862 KB under tracemalloc, against 811 KB for their draw.
+    """
+    held, room = 16 * grams * scenario.K ** 2, BATCH_BYTES - trials * STREAM_BYTES
+    reduction = 11 * scenario.geometry.M * scenario.K + held + 24 * scenario.K ** 2
     count = next((c for c in range(1, trials) if all(
-        draw_bytes(scenario, len(r)) + r.start * held <= BATCH_BYTES
-        for r in _split(trials, c))), trials)
+        max(draw_bytes(scenario, len(r)), len(r) * reduction + (128 << 10))
+        + r.start * held <= room for r in _split(trials, c))), trials)
     return _split(trials, count)
 
 
 def draw_bytes(scenario, trials: int) -> int:
-    """Peak memory of one `draw_batch` of `trials` trials: per trial its
-    (K, M) rows, the complex channel, its real amplitudes and the VR mask
-    (25 bytes per entry, counted as 26), and per draw 48 M K bytes.  Under
-    tracemalloc a draw of b trials peaks at (25 b + 48) M K bytes for b from
-    2 to 15 at M = 99 and 264.  The channel blocks that follow the rows are
-    smaller, and each sub-batch releases them once reduced."""
-    return scenario.geometry.M * scenario.K * (26 * trials + 48)
+    """Peak memory of one `draw_batch` of `trials` trials, the larger of
+    two phases.  While it draws: per trial its (K, M) rows, the complex
+    channel, its real amplitudes and the VR mask (25 bytes per entry,
+    counted as 26), and per draw 48 M K bytes; under tracemalloc a draw of
+    b trials peaks at (25 b + 48) M K bytes for b from 2 to 15 at M = 99
+    and 264.  While it cuts the channel blocks from the rows: the rows, the
+    mask and the blocks, 27.7 bytes per entry and trial, counted as 28; this
+    phase is the larger above 24 trials.  Each sub-batch releases its blocks
+    once reduced."""
+    return scenario.geometry.M * scenario.K * max(26 * trials + 48, 28 * trials)
 
 
 def precoding_bytes(scenario) -> int:
-    """One trial's share of a precoder pass: ten K x K complex arrays, 160
-    KiB at K = 32.  The pass holds only K x K arrays: the batch's Gram
-    stack (three per trial, the side blocks' K/2 x K/2 Grams zero-padded),
-    joined from its sub-batches' stacks; each size class's Grams and system
-    with xi I; one solve's; and one method's coupling stack, padded the same
-    way and formed after its solves.  Under tracemalloc a pass peaks at
-    about 9.9 per trial at M = 99 and 264: eight would admit 12 trials at
-    M = 99, which peaked at 1.93 MB.  BER adds its QPSK chain once per batch
-    (see `BATCH_BYTES`)."""
-    return 160 * scenario.K ** 2
+    """One trial's share of a precoder pass, its stream included: seven
+    K x K complex arrays and 12 CLASS_STEP K-vectors, 161 KiB at K = 32.
+    The pass holds only K x K arrays: the batch's Gram stack (three per
+    trial, the side blocks' K/2 x K/2 Grams zero-padded), joined from its
+    sub-batches' stacks; each size class's Grams and system with xi I; one
+    solve's; and one method's coupling stack, padded the same way and formed
+    after its solves, then B.  A class is at least CLASS_STEP users wide, so
+    below K = 32 each fills its block, and a pass holds more per K^2: under
+    tracemalloc it peaks at about 9.6 K x K per trial at K = 32, and needs
+    up to 12.8 at K = 16 (M = 264), 16 at K = 8 and 19.5 at K = 4, which
+    the K-vectors cover.  BER adds its QPSK chain once per batch (see
+    `BATCH_BYTES`)."""
+    return 16 * scenario.K * (7 * scenario.K + 12 * CLASS_STEP) + STREAM_BYTES
 
 
 def monte_carlo(cfg, kernel, points, trials: int, fixed_bytes: int = 0):
@@ -167,15 +190,10 @@ class BerReport:
 def coupling_matrix(realization, precoder) -> np.ndarray:
     """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k.
 
-    B adds the precoder's coupling blocks H_i^H G_i: the central one over
-    every user, each side one over its group's users.  Of `realization`
-    only K1 is read, so its `GramStack` serves as well.
+    The precoder pass forms B once (`BlockPrecoder.B`); `realization` is
+    not read, so its `GramStack` serves as well.
     """
-    K1 = realization.K1
-    B = precoder.Cc.copy()
-    B[..., :K1, :K1] += precoder.C1
-    B[..., K1:, K1:] += precoder.C2
-    return B
+    return precoder.B
 
 
 def sinr_eq9(realization, precoder, sigma2: float) -> LinkReport:
@@ -318,11 +336,14 @@ def convergence_trace(cfg) -> dict:
     validate(cfg)
     methods = iterative_methods(cfg)
     scenario = build_scenario(cfg)
-    # A batch's trials, by the kernel's working set alone (K only), at 16
-    # bytes per entry: four K x K (the Gram and its check's temporaries) and,
-    # per step, the stacked iterates and residuals (2 K) and each trace.
-    K, steps = scenario.K, cfg.run.t_max + 1
-    trial_bytes = 16 * (4 * K * K + steps * (2 * K + len(methods)))
+    # A batch's trials, by the kernel's working set alone (K only), and its
+    # stream: four complex K x K (the Gram and its check's temporaries) and,
+    # per step, the stacked iterates and residuals (2 K complex) and each
+    # real trace; and 512 bytes for the trial's bits, an array of their own
+    # until stacked, and the per-system overheads of the solves (0.4 KB at
+    # K = 2 under tracemalloc).
+    K, steps, n = scenario.K, cfg.run.t_max + 1, len(methods)
+    trial_bytes = 16 * K * (4 * K + 2 * steps) + 8 * steps * n + 512 + STREAM_BYTES
     point = (scenario, (CONVERGENCE,), methods, trial_bytes)
     traces, = monte_carlo(cfg, _ls_error_kernel, [point], cfg.run.trials)
     return {m: np.median(traces[m], axis=0) for m in methods}

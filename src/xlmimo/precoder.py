@@ -9,9 +9,11 @@ precoding vectors exist for the SINR evaluation; beta is computed from the
 
 After the Gram no step of a pipeline's pass touches M.  With A_i =
 H_i^H H_i W_i = H_i^H F_i, formed from the unregularized Gram,
-tr(F_i^H F_i) = Re <W_i, A_i>, and the coupling block that the SINR reads
-is H_i^H G_i = beta_i A_i.  `BlockPrecoder` holds the coupling blocks, and
-the M x K blocks G_i only when it was built from the channel blocks.
+tr(F_i^H F_i) = Re <W_i, A_i>, and block i's coupling H_i^H G_i is
+beta_i A_i.  The SINR and the BER chain read one K x K gain matrix per
+trial, B = H^H G, the central coupling plus each side one on its group's
+users.  `BlockPrecoder` holds B, and the M x K blocks G_i only when it was
+built from the channel blocks.
 
 A user outside block i's visibility region has a zero column in H_i, so its
 row and column of P_i are xi e_k: it decouples from the other users, and
@@ -33,9 +35,9 @@ sits past its block's K_i, which no class exceeds, so it never enters a
 class.  A size class is rows of that stack, each with its n users; its
 `HpdSystem`, with xi I added, is shared by all methods, and each method
 solves once per class.  The coupling blocks are scattered into a stack of
-the same layout and cut back into the three blocks.  `build_precoder`
-alone passes its realization's blocks, so its pass also forms G from the
-same solves.  The Gram is never undone: at low SNR, xi far above
+the same layout, and each trial's side rows are added onto its central
+row, which is B.  `build_precoder` alone passes its realization's blocks,
+so its pass also forms G from the same solves.  The Gram is never undone: at low SNR, xi far above
 ||H_i^H H_i||, subtracting xi I again would cancel H_i^H H_i away.  A
 stacked system rounds as if solved alone, so the precoders equal those of
 a solve per block and trial, whichever trials share the stack.
@@ -59,20 +61,21 @@ CLASS_STEP = 8
 class BlockPrecoder:
     """Stacked precoder for the S=3, L=2 topology with per-block power control.
 
-    Holds the coupling blocks C_i = H_i^H G_i, (..., K_i, K_i), each already
-    scaled by its beta_i, and, when built from the channel blocks
-    (`build_precoder`), the precoder blocks G1, Gc, G2, (..., M_i, K_i).
+    Holds the gain matrix B = H^H G, (..., K, K), B[k, j] the gain from
+    symbol j to user k: the central coupling block H_c^H G_c over every
+    user plus each side block H_i^H G_i over its group's users.  When built
+    from the channel blocks (`build_precoder`) it also holds the precoder
+    blocks G1, Gc, G2, (..., M_i, K_i).
     """
 
-    C1: np.ndarray
-    Cc: np.ndarray
-    C2: np.ndarray
+    B: np.ndarray
     G1: np.ndarray | None = None
     Gc: np.ndarray | None = None
     G2: np.ndarray | None = None
 
     def __post_init__(self):
-        check_blocks(self.C1, self.Cc, self.C2)
+        if self.G1 is not None:
+            check_blocks(self.G1, self.Gc, self.G2)
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -85,9 +88,9 @@ class BlockPrecoder:
 
 
 def _gram(H: np.ndarray) -> np.ndarray:
-    """H^H H per trial, symmetrized: (..., M, K) complex -> (..., K, K)."""
+    """H^H H per trial, symmetrized in place: (..., M, K) -> (..., K, K)."""
     S = herm(H) @ H
-    return (S + herm(S)) / 2.0
+    return np.divide(np.add(S, herm(S), out=S), 2.0, out=S)
 
 
 def gram_regularized(H: np.ndarray, xi: float) -> np.ndarray:
@@ -223,7 +226,9 @@ def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
     has tr = 0 and gets beta = 0; a diverged W, still finite, whose tr or
     beta A is not raises `NonFiniteError`, as `_iterate` does for W.  beta A
     is scattered into the coupling stack, which is formed after the solves,
-    their temporaries gone.  With the channel `blocks`, G = beta H W is
+    their temporaries gone; each trial's side blocks are added onto its
+    central one, as B = H^H G sums them, and B is copied out of the stack,
+    which is then freed.  With the channel `blocks`, G = beta H W is
     formed from the same W on each system's class users, zero on the
     columns of the users it leaves out."""
     H = None if blocks is None else _stack(blocks, 2)
@@ -253,9 +258,11 @@ def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
     if not np.all(np.any(live.reshape(-1, len(grams.sizes)), axis=-1)):
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
-    C1, Cc, C2 = _cut(C, [grams.lead + (k, k) for k in grams.sizes])
-    return BlockPrecoder(C1, Cc, C2, *(
-        () if G is None else _cut(G, [B.shape for B in blocks])))
+    B, k = C[1::3], grams.K1
+    B[:, :k, :k] += C[0::3, :k, :k]
+    B[:, k:, k:] += C[2::3, :k, :k]
+    return BlockPrecoder(B.reshape(grams.lead + B.shape[1:]).copy(), *(
+        () if G is None else _cut(G, [b.shape for b in blocks])))
 
 
 def build_precoder(realization, xi: float, power: float, method: str,

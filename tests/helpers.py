@@ -76,11 +76,16 @@ def stacked(realizations) -> ChannelRealization:
 
 def explicit_precoder(channel_blocks, G_blocks) -> BlockPrecoder:
     """The precoder with blocks G_blocks = (G1, Gc, G2) on the channel blocks
-    (H1, Hc, H2): its coupling blocks are the products H_i^H G_i."""
+    (H1, Hc, H2): its gain matrix B adds the products H_i^H G_i, the
+    central one over every user, then side 1's over the first K1 users and
+    side 2's over the last K2, in the order of the precoder pass."""
     G_blocks = tuple(G_blocks)
-    return BlockPrecoder(*(np.swapaxes(np.conj(H), -1, -2) @ G
-                           for H, G in zip(channel_blocks, G_blocks)),
-                         *G_blocks)
+    C1, B, C2 = (np.swapaxes(np.conj(H), -1, -2) @ G
+                 for H, G in zip(channel_blocks, G_blocks))
+    K1, K2 = C1.shape[-1], C2.shape[-1]
+    B[..., :K1, :K1] += C1
+    B[..., -K2:, -K2:] += C2
+    return BlockPrecoder(B, *G_blocks)
 
 
 def ls_error_oracle(P, rhs, iterates) -> np.ndarray:

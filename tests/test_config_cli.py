@@ -92,6 +92,7 @@ class TestValidation:
         ("geometry", "spacing_wavelengths", 2.0),
         ("users", "cell_side", 100.0), ("users", "min_dist", 30.0),
         ("channel", "omega", 4.0), ("channel", "nu", 3.0),
+        ("solver", "omega", 1.0),
         ("power", "sigma2_dbm", -50.0),
         ("channel", "rho", 0.5), ("channel", "vr_sigma", 0.1),
         ("channel", "normalize_gain", "true"),
@@ -166,10 +167,10 @@ class TestValidation:
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw, value", [
         ("power", "snr_db", "3e1", 30.0),
-        ("solver", "omega", "5e-1", 0.5),
+        ("channel", "vr_mu_frac", "5e-1", 0.5),
         ("channel", "vr_mu_frac", "2e-1", 0.2),
         ("power", "snr_db", "-2.5E1", -25.0),
-        ("solver", "omega", "1.0e1", 10.0)])
+        ("power", "snr_db", "1.0e1", 10.0)])
     def test_float_with_exponent_accepted(self, section, key, raw, value, form):
         cfg = _config_with(section, key, raw, form)
         assert getattr(getattr(cfg, section), key) == value
@@ -177,10 +178,10 @@ class TestValidation:
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw", [
         ("run", "trials", "1e3"),            # a float for an int field
-        ("solver", "omega", "3e"),           # no exponent digits
-        ("solver", "omega", "e9"),           # no mantissa
-        ("solver", "omega", "null"),
-        ("solver", "omega", "yes")])
+        ("power", "snr_db", "3e"),           # no exponent digits
+        ("channel", "vr_mu_frac", "e9"),     # no mantissa
+        ("power", "snr_db", "null"),
+        ("channel", "vr_mu_frac", "yes")])
     def test_bad_number_forms_rejected(self, section, key, raw, form):
         with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
             _config_with(section, key, raw, form)
@@ -309,11 +310,12 @@ class TestCli:
         assert err["error"] == "ConfigurationError"
 
     # A diverging iteration stops the run instead of writing NaN rows: at
-    # the default settings JOR's iterate overflows at t = 1598, and with
-    # omega = 1e200 within the precoder's T = 5 steps.
+    # the default settings JOR's iterate overflows at t = 1598, and at
+    # M = 66 with T = 1300 its precoder's tr(F^H F) overflows.
     @pytest.mark.parametrize("experiment, items", [
         ("convergence", ["run.t_max=3000", "run.trials=4"]),
-        ("se_vs_m", ["solver.omega=1e200", "run.trials=2", "run.m_grid=[99]"])])
+        ("se_vs_m", ["geometry.M=66", "run.m_grid=[66]", "run.trials=1",
+                     "run.methods=[jor]", "solver.T=1300"])])
     def test_diverging_iteration_truncates_the_run(self, experiment, items,
                                                    tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -361,7 +363,6 @@ class TestCli:
         ("flops", "run.k_grid=[5, 5]"), ("ber", "run.snr_grid_db=[4.0, 4]"),
         # Every float is finite, and every SNR within +-300 dB.
         ("convergence", "power.snr_db=.nan"),
-        ("se_vs_m", "solver.omega=.nan"), ("se_vs_m", "solver.omega=.inf"),
         ("ber", "run.snr_grid_db=[.nan]"), ("ber", "run.snr_grid_db=[-.inf]"),
         ("se_vs_m", "channel.vr_mu_frac=.inf"),
         ("convergence", "power.snr_db=4000"),

@@ -126,10 +126,34 @@ def test_tracer_hooks_reach_every_method(tmp_path, monkeypatch):
     ("convergence", ["geometry.M=264", "run.t_max=20", "run.trials=17"],
      [17], [3, 3, 4, 3, 4]),
     # Far past convergence the stacked iterates outweigh the Grams.
-    ("convergence", ["run.t_max=300", "run.trials=8"], [4, 4], None)],
+    ("convergence", ["run.t_max=300", "run.trials=8"], [4, 4], None),
+    # Below K = 32 at M = 99, each at a count that made one batch that
+    # overran the budget: the streams, the pass's full size classes, and
+    # the blocks cut from the rows or reduced while held.
+    ("se_vs_m", ["users.K=16", "run.m_grid=[99]", "run.trials=37"],
+     [18, 19], None),
+    ("se_vs_m", ["users.K=8", "run.m_grid=[99]", "run.trials=153"],
+     [51] * 3, None),
+    ("se_vs_m", ["users.K=4", "run.m_grid=[99]", "run.trials=614"],
+     [153, 154] * 2, [76, 77, 77, 77] * 2),
+    ("ber", ["users.K=16", "run.snr_grid_db=[6.0]",
+             "run.bits_per_point=425984"], [13, 13], None),
+    ("ber", ["users.K=8", "run.snr_grid_db=[6.0]",
+             "run.bits_per_point=1081344"], [66, 66], None),
+    ("ber", ["users.K=4", "run.snr_grid_db=[6.0]",
+             "run.bits_per_point=2338816"], [142, 143, 143, 143],
+     [71, 71, 71, 72, 71, 72, 71, 72]),
+    ("convergence", ["users.K=16", "run.t_max=20", "run.trials=36"], [36],
+     [18, 18]),
+    ("convergence", ["users.K=8", "run.t_max=20", "run.trials=74"], [74],
+     [37, 37]),
+    ("convergence", ["users.K=4", "run.t_max=20", "run.trials=310"],
+     [155, 155], [77, 78] * 2)],
     ids=["se_vs_m-M99", "se_vs_m-M264", "se_vs_m-M264-passes",
          "ber-qpsk", "convergence-M99", "convergence-M264",
-         "convergence-tmax300"])
+         "convergence-tmax300", "se_vs_m-K16", "se_vs_m-K8", "se_vs_m-K4",
+         "ber-K16", "ber-K8", "ber-K4", "convergence-K16", "convergence-K8",
+         "convergence-K4"])
 def test_batch_peak_within_budget(experiment, items, sizes, draws, tmp_path,
                                   monkeypatch):
     # Every batch holds at most BATCH_BYTES at once, draw and kernel

@@ -1,5 +1,6 @@
 """Metrics: SINR/SE evaluation, QPSK chain, BER Monte Carlo, convergence traces."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,9 @@ from xlmimo.linsolve import solve
 from xlmimo.metrics import (ber_montecarlo, convergence_trace, coupling_matrix,
                             qpsk_detect, qpsk_modulate, se_montecarlo,
                             se_trial, sinr_eq9, sum_se)
-from xlmimo.precoder import build_precoder
-from xlmimo.scenario import build_scenario
-from xlmimo.seeding import BER
+from xlmimo.precoder import build_precoder, gram_stack, precode_each
+from xlmimo.scenario import build_scenario, draw_batch
+from xlmimo.seeding import BER, seed_stream
 
 
 def _zero_precoder(real):
@@ -239,6 +240,46 @@ class TestBer:
         scaled = decisions(ChannelRealization(*(B * c for B in real.blocks())),
                            sigma2 * c ** 2, xi * c ** 2)
         np.testing.assert_array_equal(base, scaled)
+
+    # Given a trial's coupling B and its bits, user k decides each bit on Re
+    # or Im of y c, c = conj(g_k) (1 for a dead user), where y = (B s)_k + n
+    # and n ~ CN(0, sigma^2): a Gaussian of mean Re or Im of (B s)_k c and
+    # standard deviation sigma |c| / sqrt(2).  So a bit errs with probability
+    # erfc(d mu / (sigma |c|)) / 2, d = 1 - 2 b its symbol's sign and mu that
+    # mean, independently of every other bit.  Over 128 draws of 512 bits,
+    # the kernel's errors less the summed expectations, over the square root
+    # of the summed variances p (1 - p), is a z-score: 0.84 and 0.35 here,
+    # and 14 and 32 where the kernel's noise variance is doubled.
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0])
+    def test_errors_match_the_noise_averaged_oracle(self, snr_db):
+        cfg = small_config()
+        K, nsym, draws = cfg.users.K, cfg.run.symbols_per_channel, 128
+        scenario, key = build_scenario(cfg), (BER, 0)
+        errors = metrics._run_batch((metrics._ber_kernel, cfg, scenario, key,
+                                     range(draws), snr_db))
+        # Each trial's bits follow its channel on its stream.
+        rngs = [seed_stream(cfg.run.seed, *key, t) for t in range(draws)]
+        grams = gram_stack(draw_batch(scenario, rngs).realization)
+        bits = np.stack([rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
+                         for rng in rngs])
+        power = PowerConfig(snr_db=snr_db)
+        couplings = precode_each(grams, power.xi, power.tx_power_watts,
+                                 cfg.run.methods, cfg.solver.T,
+                                 cfg.solver.omega,
+                                 lambda pre: coupling_matrix(grams, pre))
+        erfc = np.frompyfunc(math.erfc, 1, 1)
+        for m, B in couplings.items():
+            c = np.diagonal(B, axis1=-2, axis2=-1).conj()
+            c[c == 0] = 1.0
+            mean = (B @ qpsk_modulate(bits)) * c[..., None]
+            margin = (np.stack([mean.real, mean.imag], axis=-1)
+                      * (1.0 - 2.0 * bits)
+                      / (math.sqrt(power.sigma2_watts) * np.abs(c))[..., None, None])
+            p = erfc(margin).astype(float) / 2.0
+            z = ((errors[m] - p.sum(axis=(1, 2, 3))).sum()
+                 / math.sqrt((p * (1.0 - p)).sum()))
+            assert 0 < errors[m].sum() < bits.size
+            assert abs(z) < 4.5, (m, z)
 
 
 class TestConvergenceTrace:

@@ -24,6 +24,17 @@ def _blocks(pre):
     return pre.G1, pre.Gc, pre.G2
 
 
+def _fold(C1, Cc, C2):
+    """The gain matrix B of coupling blocks (..., K_i, K_i), added in the
+    order of the precoder pass: the central block, then the side blocks on
+    their groups' users."""
+    K1 = C1.shape[-1]
+    B = Cc.copy()
+    B[..., :K1, :K1] += C1
+    B[..., K1:, K1:] += C2
+    return B
+
+
 def _random_realization(seed):
     """Central block 12 x 6 serving two groups of 3, side blocks 12 x 3."""
     rng = np.random.default_rng(seed)
@@ -161,8 +172,7 @@ class TestAssembly:
 class TestBuildPrecoder:
     @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
     def test_per_block_power_and_zero_pattern(self, method):
-        cfg = small_config(**{"solver.omega": 0.5})
-        _, draw = small_draw(cfg)
+        _, draw = small_draw()
         real = draw.realization
         pre = build_precoder(real, xi=0.5, power=1.0, method=method, T=3,
                              omega=0.5)
@@ -295,10 +305,9 @@ def test_shared_pass_rounds_as_each_block_alone(method, stack):
     real = _STACKS[stack]()
     pre = build_precoder(real, 0.05, 2.0, method, T=3, omega=0.5)
     oracle = _per_block_oracle(real, 0.05, 2.0, method, 3, 0.5)
-    for G, C, (G_ref, C_ref) in zip(_blocks(pre), (pre.C1, pre.Cc, pre.C2),
-                                    oracle):
+    for G, (G_ref, _) in zip(_blocks(pre), oracle):
         assert np.array_equal(G, G_ref)
-        assert np.array_equal(C, C_ref)
+    assert np.array_equal(pre.B, _fold(*(C for _, C in oracle)))
 
 
 @pytest.mark.parametrize("method", ["direct", "gs", "jor", "cg", "jacpcg"])
@@ -317,9 +326,8 @@ def test_pass_on_joined_gram_stacks_is_build_precoder(method):
     assert grams.gram.shape == (15, 32, 32) and grams.lead == (5,)
     pre = precode_each(grams, 0.05, 2.0, (method,), 3, 0.5,
                        lambda pre: pre)[method]
-    for C, C_ref in zip((pre.C1, pre.Cc, pre.C2),
-                        (whole.C1, whole.Cc, whole.C2)):
-        assert C.shape == C_ref.shape and C.tobytes() == C_ref.tobytes()
+    assert pre.B.shape == whole.B.shape == (5, 32, 32)
+    assert pre.B.tobytes() == whole.B.tobytes()
     with pytest.raises(ConfigurationError, match="build_precoder"):
         pre.G
 
@@ -372,16 +380,16 @@ def test_visible_users_solve_as_the_full_system(stack, xi, method):
     real = _STACKS[stack]()
     pre = build_precoder(real, xi, 2.0, method, T=3, omega=0.5)
     full = _full_solve_oracle(real, xi, 2.0, method, 3, 0.5)
-    for H, G, C, ref in zip(real.blocks(), _blocks(pre),
-                            (pre.C1, pre.Cc, pre.C2), full):
+    for H, G, ref in zip(real.blocks(), _blocks(pre), full):
         np.testing.assert_allclose(G, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
         dead = np.all(H == 0, axis=-2)
         assert np.all(G.swapaxes(-1, -2)[dead] == 0)
-        # The coupling block is H^H G, found without touching M.
-        HG = np.swapaxes(np.conj(H), -1, -2) @ G
-        np.testing.assert_allclose(C, HG, rtol=1e-12,
-                                   atol=1e-12 * np.abs(HG).max())
+    # The gain matrix is H^H G, found without touching M.
+    HG = _fold(*(np.swapaxes(np.conj(H), -1, -2) @ G
+                 for H, G in zip(real.blocks(), _blocks(pre))))
+    np.testing.assert_allclose(pre.B, HG, rtol=1e-12,
+                               atol=1e-12 * np.abs(HG).max())
 
 
 def _svd_rzf_sum_se(real, power_cfg):
@@ -431,7 +439,12 @@ def test_block_without_visible_users_gets_no_power():
     real = _dead_side_stack()
     pre = build_precoder(real, 0.05, 2.0, "cg", T=3)
     np.testing.assert_array_equal(pre.G2[2], 0.0)
-    np.testing.assert_array_equal(pre.C2[2], 0.0)
+    # The dead side block adds nothing to trial 2's gain matrix: it is the
+    # central and side-1 couplings alone.
+    C1, Cc, C2 = (C for _, C in _per_block_oracle(real, 0.05, 2.0, "cg", 3,
+                                                   1.0))
+    np.testing.assert_array_equal(C2[2], 0.0)
+    np.testing.assert_array_equal(pre.B[2], _fold(C1, Cc, 0.0)[2])
     for i in (0, 1, 3):
         assert float(np.vdot(pre.G2[i], pre.G2[i]).real) == pytest.approx(2.0)
 
