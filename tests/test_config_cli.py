@@ -167,7 +167,7 @@ class TestValidation:
     @pytest.mark.parametrize("form", ["yaml", "set"])
     @pytest.mark.parametrize("section, key, raw, value", [
         ("power", "snr_db", "3e1", 30.0),
-        ("channel", "vr_mu_frac", "5e-1", 0.5),
+        ("power", "snr_db", "5e-1", 0.5),
         ("channel", "vr_mu_frac", "2e-1", 0.2),
         ("power", "snr_db", "-2.5E1", -25.0),
         ("power", "snr_db", "1.0e1", 10.0)])
