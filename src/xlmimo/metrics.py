@@ -12,9 +12,11 @@ pass of its pipeline's kernel, sized by a K-only working set.  It is drawn
 in sub-batches sized by M (`scenario.draw_batch`, each trial from its own
 stream), and each sub-batch is reduced at once to what the kernel reads:
 its `precoder.GramStack`, or for convergence its regularized central Gram
-(three K x K arrays per trial, or one).  The kernel gets the reductions
-joined in trial order and makes one precoder pass (`precoder.precode_each`)
-or one solve per method, with no M x K array left.  Memory stays within
+(three K x K arrays per trial, or one).  The kernel gets the list of
+reductions in trial order, joins them and empties the list, so that it
+holds each once, and makes one precoder pass (`precoder.precode_each`,
+which drops the joined Gram stack once it has cut its size classes) or one
+solve per method, with no M x K array left.  Memory stays within
 `BATCH_BYTES` as M and K grow.
 """
 
@@ -26,8 +28,8 @@ import numpy as np
 from .config import PowerConfig, validate
 from .errors import ConfigurationError
 from .linsolve import HpdSystem, solve
-from .precoder import (CLASS_STEP, concat_grams, gram_regularized,
-                       gram_stack, precode_each)
+from .precoder import (CLASS_STEP, gram_regularized, gram_stack,
+                       precode_each, take_joined)
 from .scenario import build_scenario, draw_batch
 from .seeding import BER, CONVERGENCE, SE_VS_M, seed_stream
 
@@ -40,9 +42,11 @@ Four terms size a batch:
 - the pass, per trial: `precoding_bytes`, or for convergence the solves'
   working set; K x K arrays and per-step K-vectors only;
 - BER's QPSK chain, once per batch: 54 bytes per user and symbol, 864 KiB
-  at K = 32 and 512 symbols.  Above about 900 symbols per channel at
-  K = 32 the chain alone exceeds the budget, and a batch of one trial
-  overruns it;
+  at K = 32 and 512 symbols, beside each trial's B of every method.  The
+  pass has dropped its Gram stack and solves by then, so a BER batch is
+  sized by the larger of its pass and its chain, not their sum
+  (`ber_montecarlo`).  Above about 900 symbols per channel at K = 32 the
+  chain alone exceeds the budget, and a batch of one trial overruns it;
 - the draw, per trial and per draw call: `draw_bytes`, mostly the (K, M)
   rows, or the reduction that follows it while the blocks are still held,
   whichever is larger.  A batch draws in sub-batches (`draw_batches`), each
@@ -117,14 +121,16 @@ def precoding_bytes(scenario) -> int:
     K x K complex arrays and 12 CLASS_STEP K-vectors, 161 KiB at K = 32.
     The pass holds only K x K arrays: the batch's Gram stack (three per
     trial, the side blocks' K/2 x K/2 Grams zero-padded), joined from its
-    sub-batches' stacks; each size class's Grams and system with xi I; one
-    solve's; and one method's coupling stack, padded the same way and formed
-    after its solves, then B.  A class is at least CLASS_STEP users wide, so
-    below K = 32 each fills its block, and a pass holds more per K^2: under
-    tracemalloc it peaks at about 9.6 K x K per trial at K = 32, and needs
-    up to 12.8 at K = 16 (M = 264), 16 at K = 8 and 19.5 at K = 4, which
-    the K-vectors cover.  BER adds its QPSK chain once per batch (see
-    `BATCH_BYTES`)."""
+    sub-batches' stacks, until its size classes are cut from it; each size
+    class's Grams and system with xi I; one solve's; and one method's
+    coupling stack, padded the same way and formed after its solves, then
+    B.  A class is at least CLASS_STEP users wide, so below K = 32 each
+    fills its block, and a pass holds more per K^2.  Under tracemalloc an
+    se_vs_m pass peaks at about 6.7 K x K per trial at K = 32, where the
+    classes are cut beside the Gram stack, and a BER pass at 10.9, in its
+    last method's solves beside the four B that the earlier methods hold
+    for the chain; this term counts 10.1.  BER charges each B past the
+    fourth method on top (see `ber_montecarlo`)."""
     return 16 * scenario.K * (7 * scenario.K + 12 * CLASS_STEP) + STREAM_BYTES
 
 
@@ -162,15 +168,14 @@ def _pool(workers: int):
 def _run_batch(job):
     """Draw one batch of trials in `draw_batches`, reduce each sub-batch to
     what the kernel reads as soon as it is drawn, releasing its blocks, and
-    apply the kernel to the reductions joined in trial order."""
+    apply the kernel to the list of reductions in trial order, which the
+    kernel joins and empties (`precoder.take_joined`)."""
     kernel, cfg, scenario, key, trials, arg = job
     rngs = [seed_stream(cfg.run.seed, *key, t) for t in trials]
-    reduce, join, grams = _REDUCTIONS[kernel]
+    reduce, grams = _REDUCTIONS[kernel]
     parts = [reduce(cfg, draw_batch(scenario, rngs[r.start:r.stop]).realization)
              for r in draw_batches(scenario, len(rngs), grams)]
-    reduced = parts[0] if len(parts) == 1 else join(parts)
-    del parts  # joined: the pass holds the reductions once
-    return kernel(cfg, reduced, rngs, arg)
+    return kernel(cfg, parts, rngs, arg)
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,8 @@ def coupling_matrix(realization, precoder) -> np.ndarray:
     """(..., K, K) gain matrices B: B[k, j] is the gain from symbol j to user k.
 
     The precoder pass forms B once (`BlockPrecoder.B`); `realization` is
-    not read, so its `GramStack` serves as well.
+    not read, and the pipelines' passes, which drop their `GramStack`, pass
+    None.
     """
     return precoder.B
 
@@ -233,7 +239,8 @@ def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     symbols = np.empty(bits.shape[:-1], dtype=complex)
     levels = symbols.reshape(-1).view(float).reshape(bits.shape)
-    np.multiply(bits, -2.0 * _QPSK_LEVEL, out=levels)
+    levels[...] = bits
+    levels *= -2.0 * _QPSK_LEVEL
     levels += _QPSK_LEVEL
     return symbols
 
@@ -258,15 +265,25 @@ def ber_montecarlo(cfg) -> BerReport:
     validate(cfg)
     grid = np.asarray(cfg.run.snr_grid_db, dtype=float)
     scenario = build_scenario(cfg)
-    bits_per_draw = 2 * scenario.K * cfg.run.symbols_per_channel
+    K, nsym = scenario.K, cfg.run.symbols_per_channel
+    gain_bytes, methods = 16 * K * K, len(cfg.run.methods)  # one B per trial
+    bits_per_draw = 2 * K * nsym
     draws = -(-cfg.run.bits_per_point // bits_per_draw)  # ceil
-    points = [(scenario, (BER, ig), snr_db, precoding_bytes(scenario))
+    # A batch holds the larger of two phases, each (bytes per trial, bytes
+    # per batch).  The pass: `precoding_bytes`, which counts the Gram stack
+    # (three K x K per trial) that the pass drops before any method's B is
+    # held, so only the B held past the fourth method come on top.  The
+    # QPSK chain: every method's B and the stream per trial, and once per
+    # batch, per user and symbol, the noise and received-block workspaces
+    # and one trial's symbols (16 bytes each) and its bits, decisions and
+    # their comparison (2 bytes each).
+    phases = [(precoding_bytes(scenario) + gain_bytes * max(0, methods - 4), 0),
+              (gain_bytes * methods + STREAM_BYTES, 54 * K * nsym)]
+    trial_bytes, fixed_bytes = min(
+        phases, key=lambda phase: (BATCH_BYTES - phase[1]) // phase[0])
+    points = [(scenario, (BER, ig), snr_db, trial_bytes)
               for ig, snr_db in enumerate(grid)]
-    # The QPSK chain, once per batch: per user and symbol, the noise and
-    # received-block workspaces and one trial's symbols (16 bytes each) and
-    # its bits, decisions and their comparison (2 bytes each).
-    chain = 54 * scenario.K * cfg.run.symbols_per_channel
-    counts = list(monte_carlo(cfg, _ber_kernel, points, draws, chain))
+    counts = list(monte_carlo(cfg, _ber_kernel, points, draws, fixed_bytes))
     errors = {m: np.array([c[m].sum() for c in counts], dtype=np.int64)
               for m in cfg.run.methods}
     bits_simulated = draws * bits_per_draw
@@ -275,7 +292,7 @@ def ber_montecarlo(cfg) -> BerReport:
                      bits_simulated=bits_simulated)
 
 
-def _ber_kernel(cfg, grams, rngs, snr_db) -> dict:
+def _ber_kernel(cfg, parts, rngs, snr_db) -> dict:
     """Bit errors of each trial of the batch, per method, at `snr_db`.
 
     Detection is genie-aided: user k's decisions are the signs of Re and Im
@@ -284,25 +301,31 @@ def _ber_kernel(cfg, grams, rngs, snr_db) -> dict:
     Re or Im of y conj(g_k) lies within an ulp or so of zero, so byte
     identity with the division is checked on the benchmark's configs, not
     proved.  A dead user (g_k = 0) decides on y itself, a coin flip.
+
+    `parts` are the batch's `GramStack`s, which the pass joins and drops;
+    by the chain it holds each method's B, (batch, K, K), and the chain
+    peaks at its 54 bytes per user and symbol (see `ber_montecarlo`).
     """
     power, sol = PowerConfig(snr_db=snr_db), cfg.solver
-    K, nsym = grams.K, cfg.run.symbols_per_channel
-    couplings = precode_each(grams, power.xi, power.tx_power_watts,
+    K, nsym = cfg.users.K, cfg.run.symbols_per_channel
+    couplings = precode_each(parts, power.xi, power.tx_power_watts,
                              cfg.run.methods, sol.T, sol.omega,
-                             lambda pre: coupling_matrix(grams, pre))
+                             lambda pre: coupling_matrix(None, pre))
     errors = {m: np.zeros(len(rngs), dtype=np.int64) for m in couplings}
-    # conj(g) per trial and user, (batch, K, 1); a dead user's g = 0 is 1.
-    gains = {m: np.diagonal(B, axis1=-2, axis2=-1).conj()[..., None]
-             for m, B in couplings.items()}
-    for g in gains.values():
-        g[g == 0] = 1.0
     # Bits and noise follow each trial's channel on its stream, trial by
     # trial: stacked over the batch, the chain adds memory and saves no time.
     # The noise and every method's received block Y are formed in two
     # workspaces for the batch.  A trial's symbols are formed after its
     # noise, so the draw's standard normals are gone by then; its bits and
-    # symbols are released before the next trial's are drawn.
+    # symbols are released before the next trial's are drawn.  Y is scaled
+    # by the gains a quarter of its rows at a time: numpy buffers a
+    # broadcast product, 16 bytes per element up to 128 KiB, and a quarter's
+    # buffer fits in the 4 bytes per user and symbol of the decisions,
+    # which are not yet formed then.  Each element is the same complex
+    # product either way.
     noise, Y = np.empty((2, K, nsym), dtype=complex)
+    step = -(-K // 4)
+    quarters = [slice(k, k + step) for k in range(0, K, step)]
     for i, rng in enumerate(rngs):
         bits = rng.integers(0, 2, size=(K, nsym, 2), dtype=np.int8)
         noise.real = rng.standard_normal((K, nsym))
@@ -312,7 +335,12 @@ def _ber_kernel(cfg, grams, rngs, snr_db) -> dict:
         for m, B in couplings.items():
             np.matmul(B[i], symbols, out=Y)
             Y += noise
-            Y *= gains[m][i]
+            # conj(g) per user, (K, 1); a dead user's g = 0 is 1.  Formed
+            # per trial: the batch's gains would not fit beside the chain.
+            g = np.diagonal(B[i]).conj()[:, None]
+            g[g == 0] = 1.0
+            for q in quarters:
+                Y[q] *= g[q]
             errors[m][i] = np.count_nonzero(qpsk_detect(Y) != bits)
         del bits, symbols
     return errors
@@ -349,9 +377,10 @@ def convergence_trace(cfg) -> dict:
     return {m: np.median(traces[m], axis=0) for m in methods}
 
 
-def _ls_error_kernel(cfg, P, rngs, methods) -> dict:
+def _ls_error_kernel(cfg, parts, rngs, methods) -> dict:
     """Per method, the (trials, t_max + 1) LS-error traces of the batch,
     on its regularized central Grams P."""
+    P = take_joined(parts, np.concatenate)
     bits = np.stack([rng.integers(0, 2, size=(P.shape[-1], 2), dtype=np.int8)
                      for rng in rngs])
     sys = HpdSystem(P=P, rhs=qpsk_modulate(bits))
@@ -378,21 +407,20 @@ def se_trial(cfg, scenario, trials) -> dict:
                        (SE_VS_M, scenario.geometry.M), trials, None))
 
 
-def _sum_se_kernel(cfg, grams, rngs, arg) -> dict:
+def _sum_se_kernel(cfg, parts, rngs, arg) -> dict:
     """Per method, the sum SE of each trial of the batch."""
     pw, sol = cfg.power, cfg.solver
-    return precode_each(grams, pw.xi, pw.tx_power_watts, cfg.run.methods,
+    return precode_each(parts, pw.xi, pw.tx_power_watts, cfg.run.methods,
                         sol.T, sol.omega,
-                        lambda pre: sinr_eq9(grams, pre, pw.sigma2_watts).sum_se)
+                        lambda pre: sinr_eq9(None, pre, pw.sigma2_watts).sum_se)
 
 
-# Per kernel: the reduction of a drawn sub-batch that it reads, the join of
-# the sub-batches' reductions, and the K x K complex arrays per trial that a
-# reduction holds: a GramStack's three Grams, or one regularized Gram.
+# Per kernel: the reduction of a drawn sub-batch that it reads, and the
+# K x K complex arrays per trial that a reduction holds: a GramStack's three
+# Grams, or one regularized Gram.
 _REDUCTIONS = {
-    _sum_se_kernel: (lambda cfg, real: gram_stack(real), concat_grams, 3),
-    _ber_kernel: (lambda cfg, real: gram_stack(real), concat_grams, 3),
+    _sum_se_kernel: (lambda cfg, real: gram_stack(real), 3),
+    _ber_kernel: (lambda cfg, real: gram_stack(real), 3),
     _ls_error_kernel: (lambda cfg, real: gram_regularized(real.Hc,
-                                                          cfg.power.xi),
-                       np.concatenate, 1),
+                                                          cfg.power.xi), 1),
 }

@@ -29,12 +29,13 @@ as drawn and without xi, and the block's visible users, with every system
 on one trial-major axis: row 3 t + i is block i of trial t, its Gram and
 visible-user mask zero-padded with dead users up to K.  A pipeline reduces
 each drawn sub-batch to its `GramStack` at once, releases the blocks and
-joins the sub-batches' stacks (`concat_grams`), so its pass holds no M x K
-array.  `precode_each` makes one pass for several methods.  A padded user
-sits past its block's K_i, which no class exceeds, so it never enters a
-class.  A size class is rows of that stack, each with its n users; its
-`HpdSystem`, with xi I added, is shared by all methods, and each method
-solves once per class.  The coupling blocks are scattered into a stack of
+hands the pass the sub-batches' stacks, which it joins (`concat_grams`) and
+drops once its size classes are cut, so its pass holds no M x K array and
+no Gram stack past the classes.  `precode_each` makes one pass for several
+methods.  A padded user sits past its block's K_i, which no class exceeds,
+so it never enters a class.  A size class is rows of that stack, each
+with its n users; its `HpdSystem`, with xi I added, is shared by all
+methods, and each method solves once per class.  The coupling blocks are scattered into a stack of
 the same layout, and each trial's side rows are added onto its central
 row, which is B.  `build_precoder` alone passes its realization's blocks,
 so its pass also forms G from the same solves.  The Gram is never undone: at low SNR, xi far above
@@ -156,13 +157,18 @@ class _SizeClass:
     sys: HpdSystem       # (s, n, n) gram + xi I, rhs I
 
 
-def precode_each(grams: GramStack, xi: float, power: float, methods, T: int,
-                 omega: float, consume, blocks=None) -> dict:
+def precode_each(grams: GramStack | list, xi: float, power: float, methods,
+                 T: int, omega: float, consume, blocks=None) -> dict:
     """{method: consume(precoder)} for each of `methods` on a `GramStack`.
     Each precoder is consumed before the next is built.  With `blocks`,
     the channel blocks that `grams` reduces, each pass also forms the
     precoder's G blocks; without them reading G raises
     `ConfigurationError`.
+
+    `grams` may also be a list of the `GramStack`s of consecutive stacks of
+    trials, which the pass joins and empties (`take_joined`).  Then it holds
+    the joined stack only until its size classes are cut: each class holds
+    its own Grams, and nothing later reads the stack.
 
     Raises `DegenerateChannelError` when every block of some trial carries
     no energy.
@@ -171,9 +177,22 @@ def precode_each(grams: GramStack, xi: float, power: float, methods, T: int,
         raise ConfigurationError(f"xi must be positive and finite, got {xi}")
     if not 0 < power < np.inf:
         raise ConfigurationError(f"power must be positive and finite, got {power}")
+    if isinstance(grams, list):
+        grams = take_joined(grams, concat_grams)
     classes = _size_classes(grams, xi)
-    return {m: consume(_precoder(grams, classes, power, m, T, omega, blocks))
+    visible, lead = grams.visible, grams.lead
+    del grams  # not held past the classes
+    return {m: consume(_precoder(visible, lead, classes, power, m, T, omega,
+                                 blocks))
             for m in methods}
+
+
+def take_joined(parts: list, join):
+    """The reductions `parts` of consecutive sub-batches joined in order by
+    `join`, and the list emptied, so that only the caller holds them."""
+    joined = parts[0] if len(parts) == 1 else join(parts)
+    parts.clear()
+    return joined
 
 
 def _stack(arrays, dims: int, dtype=complex) -> np.ndarray:
@@ -219,7 +238,8 @@ def _size_class(S, rows, order, n, xi) -> _SizeClass:
                       sys=HpdSystem(P=P, rhs=np.broadcast_to(eye, P.shape)))
 
 
-def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
+def _precoder(visible, lead, classes, power, method, T, omega,
+              blocks) -> BlockPrecoder:
     """One method's precoder: per size class, the solve W, A = H^H H W and
     beta = sqrt(power / tr(F^H F)) with tr(F^H F) = Re <W, A>.  A system
     with no energy (every user it serves sees none of its block's antennas)
@@ -250,18 +270,19 @@ def _precoder(grams, classes, power, method, T, omega, blocks) -> BlockPrecoder:
             G[c.rows[:, None], :, c.users] = np.swapaxes(F, -1, -2)
         # Not held into the next class's solve.
         del W, tr
-    C = np.zeros((len(grams.gram), grams.K, grams.K), dtype=complex)
+    K = visible.shape[-1]
+    C = np.zeros((len(visible), K, K), dtype=complex)
     live = np.zeros(len(C), dtype=bool)
     for c, (A, alive) in zip(classes, scaled):
         C[c.rows[:, None, None], c.users[:, :, None], c.users[:, None, :]] = A
         live[c.rows] = alive
-    if not np.all(np.any(live.reshape(-1, len(grams.sizes)), axis=-1)):
+    if not np.all(np.any(live.reshape(-1, 3), axis=-1)):
         raise DegenerateChannelError(
             "tr(F^H F) = 0 in every block; the channel carries no energy")
-    B, k = C[1::3], grams.K1
+    B, k = C[1::3], K // 2
     B[:, :k, :k] += C[0::3, :k, :k]
     B[:, k:, k:] += C[2::3, :k, :k]
-    return BlockPrecoder(B.reshape(grams.lead + B.shape[1:]).copy(), *(
+    return BlockPrecoder(B.reshape(lead + B.shape[1:]).copy(), *(
         () if G is None else _cut(G, [b.shape for b in blocks])))
 
 

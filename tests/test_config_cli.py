@@ -1,5 +1,6 @@
 """Configuration parsing, seeding, experiment orchestration, and the CLI."""
 
+import gc
 import json
 
 import numpy as np
@@ -302,6 +303,21 @@ class TestCli:
         assert rc == 0
         assert str(out) in capsys.readouterr().out
         assert out.exists()
+
+    def test_heap_is_frozen_once_per_process(self, tmp_path):
+        # The heap at the start of a run is frozen, so the collection at
+        # interpreter exit skips it; a second call in the same process
+        # leaves the freeze as the first made it.
+        gc.unfreeze()
+        try:
+            out = str(tmp_path / "flops.csv")
+            assert cli.main(["flops", "--out", out]) == 0
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            assert cli.main(["flops", "--out", out]) == 0
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
     def test_error_is_machine_readable(self, capsys):
         rc = cli.main(["convergence", "--set", "solver.T=0"])
